@@ -2,7 +2,8 @@
 oracle workloads.
 
 The backend is chosen at import time via TAPLAB_RATIONAL, so each
-measurement runs in a subprocess.
+measurement runs in a subprocess, which imports taplab from this
+checkout's ``src``.
 
     python3 benchmarks/bench_backends.py [--repeat 3]
 """
@@ -12,6 +13,9 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _WORKLOAD = r"""
 import json, time
@@ -52,7 +56,7 @@ print(json.dumps({"backend": BACKEND, "engine_s": engine_s,
 def run_once(backend: str) -> dict:
     out = subprocess.run(
         [sys.executable, "-c", _WORKLOAD],
-        env={"TAPLAB_RATIONAL": backend, "PATH": "/usr/bin:/bin"},
+        env={"TAPLAB_RATIONAL": backend, "PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         check=True,

@@ -196,22 +196,28 @@ def _sweep_instances(args):
         yield f"{args.generator}-{seed + i}", tap
 
 
-def _sweep_row(label: str, tap: TAP, name: str, args) -> list:
-    try:
-        record, trace = _run_record(tap, name, args)
-    except TapError as exc:
-        return [label, name, tap.p, tap.n, "", "", "", "", "", "", "", str(exc)]
-    opt_awake = trt_lb = ratio_awake = ratio_trt = ""
+def _sweep_bounds(tap: TAP, args) -> tuple:
+    """(exhaustive awake optimum, TRT lower bound) of one instance; None
+    where ``--oracle`` leaves it out or the instance exceeds the bound."""
+    opt = lb = None
     if args.oracle in ("exhaustive", "both"):
         try:
             opt, _ = opt_awake_exhaustive(tap, bound=args.oracle_bound)
-            opt_awake = rat_str(opt)
-            if opt > 0:
-                ratio_awake = rat_str(parse_rat(record["awake"]) / opt)
         except InstanceTooLargeError:
             pass
     if args.oracle in ("lb", "both"):
         lb = opt_trt_lower(tap)
+    return opt, lb
+
+
+def _sweep_row(label: str, tap: TAP, name: str, record: dict, trace, bounds) -> list:
+    opt, lb = bounds
+    opt_awake = trt_lb = ratio_awake = ratio_trt = ""
+    if opt is not None:
+        opt_awake = rat_str(opt)
+        if opt > 0:
+            ratio_awake = rat_str(parse_rat(record["awake"]) / opt)
+    if lb is not None:
         trt_lb = rat_str(lb)
         if lb > 0:
             ratio_trt = rat_str(parse_rat(record["trt"]) / lb)
@@ -231,25 +237,37 @@ def _sweep_row(label: str, tap: TAP, name: str, args) -> list:
     ]
 
 
+def _sweep_instance(label: str, tap: TAP, schedulers: list, args) -> list:
+    """The rows of one instance.  Its bounds are computed once, when the
+    first scheduler run succeeds, so an instance on which every run fails
+    never reaches the oracles."""
+    rows = []
+    bounds = None
+    for name in schedulers:
+        try:
+            record, trace = _run_record(tap, name, args)
+        except TapError as exc:
+            rows.append([label, name, tap.p, tap.n, "", "", "", "", "", "", "", str(exc)])
+            continue
+        if bounds is None:
+            bounds = _sweep_bounds(tap, args)
+        rows.append(_sweep_row(label, tap, name, record, trace, bounds))
+    return rows
+
+
 def cmd_sweep(args) -> int:
     try:
         instances = list(_sweep_instances(args))
     except (TapError, OSError) as exc:
         return _die(str(exc))
     schedulers = args.schedulers.split(",")
-    jobs = [
-        (label, tap, name)
-        for label, tap in instances
-        for name in schedulers
-    ]
-    rows = [None] * len(jobs)
 
-    def work(i):
-        label, tap, name = jobs[i]
-        rows[i] = _sweep_row(label, tap, name, args)
+    def work(instance):
+        label, tap = instance
+        return _sweep_instance(label, tap, schedulers, args)
 
     with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        list(pool.map(work, range(len(jobs))))
+        rows = [row for block in pool.map(work, instances) for row in block]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)

@@ -3,8 +3,17 @@
 * ``opt_awake_given_decisions``: exact awake time of the greedy
   most-work-first schedule for a fixed serial/parallel decision vector
   (which is offline-optimal for those decisions);
-* ``opt_awake_exhaustive``: exact optimal awake time by enumerating all
-  2^n decision vectors;
+* ``opt_awake_exhaustive``: exact optimal awake time and a minimizing
+  decision vector, by a depth-first search over the decisions in arrival
+  order.  Vectors that agree up to an arrival time share the
+  most-work-first run up to that time.  After the last arrival every
+  leaf is closed in O(1) by McNaughton's wrap-around rule: once all work
+  is present, the optimal remaining awake time is max(largest serial
+  remaining, total remaining / p).  A branch is pruned only when its
+  admissible lower bound is strictly greater than the best value found,
+  so every optimal vector is reached and the tie-break (the
+  lexicographically first vector in ``tap.tasks`` order, Serial <
+  Parallel) is exact;
 * ``grid_opt``: a discretized exhaustive cross-check oracle for tiny
   instances;
 * ``opt_trt_lower``: an admissible lower bound on optimal total response
@@ -14,83 +23,66 @@
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import Decision, TAP, TapError
-from .rationals import Rat, ZERO, ONE
+from .rationals import Rat, ZERO
 
 
 class InstanceTooLargeError(TapError):
     """The instance exceeds the oracle's configured size bound."""
 
 
-# --- exact awake time for fixed decisions -----------------------------------
+# --- most-work-first fluid state ---------------------------------------------
+#
+# The state of a most-work-first schedule is its serial groups, a list of
+# (remaining work, count) pairs with strictly descending works (equal
+# serial works share processors and sink together), plus the aggregate
+# remaining parallel work.  Parallel work is aggregated because the union
+# of busy intervals does not depend on how leftover capacity is split
+# among parallel jobs.
 
-def opt_awake_given_decisions(tap: TAP, decisions: dict) -> Rat:
-    """Exact awake time of most-work-first under the given decisions.
+def _with_serial(groups: list, works) -> list:
+    """``groups`` with one more serial job of each work in ``works``."""
+    counts = dict(groups)
+    for w in works:
+        counts[w] = counts.get(w, 0) + 1
+    return [(w, counts[w]) for w in sorted(counts, reverse=True)]
 
-    Runs a fluid simulation: the p processors serve the largest remaining
-    serial works (equal works share processors and sink together), leftover
-    capacity drains the aggregate parallel work.  Awake time is the measure
-    of instants with work present; parallel work is aggregated because the
-    union of busy intervals does not depend on how leftover capacity is
-    split among parallel jobs.
+
+def _mwf_run(groups: list, par, p: int, horizon=None) -> tuple:
+    """Run most-work-first from (groups, par) for ``horizon`` time units,
+    or until no work is left when ``horizon`` is None.
+
+    The p processors serve the largest remaining serial works at rate at
+    most 1 each; leftover capacity drains the parallel work.  Returns the
+    final (groups, par) and the time during which work was present.
     """
-    if tap.has_deps:
-        raise TapError("awake oracle requires a plain TAP (no dependencies)")
-    p = tap.p
-    arrivals = [(t.arrival, t) for t in tap.tasks]
-    arrivals.sort(key=lambda x: (x[0], x[1].id))
-    idx = 0
-    now = ZERO
-    awake = ZERO
-    groups: list[list] = []  # [value, count], strictly descending values
-    par = ZERO  # aggregate parallel remaining
-
-    def add_serial(v: Rat) -> None:
-        for g in groups:
-            if g[0] == v:
-                g[1] += 1
-                return
-        groups.append([v, 1])
-        groups.sort(key=lambda g: g[0], reverse=True)
-
-    while idx < len(arrivals) or groups or par > 0:
-        if not groups and par == 0:
-            # gap: jump to the next arrival
-            now = max(now, arrivals[idx][0])
-        while idx < len(arrivals) and arrivals[idx][0] <= now:
-            task = arrivals[idx][1]
-            if decisions[task.id] is Decision.SERIAL:
-                add_serial(task.sigma)
-            else:
-                par += task.pi
-            idx += 1
-        if not groups and par == 0:
-            continue
-        # rates: fill serial groups from the largest value down
-        avail = Rat(p)
+    busy = ZERO
+    while groups or par > 0:
+        # rates: fill serial groups from the largest work down
+        avail = p
         rates = []
-        for value, count in groups:
+        for _, count in groups:
             if avail >= count:
-                rates.append(ONE)
+                rates.append(1)
                 avail -= count
             elif avail > 0:
-                rates.append(avail / count)
-                avail = ZERO
+                rates.append(Rat(avail, count))
+                avail = 0
             else:
-                rates.append(ZERO)
-        par_rate = avail if par > 0 else ZERO
-        # next structural change
-        dt = None if idx >= len(arrivals) else arrivals[idx][0] - now
-        for i, (value, count) in enumerate(groups):
+                rates.append(0)
+        par_rate = avail if par > 0 else 0
+        # next structural change: the horizon, a group closing on the group
+        # below (or on zero), or the parallel work running out
+        dt = None if horizon is None else horizon - busy
+        for i, (value, _) in enumerate(groups):
             r = rates[i]
-            if r <= 0:
-                continue
-            nxt = groups[i + 1][0] if i + 1 < len(groups) else ZERO
-            r_next = rates[i + 1] if i + 1 < len(groups) else ZERO
-            if r > r_next:  # closing on the group below (or on zero)
-                cand = (value - nxt) / (r - r_next)
+            if r == 0:
+                break
+            below = i + 1 < len(groups)
+            r_next = rates[i + 1] if below else 0
+            if r > r_next:
+                cand = (value - (groups[i + 1][0] if below else ZERO)) / (r - r_next)
                 if dt is None or cand < dt:
                     dt = cand
         if par_rate > 0:
@@ -99,43 +91,136 @@ def opt_awake_given_decisions(tap: TAP, decisions: dict) -> Rat:
                 dt = cand
         if dt is None or dt <= 0:
             raise TapError("oracle simulation stalled")  # pragma: no cover
-        for i, g in enumerate(groups):
-            g[0] -= rates[i] * dt
-        par -= par_rate * dt
-        awake += dt
-        now += dt
-        # merge equal-value groups, drop empty ones
-        merged: list[list] = []
-        for value, count in groups:
-            if value == 0:
-                continue
+        # advance, merging equal works and dropping finished groups
+        merged: list = []
+        for (value, count), r in zip(groups, rates):
+            if r:
+                value -= r * dt
+                if value == 0:
+                    continue
             if merged and merged[-1][0] == value:
-                merged[-1][1] += count
+                merged[-1] = (value, merged[-1][1] + count)
             else:
-                merged.append([value, count])
+                merged.append((value, count))
         groups = merged
+        par -= par_rate * dt
+        busy += dt
+        if horizon is not None and busy == horizon:
+            break
+    return groups, par, busy
+
+
+def _arrival_batches(tap: TAP) -> list:
+    """Tasks in (arrival, id) order, as (arrival, tasks) per arrival time."""
+    batches: list = []
+    for task in sorted(tap.tasks, key=lambda t: (t.arrival, t.id)):
+        if batches and batches[-1][0] == task.arrival:
+            batches[-1][1].append(task)
+        else:
+            batches.append((task.arrival, [task]))
+    return batches
+
+
+# --- exact awake time for fixed decisions -----------------------------------
+
+def opt_awake_given_decisions(tap: TAP, decisions: dict) -> Rat:
+    """Exact awake time of most-work-first under the given decisions.
+
+    Awake time is the measure of instants with work present.
+    """
+    if tap.has_deps:
+        raise TapError("awake oracle requires a plain TAP (no dependencies)")
+    batches = _arrival_batches(tap)
+    groups: list = []
+    par = ZERO
+    awake = ZERO
+    for k, (arrival, tasks) in enumerate(batches):
+        serial = []
+        for task in tasks:
+            if decisions[task.id] is Decision.SERIAL:
+                serial.append(task.sigma)
+            else:
+                par += task.pi
+        horizon = batches[k + 1][0] - arrival if k + 1 < len(batches) else None
+        groups, par, busy = _mwf_run(_with_serial(groups, serial), par, tap.p, horizon)
+        awake += busy
     return awake
 
+
+# --- exact optimum over decision vectors ------------------------------------
 
 def opt_awake_exhaustive(tap: TAP, bound: int = 20):
     """(optimal awake time, one minimizing decision vector).
 
-    Enumerates all 2^n decision vectors; ties go to the lexicographically
-    first vector with Serial < Parallel.
+    Depth-first search over the tasks in (arrival, id) order, Serial
+    first.  Between consecutive arrival times the most-work-first state
+    is advanced once per decided prefix.  Inside the last arrival group
+    a leaf is awake + max(largest serial work, total work / p), which is
+    exactly what most-work-first achieves once all work is present.  A
+    node is pruned when awake + max(largest serial work, (present work +
+    the least work of the undecided tasks) / p) is strictly greater than
+    the best value found.  Ties go to the lexicographically first vector
+    in ``tap.tasks`` order with Serial < Parallel.
     """
     if tap.n > bound:
         raise InstanceTooLargeError(f"n={tap.n} exceeds oracle bound {bound}")
-    ids = [t.id for t in tap.tasks]
-    best = None
-    best_vec = None
-    for vec in itertools.product((Decision.SERIAL, Decision.PARALLEL), repeat=tap.n):
-        decisions = dict(zip(ids, vec))
-        value = opt_awake_given_decisions(tap, decisions)
-        if best is None or value < best:
-            best, best_vec = value, decisions
-    if best is None:
+    if tap.has_deps:
+        raise TapError("awake oracle requires a plain TAP (no dependencies)")
+    if not tap.tasks:
         return ZERO, {}
-    return best, best_vec
+    p = tap.p
+    batches = _arrival_batches(tap)
+    order = [task for _, tasks in batches for task in tasks]
+    n = len(order)
+    # ends[k]: search position one past arrival group k
+    ends = list(itertools.accumulate(len(tasks) for _, tasks in batches))
+    # least[i]: least work the tasks at positions i.. can bring
+    least = [ZERO] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        least[i] = least[i + 1] + min(order[i].sigma, order[i].pi)
+    position = {task.id: i for i, task in enumerate(order)}
+    slots = [position[task.id] for task in tap.tasks]
+    choice = [0] * n  # 0 = Serial, 1 = Parallel, by search position
+    best = None
+    best_key = None
+
+    def branch(k, i, groups, par, serial, awake, smax, work) -> None:
+        """Decide position i, in arrival group k.  (groups, par) is the
+        state at the group's arrival, ``serial`` the group's serial works
+        decided so far, and smax and work include them."""
+        nonlocal best, best_key
+        if i == ends[k]:
+            if k + 1 == len(batches):
+                # all work is present: McNaughton's closed form
+                value = awake + max(smax, work / p)
+                if best is None or value <= best:
+                    key = tuple(choice[s] for s in slots)
+                    if best is None or value < best or key < best_key:
+                        best, best_key = value, key
+                return
+            horizon = batches[k + 1][0] - batches[k][0]
+            groups, par, busy = _mwf_run(_with_serial(groups, serial), par, p, horizon)
+            smax = groups[0][0] if groups else ZERO
+            work = sum((w * c for w, c in groups), par)
+            branch(k + 1, i, groups, par, [], awake + busy, smax, work)
+            return
+        if best is not None and awake + max(smax, (work + least[i]) / p) > best:
+            return
+        task = order[i]
+        choice[i] = 0
+        serial.append(task.sigma)
+        branch(k, i + 1, groups, par, serial, awake, max(smax, task.sigma),
+               work + task.sigma)
+        serial.pop()
+        choice[i] = 1
+        branch(k, i + 1, groups, par + task.pi, serial, awake, smax, work + task.pi)
+
+    branch(0, 0, [], ZERO, [], ZERO, ZERO, ZERO)
+    decisions = {
+        task.id: Decision.PARALLEL if c else Decision.SERIAL
+        for task, c in zip(tap.tasks, best_key)
+    }
+    return best, decisions
 
 
 # --- discretized exhaustive cross-check -------------------------------------

@@ -146,6 +146,20 @@ def _awake_corpus(seed: int, count: int = 1000):
         )
 
 
+def _grid_corpus(seed: int, count: int = 100):
+    """Tiny TAPs (n <= 3, p <= 4, integer works and arrivals) that the grid
+    oracle solves exactly on the 1/p grid."""
+    for i in range(count):
+        rng = random.Random((seed, "a1", i).__repr__())
+        p = rng.choice([2, 3, 4])
+        tasks = []
+        for tid in range(rng.randint(1, 3)):
+            sigma = rng.randint(1, 8)
+            pi = rng.randint(sigma, 8)
+            tasks.append(Task(tid, Rat(sigma), Rat(pi), Rat(rng.randint(0, 4))))
+        yield TAP(p, tuple(tasks))
+
+
 def _pow2_corpus(seed: int, count: int = 1000):
     """Random power-of-two-rounded TAPs with n <= 12."""
     for i in range(count):
@@ -168,20 +182,9 @@ def crit_a1(ctx: _Ctx) -> CriterionResult:
     t0 = time.time()
     bad = []
     count = 0
-    i = 0
-    while count < 100:
-        rng = random.Random((ctx.seed, "a1", i).__repr__())
-        i += 1
-        p = rng.choice([2, 3, 4])
-        n = rng.randint(1, 3)
-        tasks = []
-        for tid in range(n):
-            sigma = rng.randint(1, 8)
-            pi = rng.randint(sigma, 8)
-            tasks.append(Task(tid, Rat(sigma), Rat(pi), Rat(rng.randint(0, 4))))
-        tap = TAP(p, tuple(tasks))
+    for i, tap in enumerate(_grid_corpus(ctx.seed), start=1):
         exact, _ = opt_awake_exhaustive(tap)
-        gridded = grid_opt(tap, "awake", Rat(1, p))
+        gridded = grid_opt(tap, "awake", Rat(1, tap.p))
         ctx.note("a1", i, rat_str(exact), rat_str(gridded))
         if exact != gridded:
             bad.append((i, rat_str(exact), rat_str(gridded)))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -134,6 +135,27 @@ class TestSweep:
             if cells["ratio_awake"]:
                 limit = 3 if cells["scheduler"] == "bal" else 6
                 assert parse_rat(cells["ratio_awake"]) <= limit
+
+    def test_oracle_once_per_instance(self, tmp_path, monkeypatch):
+        import taplab.cli as cli
+
+        calls = []
+        real = cli.opt_awake_exhaustive
+
+        def counted(tap, bound=20):
+            calls.append(tap)
+            return real(tap, bound=bound)
+
+        monkeypatch.setattr(cli, "opt_awake_exhaustive", counted)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--generator", "random", "--count", "4",
+                     "--p-list", "4,8", "--n", "6", "--seed", "11",
+                     "--arrival", "bursty", "--schedulers", "bal,unk",
+                     "--oracle", "both", "-o", str(out)]) == 0
+        assert len(calls) == 4
+        # the CSV the sweep wrote when it ran the oracle once per row
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "265e67e9e186c5a0ff92a8b39840b7aa1593abfbc2ef86a78ab0794d77b2430f")
 
     def test_directory_corpus(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -1,8 +1,12 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taplab.core import Decision, TAP, Task, metrics_from_trace
+from taplab.adversary import gen_geometric
+from taplab.core import Decision, TAP, Task, TapError, metrics_from_trace
 from taplab.engine import simulate
 from taplab.oracle import (
     InstanceTooLargeError,
@@ -13,6 +17,7 @@ from taplab.oracle import (
 )
 from taplab.rationals import Rat, ZERO, ONE, PHI
 from taplab.sched_awake import BalScheduler, UnkScheduler
+from taplab.verify import _awake_corpus, _grid_corpus
 
 from conftest import small_taps
 
@@ -66,6 +71,101 @@ class TestExhaustive:
         tap = TAP(4, tuple(T(i, 1, 1) for i in range(5)))
         with pytest.raises(InstanceTooLargeError):
             opt_awake_exhaustive(tap, bound=4)
+
+    def test_dependencies_rejected(self):
+        tap = TAP(4, (T(0, 1, 4), Task(1, ONE, Rat(4), ZERO, frozenset({0}))))
+        with pytest.raises(TapError, match="no dependencies"):
+            opt_awake_exhaustive(tap)
+
+    def test_empty(self):
+        assert opt_awake_exhaustive(TAP(4, ())) == (0, {})
+
+
+# --- the search against a reference enumerator ---------------------------------
+
+def reference_exhaustive(tap):
+    """Re-simulate every one of the 2^n decision vectors in ``tap.tasks``
+    order, Serial first, keeping the first strict improvement."""
+    ids = [t.id for t in tap.tasks]
+    best = best_vec = None
+    for vec in itertools.product((S, P), repeat=tap.n):
+        decisions = dict(zip(ids, vec))
+        value = opt_awake_given_decisions(tap, decisions)
+        if best is None or value < best:
+            best, best_vec = value, decisions
+    return best, best_vec
+
+
+def assert_matches_reference(tap):
+    assert opt_awake_exhaustive(tap) == reference_exhaustive(tap), tap
+
+
+@st.composite
+def tie_heavy_taps(draw, max_n=6):
+    """Plain TAPs with shuffled ids, simultaneous arrivals, idle gaps,
+    sigma == pi ties, p = 1 and n = 0."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p = rng.choice([1, 2, 3, 4])
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    arrivals = sorted(rng.choice([0, 0, 1, 2, 9]) for _ in range(n))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    tasks = []
+    for tid, arrival in zip(ids, arrivals):
+        sigma = Rat(rng.randint(1, 3))
+        pi = sigma * rng.choice([1, 1, rng.randint(1, p)])
+        tasks.append(Task(tid, sigma, pi, Rat(arrival)))
+    return TAP(p, tuple(tasks))
+
+
+class TestSearchMatchesReference:
+    """Same (value, decision vector) as re-simulating all 2^n vectors."""
+
+    def test_a1_corpus(self):
+        for tap in _grid_corpus(0):
+            assert_matches_reference(tap)
+
+    def test_a2_corpus_head(self):
+        for tap in _awake_corpus(0, count=100):
+            assert_matches_reference(tap)
+
+    def test_a5_prefixes(self):
+        # criterion A5 takes the prefixes of 1..log2(p) tasks
+        tap = gen_geometric(16)
+        for j in range(1, 5):
+            assert_matches_reference(TAP(16, tap.tasks[:j]))
+
+    @given(tie_heavy_taps())
+    @settings(max_examples=300, deadline=None)
+    def test_tie_heavy(self, tap):
+        assert_matches_reference(tap)
+
+    def test_ids_out_of_arrival_order(self):
+        # the search visits id 1 before id 2, but the tie-break follows
+        # tap.tasks order; a search that dropped tied leaves (pruning on
+        # >=, or not comparing ties) would return the first optimum it
+        # met, {2: P, 1: S, 0: P}
+        tap = TAP(3, (T(2, 2, 2, 1), T(1, 2, 2, 1), T(0, 2, 2, 2)))
+        assert_matches_reference(tap)
+        assert opt_awake_exhaustive(tap) == (2, {2: S, 1: P, 0: P})
+
+
+class TestClosedForm:
+    """All work present at once: most-work-first takes
+    max(largest serial work, total work / p) (McNaughton's rule)."""
+
+    @given(st.one_of(small_taps(max_n=8), tie_heavy_taps(max_n=8)),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_awake(self, tap, rng):
+        tasks = tuple(Task(t.id, t.sigma, t.pi, Rat(3)) for t in tap.tasks)
+        tap = TAP(tap.p, tasks)
+        decisions = {t.id: rng.choice((S, P)) for t in tasks}
+        serial = [t.sigma for t in tasks if decisions[t.id] is S]
+        total = sum(serial, ZERO) + sum(
+            (t.pi for t in tasks if decisions[t.id] is P), ZERO)
+        assert opt_awake_given_decisions(tap, decisions) == max(
+            max(serial, default=ZERO), total / tap.p)
 
 
 class TestGridOpt:
