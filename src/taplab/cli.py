@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -77,7 +78,7 @@ def _build_scheduler(name: str, args) -> tuple:
     if needs_cancel and not args.allow_cancel:
         raise TapError(f"scheduler {name!r} requires --allow-cancel")
     if name == "csched":
-        scheduler = CScheduler(inner_scale=args.inner_scale, budget_factor=factor)
+        scheduler = CScheduler(inner_scale=args.inner_scale)
     else:
         scheduler = make_scheduler(name)
     return scheduler, factor
@@ -198,8 +199,11 @@ def _sweep_instances(args):
 
 def _sweep_bounds(tap: TAP, args) -> tuple:
     """(exhaustive awake optimum, TRT lower bound) of one instance; None
-    where ``--oracle`` leaves it out or the instance exceeds the bound."""
+    where ``--oracle`` leaves it out, the instance exceeds the bound or
+    has dependencies (both oracles need a plain TAP)."""
     opt = lb = None
+    if tap.has_deps:
+        return opt, lb
     if args.oracle in ("exhaustive", "both"):
         try:
             opt, _ = opt_awake_exhaustive(tap, bound=args.oracle_bound)
@@ -276,6 +280,10 @@ def cmd_sweep(args) -> int:
         writer.writerow(row)
     for row in skipped:
         print(f"warning: {row[0]}/{row[1]}: {row[11]}", file=sys.stderr)
+    if args.oracle != "none":
+        for label, tap in instances:
+            if tap.has_deps:
+                print(f"warning: {label}: dependencies, no oracle columns", file=sys.stderr)
     text = out.getvalue()
     if args.output:
         with open(args.output, "w") as fh:
@@ -493,8 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

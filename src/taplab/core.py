@@ -60,9 +60,6 @@ class Task:
     def work(self, decision: Decision) -> Rat:
         return self.sigma if decision is Decision.SERIAL else self.pi
 
-    def cost_ratio(self) -> Rat:
-        return self.pi / self.sigma
-
 
 @dataclass(frozen=True)
 class TaskType:

@@ -8,6 +8,17 @@ simultaneous events are resolved by a fixed tie order
 The engine supports incremental advancement (``advance_to``) so that a
 scheduler may drive a nested inner simulation in lockstep with the outer
 clock; the non-cancelling MRT scheduler relies on this.
+
+The event loop's fast paths rely on these invariants:
+
+* ``alloc`` holds only positive rates of running tasks, and a serial
+  task's rate is at most 1 (``_set_allocation`` rejects anything else);
+* the next completion time ``now + remaining/(speed*rate)`` is invariant
+  while the allocation holds, so it is computed once per allocation and
+  cached until the allocation changes (a new allocation, a completion or
+  a cancellation);
+* ``_alive`` (arrived or running) and ``_running`` mirror ``status``, so
+  no query scans every task.
 """
 
 from __future__ import annotations
@@ -165,20 +176,18 @@ class EngineView:
 
     def alive_ids(self) -> list[int]:
         """Arrived-or-running task ids, ascending."""
-        return sorted(
-            tid for tid, st in self._e.status.items() if st in (_ARRIVED, _RUNNING)
-        )
+        return sorted(self._e._alive)
 
     def unstarted_ids(self) -> list[int]:
         """Arrived, not-yet-started ids in (availability, id) order."""
-        ids = [tid for tid, st in self._e.status.items() if st == _ARRIVED]
-        return sorted(ids, key=lambda t: (self._e.avail_time[t], t))
+        avail = self._e.avail_time
+        return sorted(self._e._alive - self._e._running, key=lambda t: (avail[t], t))
 
     def running_ids(self) -> list[int]:
-        return sorted(tid for tid, st in self._e.status.items() if st == _RUNNING)
+        return sorted(self._e._running)
 
     def completed_ids(self) -> list[int]:
-        return sorted(tid for tid, st in self._e.status.items() if st == _DONE)
+        return sorted(self._e.trace.completions)
 
     def decision(self, tid: int) -> Decision | None:
         return self._e.decision.get(tid)
@@ -245,6 +254,10 @@ class Engine:
         self._event_count = 0
         self._deps_done: dict[int, set] = {}
         self._ready_at: dict[int, Rat] = {}  # pending id -> availability time
+        self._alive: set[int] = set()
+        self._running: set[int] = set()
+        self._finish: Rat | None = None  # next completion under ``alloc``
+        self._finish_stale = False
         self.view = EngineView(self, hide_pi=getattr(scheduler, "oblivious", False))
         self._started = False
         tap.validate()
@@ -280,18 +293,17 @@ class Engine:
     # -- event queries -------------------------------------------------------
 
     def _next_completion(self) -> Rat | None:
-        best = None
-        speed = self.config.speed
-        for tid, rate in self.alloc.items():
-            if rate <= 0 or self.status[tid] != _RUNNING:
-                continue
-            eff = min(rate, ONE) if self.decision[tid] is Decision.SERIAL else rate
-            if eff <= 0:
-                continue
-            t = self.now + self.remaining[tid] / (speed * eff)
-            if best is None or t < best:
-                best = t
-        return best
+        if self._finish_stale:
+            self._finish_stale = False
+            remaining = self.remaining
+            first = min(
+                (remaining[tid] / rate for tid, rate in self.alloc.items()), default=None
+            )
+            speed = self.config.speed
+            if first is not None:
+                first = self.now + (first if speed == 1 else first / speed)
+            self._finish = first
+        return self._finish
 
     def next_event_time(self) -> Rat | None:
         candidates = []
@@ -306,9 +318,7 @@ class Engine:
 
     @property
     def done(self) -> bool:
-        return not self._ready_at and not any(
-            st in (_ARRIVED, _RUNNING) for st in self.status.values()
-        )
+        return not self._ready_at and not self._alive
 
     # -- time advancement ----------------------------------------------------
 
@@ -319,32 +329,22 @@ class Engine:
             return
         dt = t - self.now
         speed = self.config.speed
-        alive = False
-        for tid, st in self.status.items():
-            if st in (_ARRIVED, _RUNNING):
-                alive = True
-                break
+        work = dt if speed == 1 else dt * speed
+        remaining = self.remaining
         for tid, rate in self.alloc.items():
-            if rate <= 0 or self.status[tid] != _RUNNING:
-                continue
-            eff = min(rate, ONE) if self.decision[tid] is Decision.SERIAL else rate
-            self.remaining[tid] -= speed * eff * dt
-            if self.remaining[tid] < 0:
-                raise RunawayError(
-                    f"task {tid} overshot completion (remaining {self.remaining[tid]})"
-                )
+            left = remaining[tid] - rate * work
+            if left < 0:
+                raise RunawayError(f"task {tid} overshot completion (remaining {left})")
+            remaining[tid] = left
         self.trace.slices.append((self.now, t, dict(self.alloc)))
-        if alive:
+        if self._alive:
             self.awake_so_far += dt
         self.now = t
 
     # -- event processing ----------------------------------------------------
 
     def _events_at(self, t: Rat) -> list:
-        events = []
-        for tid, st in self.status.items():
-            if st == _RUNNING and self.remaining[tid] == 0 and self.alloc.get(tid, ZERO) > 0:
-                events.append((_COMPLETION, tid, None))
+        events = [(_COMPLETION, tid, None) for tid in self.alloc if self.remaining[tid] == 0]
         for tid, rt in self._ready_at.items():
             if rt == t:
                 events.append((_ARRIVAL, tid, None))
@@ -365,9 +365,11 @@ class Engine:
             if self.decision[tid] is not Decision.PARALLEL:
                 raise ContractError(f"cannot cancel serial task {tid}")
             self.status[tid] = _ARRIVED
+            self._running.discard(tid)
             del self.decision[tid]
             self.remaining[tid] = ZERO
             self.alloc.pop(tid, None)
+            self._finish_stale = True
             self.trace.cancellations.append((tid, self.now))
         for tid in sorted(commands.starts):
             decision = commands.starts[tid]
@@ -377,6 +379,7 @@ class Engine:
                 )
             task = self.tasks[tid]
             self.status[tid] = _RUNNING
+            self._running.add(tid)
             self.decision[tid] = decision
             self.remaining[tid] = task.work(decision)
             self.trace.decisions[tid] = (decision, self.now, None)
@@ -396,7 +399,10 @@ class Engine:
         if kind == _COMPLETION:
             tid = key
             self.status[tid] = _DONE
+            self._alive.discard(tid)
+            self._running.discard(tid)
             self.alloc.pop(tid, None)
+            self._finish_stale = True
             self.trace.completions[tid] = self.now
             # unlock dependents
             for other, missing in self._deps_done.items():
@@ -409,6 +415,7 @@ class Engine:
             tid = key
             del self._ready_at[tid]
             self.status[tid] = _ARRIVED
+            self._alive.add(tid)
             self.avail_time[tid] = self.now
             self.trace.arrivals[tid] = self.now
             self._apply_commands(
@@ -422,10 +429,11 @@ class Engine:
         alloc: dict[int, Rat] = {}
         total = ZERO
         for tid, rate in raw.items():
-            rate = Rat(rate)
-            if rate < 0:
-                raise FeasibilityError(f"negative rate for task {tid}")
-            if rate == 0:
+            if type(rate) is not Rat:
+                rate = Rat(rate)
+            if rate <= 0:
+                if rate < 0:
+                    raise FeasibilityError(f"negative rate for task {tid}")
                 continue
             if self.status.get(tid) != _RUNNING:
                 raise FeasibilityError(
@@ -440,6 +448,7 @@ class Engine:
                 f"allocation total {total} exceeds budget {self.budget}"
             )
         self.alloc = alloc
+        self._finish_stale = True
         for tid in alloc:
             dec, t_dec, t_start = self.trace.decisions[tid]
             if t_start is None:
@@ -521,13 +530,20 @@ class ValidationReport:
 
 
 def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -> ValidationReport:
-    """Check every trace invariant; violations are data, not exceptions."""
+    """Check every trace invariant; violations are data, not exceptions.
+
+    One pass over the slices; each completed task's work is accumulated
+    over its final run, from its last cancellation to its completion."""
     config = config or EngineConfig()
     report = ValidationReport()
     budget = Rat(config.processor_budget) if config.processor_budget is not None else Rat(tap.p)
-    speed = Rat(config.speed)
     tasks = {t.id: t for t in tap.tasks}
     # extra tasks may have been injected by an adversary; trust trace arrivals
+    cancel_times: dict[int, Rat] = {}
+    for tid, at in trace.cancellations:
+        cancel_times[tid] = max(at, cancel_times.get(tid, ZERO))
+    work: dict[int, Rat] = {}  # completed id -> rate x time over its final run
+    serial_cap_violated: set[int] = set()
     prev_end = None
     for t0, t1, alloc in trace.slices:
         if t1 <= t0:
@@ -540,51 +556,48 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
             if rate < 0:
                 report.violations.append(f"negative rate for task {tid} at {t0}")
             total += rate
-            if tid not in trace.decisions:
+            decided = trace.decisions.get(tid)
+            if decided is None:
                 report.violations.append(f"rate for undecided task {tid} at {t0}")
                 continue
             arrival = trace.arrivals.get(tid)
             if arrival is not None and t0 < arrival:
                 report.violations.append(f"task {tid} runs before arrival at {t0}")
             done = trace.completions.get(tid)
-            if done is not None and t1 > done:
+            if done is None:
+                continue
+            if t1 > done:
                 report.violations.append(f"task {tid} runs after completion at {t0}")
+            start = cancel_times.get(tid, ZERO)
+            if t0 >= start and t1 <= done:  # the whole slice counts
+                a, b = t0, t1
+            else:
+                a, b = max(t0, start), min(t1, done)
+            if b <= a:
+                continue
+            if decided[0] is Decision.SERIAL and rate > 1:
+                serial_cap_violated.add(tid)
+                rate = ONE
+            work[tid] = work.get(tid, ZERO) + rate * (b - a)
         if total > budget:
             report.violations.append(
                 f"budget violation at {t0}: total {total} > {budget}"
             )
     if not config.allow_cancel and trace.cancellations:
         report.violations.append("cancellations present with allow_cancel=false")
-    # per-task work conservation over the final (post-cancellation) run
-    cancel_times: dict[int, Rat] = {}
-    for tid, at in trace.cancellations:
-        cancel_times[tid] = max(at, cancel_times.get(tid, ZERO))
-    for tid, f in trace.completions.items():
+    speed = Rat(config.speed)
+    for tid in trace.completions:
         if tid not in trace.decisions:
             report.violations.append(f"task {tid} completed without a decision")
             continue
-        decision, _, _ = trace.decisions[tid]
-        start_after = cancel_times.get(tid, ZERO)
-        work = ZERO
-        serial_cap_violated = False
-        for t0, t1, alloc in trace.slices:
-            rate = alloc.get(tid)
-            if rate is None or t1 <= start_after or t0 >= f:
-                continue
-            a, b = max(t0, start_after), min(t1, f)
-            if b <= a:
-                continue
-            if decision is Decision.SERIAL and rate > 1:
-                serial_cap_violated = True
-            eff = min(rate, ONE) if decision is Decision.SERIAL else rate
-            work += speed * eff * (b - a)
-        if serial_cap_violated:
+        if tid in serial_cap_violated:
             report.violations.append(f"serial task {tid} allocated rate > 1")
         task = tasks.get(tid)
         if task is not None:
-            expected = task.work(decision)
-            if work != expected:
+            did = speed * work.get(tid, ZERO)
+            expected = task.work(trace.decisions[tid][0])
+            if did != expected:
                 report.violations.append(
-                    f"work conservation: task {tid} did {work}, expected {expected}"
+                    f"work conservation: task {tid} did {did}, expected {expected}"
                 )
     return report

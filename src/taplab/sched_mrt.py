@@ -81,7 +81,6 @@ class RigidScheduler(Scheduler):
     FCFS, never preempted."""
 
     name = "rigid"
-    nonpreemptive = True
 
     def __init__(self):
         self.queue: list[int] = []
@@ -272,8 +271,6 @@ class CancScheduler(Scheduler):
 @dataclass
 class _TypeState:
     members: list = field(default_factory=list)  # arrival order; head is runner
-    outer_done: int = 0  # parallel completions by this scheduler
-    inner_done: int = 0  # parallel completions in the nested simulation
 
 
 class BScheduler(Scheduler):
@@ -397,7 +394,6 @@ class BScheduler(Scheduler):
             if inner_tid in self.serialized_inner:
                 continue  # serial completion inside the nested run
             state = self.types[self.type_of[inner_tid]]
-            state.inner_done += 1
             if inner_tid in state.members:
                 # the nested run finished this task's stand-in but the task
                 # itself is still behind (a runner cancellation discarded
@@ -446,8 +442,6 @@ class BScheduler(Scheduler):
     def on_completion(self, view, tid):
         state = self.types.get(self.type_of.get(tid))
         if state and tid in state.members:
-            if tid == state.members[0]:
-                state.outer_done += 1
             state.members.remove(tid)
         return self._sync(view)
 
@@ -515,9 +509,8 @@ class CScheduler(Scheduler):
 
     name = "csched"
 
-    def __init__(self, inner_scale=3, budget_factor=4):
+    def __init__(self, inner_scale=3):
         self.scale = Rat(inner_scale)
-        self.budget_factor = Rat(budget_factor)
         self.inner: Engine | None = None
         self.task_info: dict[int, Task] = {}
         self.vested: set[int] = set()

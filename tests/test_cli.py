@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import taplab
 from taplab.cli import main
 from taplab.core import TAP, Task, metrics_from_trace, tap_from_json, tap_to_json
 from taplab.engine import simulate
@@ -96,6 +100,29 @@ class TestGenRoundtrip:
         assert tap.n == 4
 
 
+class TestParser:
+    def test_consecutive_calls_do_not_share_values(self, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["gen", "random", "--p", "4", "--n", "3", "--seed", "1",
+                     "-o", str(a)]) == 0
+        assert main(["gen", "random", "--seed", "1", "-o", str(b)]) == 0
+        first, second = tap_from_json(a.read_text()), tap_from_json(b.read_text())
+        assert (first.p, first.n) == (4, 3)
+        assert (second.p, second.n) == (8, 8)  # the defaults, not the first call's
+
+
+class TestModule:
+    def test_python_m_taplab(self):
+        src = os.path.dirname(os.path.dirname(taplab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-m", "taplab", "verify", "--only", "A5", "--seed", "0"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "A5   PASS" in done.stdout
+
+
 class TestOracle:
     def test_lb_method(self, tmp_path, capsys):
         path = _write(tmp_path, _golden_tap())
@@ -156,6 +183,20 @@ class TestSweep:
         # the CSV the sweep wrote when it ran the oracle once per row
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "265e67e9e186c5a0ff92a8b39840b7aa1593abfbc2ef86a78ab0794d77b2430f")
+
+    def test_dependency_instance_leaves_oracles_blank(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        assert main(["gen", "dtap-random", "--p", "4", "--n", "4", "--seed", "1",
+                     "-o", str(corpus / "dtap.json")]) == 0
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--dir", str(corpus), "--schedulers", "turtle",
+                     "-o", str(out)]) == 0
+        header, *rows = out.read_text().strip().splitlines()
+        assert len(rows) == 1
+        cells = dict(zip(header.split(","), rows[0].split(",")))
+        assert cells["opt_awake"] == cells["trt_lb"] == cells["violations"] == ""
+        assert "warning: dtap.json: dependencies" in capsys.readouterr().err
 
     def test_directory_corpus(self, tmp_path):
         corpus = tmp_path / "corpus"
