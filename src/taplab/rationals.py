@@ -1,19 +1,36 @@
 """Exact rational arithmetic with a selectable backend.
 
 All times and works in the simulator are exact rationals.  The hot loops
-(event-time computation, allocation integrals, oracle enumeration) are
+(event-time computation, allocation integrals, oracle search) are
 dominated by rational arithmetic, so we use gmpy2's compiled ``mpq`` type
-when it is available and fall back to the pure-Python ``fractions.Fraction``
+when it is available and a fast subclass of ``fractions.Fraction``
 otherwise.  The backend is chosen once at import time; set
 ``TAPLAB_RATIONAL=fractions`` (or ``gmpy2``) to force a backend.
 
-Both types normalise to lowest terms with a positive denominator and
-interoperate with Python ints, which is all the rest of the package relies
-on.  ``benchmarks/bench_backends.py`` compares the two.
+Without gmpy2, ``Rat`` is ``FastFraction``, a slotted ``Fraction``
+subclass.  It overrides construction, ``+ - * /`` and their reflected
+forms, unary ``-``/``+``, ``abs``, ``**`` with an integral exponent,
+``== < <= > >=`` (``!=`` follows ``==``) and ``hash`` with fast paths for
+operands of exact type ``FastFraction``, ``Fraction`` or ``int``: they
+skip ``Fraction.__new__``, its operator wrappers and the
+``numbers.Rational`` checks, and reduce with CPython's formulas (Knuth,
+TAOCP vol. 2, 4.5.1), so each result is normalised exactly as
+``Fraction``'s.  Other operand types (float, complex, bool, ...) and other
+operations (``str``, ``float``, ``floor``/``round``, ``//``, ``%``,
+pickling, copying) use the inherited ``Fraction`` code.  A subclass's
+reflected operator wins, so ``Fraction op Rat`` is a ``Rat`` too.
+``repr`` stays ``Fraction(n, d)`` and ``BACKEND`` stays ``"fractions"``:
+the values are ``Fraction`` instances, and the battery digests hash
+``str``/``repr``, so they stay comparable with plain ``Fraction`` runs.
+
+Both backends normalise to lowest terms with a positive denominator and
+interoperate with Python ints, which is all the rest of the package
+relies on.  ``benchmarks/bench_backends.py`` compares the two.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from fractions import Fraction
 
@@ -35,10 +52,194 @@ elif _requested in ("fractions", "python", "fraction"):
 else:
     raise RuntimeError(f"unknown TAPLAB_RATIONAL backend {_requested!r}")
 
-if BACKEND == "gmpy2":
-    Rat = _mpq
-else:
-    Rat = Fraction
+_gcd = math.gcd
+_new = object.__new__
+
+
+class FastFraction(Fraction):
+    """``Fraction`` with fast paths for ``FastFraction``, ``Fraction`` and
+    ``int`` operands; see the module docstring."""
+
+    __slots__ = ()
+
+    def __new__(cls, numerator=0, denominator=None):
+        tn = type(numerator)
+        if denominator is None:
+            if tn is int:
+                return _make(numerator, 1)
+            if tn is FastFraction:
+                return numerator
+            if tn is Fraction:
+                return _make(numerator._numerator, numerator._denominator)
+        elif tn is int and type(denominator) is int:
+            if denominator == 0:
+                raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+            g = _gcd(numerator, denominator)
+            if denominator < 0:
+                g = -g
+            return _make(numerator // g, denominator // g)
+        return Fraction.__new__(cls, numerator, denominator)
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __add__(a, b):
+        tb = type(b)
+        if tb is FastFraction or tb is Fraction:
+            return _add(a._numerator, a._denominator, b._numerator, b._denominator)
+        if tb is int:
+            return _make(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        tb = type(b)
+        if tb is FastFraction or tb is Fraction:
+            return _add(a._numerator, a._denominator, -b._numerator, b._denominator)
+        if tb is int:
+            return _make(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        tb = type(b)
+        if tb is Fraction:
+            return _add(b._numerator, b._denominator, -a._numerator, a._denominator)
+        if tb is int:
+            return _make(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        tb = type(b)
+        if tb is FastFraction or tb is Fraction:
+            na, da = a._numerator, a._denominator
+            nb, db = b._numerator, b._denominator
+            g1, g2 = _gcd(na, db), _gcd(nb, da)
+            return _make((na // g1) * (nb // g2), (db // g1) * (da // g2))
+        if tb is int:
+            g = _gcd(b, a._denominator)
+            return _make(a._numerator * (b // g), a._denominator // g)
+        return Fraction.__mul__(a, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        tb = type(b)
+        if tb is FastFraction or tb is Fraction:
+            return _div(a._numerator, a._denominator, b._numerator, b._denominator)
+        if tb is int:
+            return _div(a._numerator, a._denominator, b, 1)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(a, b):
+        tb = type(b)
+        if tb is Fraction:
+            return _div(b._numerator, b._denominator, a._numerator, a._denominator)
+        if tb is int:
+            return _div(b, 1, a._numerator, a._denominator)
+        return Fraction.__rtruediv__(a, b)
+
+    def __pow__(a, b):
+        tb = type(b)
+        if (tb is FastFraction or tb is Fraction) and b._denominator == 1:
+            b, tb = b._numerator, int
+        if tb is not int:
+            return Fraction.__pow__(a, b)
+        na, da = a._numerator, a._denominator
+        if b >= 0:
+            return _make(na**b, da**b)
+        if na == 0:
+            raise ZeroDivisionError("division by zero")
+        if na > 0:
+            return _make(da**-b, na**-b)
+        return _make((-da) ** -b, (-na) ** -b)
+
+    def __rpow__(a, b):
+        tb = type(b)
+        if a._denominator == 1 and (tb is int or tb is Fraction):
+            return FastFraction(b) ** a._numerator
+        return Fraction.__rpow__(a, b)
+
+    def __neg__(a):
+        return _make(-a._numerator, a._denominator)
+
+    def __pos__(a):
+        return a
+
+    def __abs__(a):
+        return a if a._numerator >= 0 else _make(-a._numerator, a._denominator)
+
+    def __hash__(self):
+        if self._denominator == 1:
+            return hash(self._numerator)
+        return Fraction.__hash__(self)
+
+    def __eq__(a, b):
+        tb = type(b)
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if tb is int:
+            return a._numerator == b and a._denominator == 1
+        return Fraction.__eq__(a, b)
+
+    def __lt__(a, b):
+        tb = type(b)
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator * b._denominator < a._denominator * b._numerator
+        return a._numerator < a._denominator * b if tb is int else Fraction.__lt__(a, b)
+
+    def __gt__(a, b):
+        tb = type(b)
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator * b._denominator > a._denominator * b._numerator
+        return a._numerator > a._denominator * b if tb is int else Fraction.__gt__(a, b)
+
+    def __le__(a, b):
+        tb = type(b)
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator * b._denominator <= a._denominator * b._numerator
+        return a._numerator <= a._denominator * b if tb is int else Fraction.__le__(a, b)
+
+    def __ge__(a, b):
+        tb = type(b)
+        if tb is FastFraction or tb is Fraction:
+            return a._numerator * b._denominator >= a._denominator * b._numerator
+        return a._numerator >= a._denominator * b if tb is int else Fraction.__ge__(a, b)
+
+
+def _make(numerator: int, denominator: int) -> FastFraction:
+    """A ``FastFraction`` from a reduced pair with a positive denominator."""
+    r = _new(FastFraction)
+    r._numerator = numerator
+    r._denominator = denominator
+    return r
+
+
+def _add(na: int, da: int, nb: int, db: int) -> FastFraction:
+    """na/da + nb/db for reduced pairs, as CPython's ``Fraction._add``."""
+    g = _gcd(da, db)
+    if g == 1:
+        return _make(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = _gcd(t, g)
+    if g2 == 1:
+        return _make(t, s * db)
+    return _make(t // g2, s * (db // g2))
+
+
+def _div(na: int, da: int, nb: int, db: int) -> FastFraction:
+    """(na/da) / (nb/db) for reduced pairs, as CPython's ``Fraction._div``."""
+    if nb == 0:
+        raise ZeroDivisionError("division by zero")
+    g1, g2 = _gcd(na, nb), _gcd(db, da)
+    n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
+    if d < 0:
+        n, d = -n, -d
+    return _make(n, d)
+
+
+Rat = _mpq if BACKEND == "gmpy2" else FastFraction
 
 #: Rational zero and one in the active backend.
 ZERO = Rat(0)

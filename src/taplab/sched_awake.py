@@ -139,7 +139,8 @@ class UnkScheduler(Scheduler):
     """Parallel-work-oblivious scheduler (6-competitive).
 
     Never reads any pi (the engine view hides them).  A not-yet-started
-    task that has waited strictly more than sigma runs serially; otherwise
+    task that has waited strictly more than sigma since it became
+    available (its arrival, on a plain TAP) runs serially; otherwise
     it may start as the single parallel task.  Starts happen only when no
     parallel task is running and fewer than p serial tasks are running;
     a running parallel task absorbs every leftover processor, so there is
@@ -162,7 +163,7 @@ class UnkScheduler(Scheduler):
         starts: dict[int, Decision] = {}
         for tid in view.unstarted_ids():
             task = view.task(tid)
-            if view.now - task.arrival > task.sigma:
+            if view.now - view.avail_time(tid) > task.sigma:
                 if running_serial < view.p:
                     starts[tid] = Decision.SERIAL
                     running_serial += 1
@@ -175,7 +176,8 @@ class UnkScheduler(Scheduler):
         commands = self._try_starts(view) or SchedCommands()
         if task.id not in commands.starts:
             # the serial option activates right after age sigma
-            commands.timers.append((task.arrival + task.sigma, ("aged", task.id)))
+            aged_at = view.avail_time(task.id) + task.sigma
+            commands.timers.append((aged_at, ("aged", task.id)))
         return commands
 
     def on_completion(self, view, tid):
@@ -199,7 +201,7 @@ class UnkScheduler(Scheduler):
         return alloc
 
 
-class GoldenAlg(Scheduler):
+class GoldenAlg(_MwfMixin, Scheduler):
     """Experimental scheduler built around the golden-ratio conjecture.
 
     New tasks join a parallel pool; at each arrival an oracle recomputes
@@ -255,13 +257,3 @@ class GoldenAlg(Scheduler):
         if parallel_running:
             return None
         return SchedCommands(starts={self.parallel_pool.pop(0): Decision.PARALLEL})
-
-    def allocate(self, view) -> dict:
-        serial: dict[int, Rat] = {}
-        parallel: dict[int, Rat] = {}
-        for tid in view.running_ids():
-            if view.decision(tid) is Decision.SERIAL:
-                serial[tid] = view.remaining(tid)
-            else:
-                parallel[tid] = view.remaining(tid)
-        return most_work_first_alloc(serial, parallel, view.budget)

@@ -513,6 +513,7 @@ class CScheduler(Scheduler):
         self.scale = Rat(inner_scale)
         self.inner: Engine | None = None
         self.task_info: dict[int, Task] = {}
+        self.task_class: dict[int, Rat] = {}  # fixed at arrival
         self.vested: set[int] = set()
         self.ballistic: dict[int, Rat] = {}  # tid -> entry time
         self.semibal: set[int] = set()
@@ -536,8 +537,7 @@ class CScheduler(Scheduler):
         return None
 
     def _class(self, tid) -> Rat:
-        t = self.task_info[tid]
-        return _task_class(t.sigma, t.pi)
+        return self.task_class[tid]
 
     def _emergency_classes(self) -> set:
         return {self._class(tid) for tid in self.ballistic}
@@ -642,6 +642,7 @@ class CScheduler(Scheduler):
 
     def on_arrival(self, view, task):
         self.task_info[task.id] = task
+        self.task_class[task.id] = _task_class(task.sigma, task.pi)
         self.inner.inject_task(
             Task(
                 task.id,

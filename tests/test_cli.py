@@ -198,6 +198,21 @@ class TestSweep:
         assert cells["opt_awake"] == cells["trt_lb"] == cells["violations"] == ""
         assert "warning: dtap.json: dependencies" in capsys.readouterr().err
 
+    def test_unk_on_dependency_instance(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        assert main(["gen", "dtap-random", "--p", "4", "--n", "4", "--seed", "1",
+                     "-o", str(corpus / "dtap.json")]) == 0
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--dir", str(corpus), "--schedulers", "unk",
+                     "-o", str(out)]) == 0
+        header, *rows = out.read_text().strip().splitlines()
+        assert len(rows) == 1
+        cells = dict(zip(header.split(","), rows[0].split(",")))
+        assert cells["scheduler"] == "unk"
+        assert cells["awake"] != "" and cells["violations"] == ""
+        assert "dtap.json/unk" not in capsys.readouterr().err
+
     def test_directory_corpus(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()

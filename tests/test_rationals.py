@@ -1,9 +1,17 @@
-from hypothesis import given
+import copy
+import numbers
+import operator
+import pickle
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taplab.rationals import (
     BACKEND,
     EPS,
+    FastFraction,
     ONE,
     PHI,
     SQRT3,
@@ -78,3 +86,131 @@ def test_pow2_ceil_bounds(x):
 @given(st.integers(min_value=-20, max_value=20))
 def test_floor_log2_on_powers(e):
     assert floor_log2(Rat(2) ** e) == e
+
+
+# --- FastFraction against fractions.Fraction ---------------------------------
+
+_INTS = st.one_of(
+    st.sampled_from([0, 1, -1, 2, -2]),
+    st.integers(-(10**6), 10**6),
+    st.integers(-(2**200), 2**200),
+)
+_DENS = st.one_of(st.just(1), st.integers(1, 1000), st.integers(1, 2**200))
+_VALUES = st.builds(Fraction, _INTS, _DENS)
+
+
+@st.composite
+def _operands(draw):
+    """(operand, its plain Fraction); a FastFraction, a Fraction or an int."""
+    kind = draw(st.sampled_from(["fast", "fraction", "int"]))
+    if kind == "int":
+        n = draw(_INTS)
+        return n, Fraction(n)
+    f = draw(_VALUES)
+    return (FastFraction(f) if kind == "fast" else f), f
+
+
+def _assert_same(got, want):
+    """``got`` is a FastFraction equal to ``want`` in every visible way."""
+    want = Fraction(want)
+    assert type(got) is FastFraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got.denominator > 0
+    assert str(got) == str(want)
+    assert repr(got) == repr(want)
+    assert hash(got) == hash(want)
+
+
+_BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+_COMPARE = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt, operator.ge]
+
+
+@given(_VALUES, _operands())
+@settings(max_examples=500, deadline=None)
+def test_fast_fraction_matches_fraction(fx, right):
+    # every pair with a FastFraction operand, in both orders
+    x = FastFraction(fx)
+    y, fy = right
+    for a, b, fa, fb in ((x, y, fx, fy), (y, x, fy, fx)):
+        for op in _BINARY:
+            if op is operator.truediv and fb == 0:
+                with pytest.raises(ZeroDivisionError):
+                    op(a, b)
+            else:
+                _assert_same(op(a, b), op(fa, fb))
+        for op in _COMPARE:
+            got = op(a, b)
+            assert type(got) is bool and got == op(fa, fb)
+    _assert_same(-x, -fx)
+    _assert_same(abs(x), abs(fx))
+    _assert_same(+x, fx)
+
+
+@given(_operands(), st.integers(-6, 6), st.sampled_from(["int", "fast", "fraction"]))
+@settings(max_examples=300, deadline=None)
+def test_fast_fraction_integral_powers(base, e, exp_kind):
+    x, fx = base
+    exponent = {"int": e, "fast": FastFraction(e), "fraction": Fraction(e)}[exp_kind]
+    if type(x) is not FastFraction and type(exponent) is not FastFraction:
+        x = FastFraction(x)
+    if fx == 0 and e < 0:
+        with pytest.raises(ZeroDivisionError):
+            x**exponent
+        return
+    _assert_same(x**exponent, fx**e)
+
+
+def test_fast_fraction_delegates_other_types():
+    half = FastFraction(1, 2)
+    assert half + 0.25 == 0.75 and type(half + 0.25) is float
+    assert 0.25 * half == 0.125 and type(0.25 * half) is float
+    assert half * 1j == 0.5j
+    assert half == 0.5 and 0.5 == half and half != 0.25
+    assert half < 0.75 and not half > float("nan") and half < float("inf")
+    assert half ** Fraction(1, 2) == 0.5**0.5
+    assert (half + True) == Fraction(3, 2)
+    assert half.__eq__("1/2") is NotImplemented
+    assert half.__ne__("1/2") is NotImplemented
+    with pytest.raises(TypeError):
+        half + "1"
+
+
+@given(_INTS, st.one_of(_INTS, st.none()))
+def test_fast_fraction_constructor(n, d):
+    if d == 0:
+        with pytest.raises(ZeroDivisionError):
+            FastFraction(n, d)
+        return
+    _assert_same(FastFraction(n, d), Fraction(n, d))
+    _assert_same(FastFraction(Fraction(n, d)), Fraction(n, d))
+    x = FastFraction(n, d)
+    assert FastFraction(x) is x
+
+
+@given(_VALUES)
+def test_fast_fraction_round_trips(f):
+    x = FastFraction(f)
+    for y in (
+        pickle.loads(pickle.dumps(x)),
+        copy.copy(x),
+        copy.deepcopy(x),
+        FastFraction(f"{f.numerator}/{f.denominator}"),
+        FastFraction(str(x)),
+    ):
+        _assert_same(y, f)
+    assert isinstance(x, numbers.Rational) and isinstance(x, Fraction)
+    assert parse_rat(rat_str(Rat(f))) == f
+    assert type(parse_rat(rat_str(Rat(f)))) is Rat
+
+
+def test_fast_fraction_from_float_and_decimal_string():
+    _assert_same(FastFraction(0.5), Fraction(1, 2))
+    _assert_same(FastFraction("-0.125"), Fraction(-1, 8))
+    _assert_same(FastFraction.from_float(2.75), Fraction(11, 4))
+
+
+def test_rat_is_fast_fraction_on_fractions_backend():
+    if BACKEND == "fractions":
+        assert Rat is FastFraction
+    for value in (ZERO, ONE, PHI, SQRT3, EPS, rat("3/4"), parse_rat("5")):
+        assert type(value) is Rat

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from taplab.adversary import GenParams, gen_random_dtap
 from taplab.core import Decision, TAP, Task, TapError, metrics_from_trace
 from taplab.engine import ObliviousnessError, simulate, validate_trace
 from taplab.oracle import opt_awake_exhaustive
@@ -97,6 +98,15 @@ class TestUnk:
         decision, _, started = trace.decisions[1]
         assert decision is P
         assert started == Rat(1, 2)
+
+    def test_dependency_instances_age_from_availability(self):
+        # a task that becomes available after its arrival ages from then;
+        # timed from its arrival, the aging timer lay in the past
+        for seed in range(20):
+            tap = gen_random_dtap(GenParams(p=4, n=8, seed=seed))
+            trace = simulate(tap, UnkScheduler())
+            assert validate_trace(trace, tap).ok
+            assert set(trace.completions) == {t.id for t in tap.tasks}
 
     def test_hidden_pi_read_rejected(self):
         class Peeker(UnkScheduler):
