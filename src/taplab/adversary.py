@@ -101,7 +101,6 @@ class GoldenAdversary(Adversary):
     def __init__(self, p: int):
         self.p = p
         self.injected = False
-        self.inject_time = None
 
     def initial_tasks(self):
         return [Task(0, PHI, Rat(self.p), ZERO)]
@@ -115,7 +114,6 @@ class GoldenAdversary(Adversary):
             return []
         t0 = view.now
         self.injected = True
-        self.inject_time = t0
         sigma = PHI - t0
         return [
             Task(i, sigma, self.p * sigma, t0) for i in range(1, self.p)
@@ -126,10 +124,6 @@ class GoldenAdversary(Adversary):
         if self.injected:
             return {i: Decision.SERIAL for i in range(self.p)}
         return {0: Decision.PARALLEL}
-
-
-def adv_golden(p: int) -> GoldenAdversary:
-    return GoldenAdversary(p)
 
 
 # --- fixed lower-bound families ---------------------------------------------
@@ -267,17 +261,6 @@ def gen_random_dtap(params: GenParams) -> TAP:
     return tap
 
 
-def dtap_spawners(tap: TAP) -> list:
-    """Spawner chain of a level DTAP: the tasks some other task depends on,
-    in level order."""
-    dep_of = {}
-    for t in tap.tasks:
-        for d in t.deps:
-            dep_of[d] = True
-    chain = sorted(dep_of)
-    return chain
-
-
 # --- crafted triggers for the non-cancelling scheduler's exception modes ----
 
 def gen_c_trigger(p: int, sigma_t, with_candidate: bool = True) -> TAP:
@@ -355,8 +338,6 @@ class NonPreemptiveAdversary(Adversary):
     def __init__(self, R: int, probe: TAP, h: Rat):
         if h <= 0:
             raise InvalidArgumentError("probe lower bound h must be positive")
-        self.R = R
-        self.probe = probe
         self.count = math.ceil(Rat(R) * h)
         self.triggered = False
         self.max_busy = ZERO
@@ -383,7 +364,3 @@ class NonPreemptiveAdversary(Adversary):
             Task(self.base_id + i, self.tiny, self.tiny, now)
             for i in range(self.count)
         ]
-
-
-def adv_nonpreemptive(R: int, probe: TAP, h: Rat) -> NonPreemptiveAdversary:
-    return NonPreemptiveAdversary(R, probe, h)

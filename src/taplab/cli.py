@@ -15,7 +15,6 @@ import functools
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .adversary import (
     GenParams,
@@ -30,7 +29,6 @@ from .adversary import (
     gen_randlb,
 )
 from .core import (
-    Decision,
     TAP,
     Task,
     TapError,
@@ -48,7 +46,6 @@ from .oracle import (
     opt_trt_lower,
 )
 from .rationals import Rat, ZERO, ONE, parse_rat, rat_str
-from .sched_mrt import CScheduler
 from .verify import SCHEDULERS, default_seed, format_results, make_scheduler, run_battery
 
 SWEEP_COLUMNS = [
@@ -77,11 +74,7 @@ def _build_scheduler(name: str, args) -> tuple:
     factor = args.budget_factor if args.budget_factor is not None else default_factor
     if needs_cancel and not args.allow_cancel:
         raise TapError(f"scheduler {name!r} requires --allow-cancel")
-    if name == "csched":
-        scheduler = CScheduler(inner_scale=args.inner_scale)
-    else:
-        scheduler = make_scheduler(name)
-    return scheduler, factor
+    return make_scheduler(name), factor
 
 
 def _config(tap: TAP, factor, args) -> EngineConfig:
@@ -265,13 +258,11 @@ def cmd_sweep(args) -> int:
     except (TapError, OSError) as exc:
         return _die(str(exc))
     schedulers = args.schedulers.split(",")
-
-    def work(instance):
-        label, tap = instance
-        return _sweep_instance(label, tap, schedulers, args)
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = [row for block in pool.map(work, instances) for row in block]
+    rows = [
+        row
+        for label, tap in instances
+        for row in _sweep_instance(label, tap, schedulers, args)
+    ]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
@@ -300,65 +291,44 @@ def cmd_duel(args) -> int:
     try:
         scheduler, factor = _build_scheduler(args.scheduler, args)
         if args.adversary == "golden":
-            p = args.p
-            adv = GoldenAdversary(p)
-            base = TAP(p, ())
-            config = _config(base, factor, args)
-            trace = simulate(base, scheduler, config, adversary=adv)
-            emitted = [t for t in adv.initial_tasks()]
-            if adv.injected:
-                from .rationals import PHI
-
-                sigma = PHI - adv.inject_time
-                emitted += [
-                    Task(i, sigma, p * sigma, adv.inject_time)
-                    for i in range(1, p)
-                ]
-            tap = TAP(p, tuple(emitted))
-            awake = metrics_from_trace(trace, tap).awake
-            opt = opt_awake_given_decisions(tap, adv.witness_decisions())
-            report = {
-                "adversary": "golden",
-                "scheduler": args.scheduler,
-                "p": p,
-                "injected": adv.injected,
-                "awake": rat_str(awake),
-                "opt_awake": rat_str(opt),
-                "ratio": rat_str(awake / opt),
-            }
+            base = TAP(args.p, ())
+            adv = GoldenAdversary(args.p)
         elif args.adversary == "flood":
-            probe = (
+            base = (
                 _load_tap(args.probe)
                 if args.probe
                 else TAP(args.p, (Task(0, ONE, Rat(args.p), ZERO),))
             )
-            h = opt_trt_lower(probe)
-            adv = NonPreemptiveAdversary(args.R, probe, h)
-            config = _config(probe, factor, args)
-            trace = simulate(probe, scheduler, config, adversary=adv)
-            emitted = list(probe.tasks)
-            if adv.triggered:
-                emitted += [
-                    Task(tid, adv.tiny, adv.tiny, at)
-                    for tid, at in sorted(trace.arrivals.items())
-                    if tid >= adv.base_id
-                ]
-            tap = TAP(probe.p, tuple(emitted))
-            trt = metrics_from_trace(trace, tap).trt
+            adv = NonPreemptiveAdversary(args.R, base, opt_trt_lower(base))
+        else:
+            return _die(f"unknown adversary {args.adversary!r}")
+        trace = simulate(base, scheduler, _config(base, factor, args), adversary=adv)
+        tap = TAP(base.p, base.tasks + tuple(trace.injected))
+        metrics = metrics_from_trace(trace, tap)
+        if args.adversary == "golden":
+            opt = opt_awake_given_decisions(tap, adv.witness_decisions())
+            report = {
+                "adversary": "golden",
+                "scheduler": args.scheduler,
+                "p": args.p,
+                "injected": adv.injected,
+                "awake": rat_str(metrics.awake),
+                "opt_awake": rat_str(opt),
+                "ratio": rat_str(metrics.awake / opt),
+            }
+        else:
             lb = opt_trt_lower(tap)
             report = {
                 "adversary": "flood",
                 "scheduler": args.scheduler,
                 "R": args.R,
                 "triggered": adv.triggered,
-                "trt": rat_str(trt),
+                "trt": rat_str(metrics.trt),
                 "trt_lb": rat_str(lb),
-                "ratio": rat_str(trt / lb),
+                "ratio": rat_str(metrics.trt / lb),
             }
             if not adv.triggered:
                 report["inconclusive"] = True
-        else:
-            return _die(f"unknown adversary {args.adversary!r}")
     except (TapError, OSError) as exc:
         return _die(str(exc))
     report["seed"] = seed
@@ -421,8 +391,6 @@ def _add_run_flags(sub):
     sub.add_argument("--budget-factor", type=int, default=None,
                      help="processor budget as a multiple of p")
     sub.add_argument("--allow-cancel", action="store_true")
-    sub.add_argument("--inner-scale", type=int, default=3,
-                     help="work scale of csched's nested simulation")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = subs.add_parser("sweep", help="scheduler x instance matrix to CSV")
     p_sweep.add_argument("--dir", help="directory of instance JSON files")
-    p_sweep.add_argument("--generator", default="random")
+    p_sweep.add_argument("--generator", default="random", choices=["random"])
     p_sweep.add_argument("--count", type=int, default=100)
     p_sweep.add_argument("--p-list", default="4,8,16")
     p_sweep.add_argument("--n", type=int, default=8)
@@ -470,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["exhaustive", "lb", "both", "none"])
     p_sweep.add_argument("--oracle-bound", type=int, default=14,
                          help="largest n the exhaustive oracle will attempt")
-    p_sweep.add_argument("--jobs", type=int, default=4)
+    p_sweep.add_argument("--jobs", type=int,
+                         help="ignored: the sweep runs in one thread")
     p_sweep.add_argument("-o", "--output")
     _add_run_flags(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

@@ -74,6 +74,7 @@ class Trace:
     completions: dict = field(default_factory=dict)  # id -> time
     cancellations: list = field(default_factory=list)  # (id, time)
     arrivals: dict = field(default_factory=dict)  # id -> availability time
+    injected: list = field(default_factory=list)  # adversary's tasks, in emission order
     aux: dict = field(default_factory=dict)
 
 
@@ -266,6 +267,7 @@ class Engine:
         if adversary is not None:
             for task in adversary.initial_tasks():
                 self._add_task(task)
+                self.trace.injected.append(task)
 
     # -- task intake --------------------------------------------------------
 
@@ -464,6 +466,7 @@ class Engine:
                     if injected:
                         for task in injected:
                             self.inject_task(task)
+                        self.trace.injected.extend(injected)
                         if any(self._ready_at.get(t.id) == self.now for t in injected):
                             self._event_count += 1  # injection counts as an event
                             continue

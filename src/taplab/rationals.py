@@ -25,7 +25,7 @@ the values are ``Fraction`` instances, and the battery digests hash
 
 Both backends normalise to lowest terms with a positive denominator and
 interoperate with Python ints, which is all the rest of the package
-relies on.  ``benchmarks/bench_backends.py`` compares the two.
+relies on.
 """
 
 from __future__ import annotations

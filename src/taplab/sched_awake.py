@@ -13,7 +13,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Decision, Task, TapError
 from .engine import SchedCommands, Scheduler

@@ -125,11 +125,8 @@ class SssScheduler(Scheduler):
         self.mode = "silly"
         self.scary: set[int] = set()
 
-    def _alive(self, view) -> list:
-        return view.alive_ids()
-
     def _update_mode(self, view, arriving: int | None = None):
-        alive = self._alive(view)
+        alive = view.alive_ids()
         if self.mode == "silly" and len(alive) >= view.p:
             self.mode = "serious"
             # everything arriving at the switch instant counts as scary
@@ -494,28 +491,27 @@ class _ModeRecord:
 class CScheduler(Scheduler):
     """Non-cancelling MRT scheduler (default budget 4p).
 
-    Simulates B on a copy of the input with all works scaled by
-    ``inner_scale`` (default 3) on p processors, and mirrors B's
-    allocations onto its own tasks.  A task is vested once it receives
-    parallel rate here.  When the nested B serializes or
-    parallel-completes a vested task this scheduler has not finished, the
-    task goes ballistic: its parallelism class enters emergency, all the
-    class's mirrored parallel rate is redirected to the class's
-    smallest-sigma ballistic task (recorded in the stolen-work ledger),
-    the class reserve joins in, and vesting pauses for the class.  A task
-    the nested B parallel-completes before vesting goes semi-ballistic and
-    runs serially under EQUI on a second p processors.
+    Simulates B on a copy of the input with all works scaled by 3 on p
+    processors, and mirrors B's allocations onto its own tasks.  A task
+    is vested once it receives parallel rate here.  When the nested B
+    serializes or parallel-completes a vested task this scheduler has not
+    finished, the task goes ballistic: its parallelism class enters
+    emergency, all the class's mirrored parallel rate is redirected to the
+    class's smallest-sigma ballistic task (recorded in the stolen-work
+    ledger), the class reserve joins in, and vesting pauses for the class.
+    A task the nested B parallel-completes before vesting goes
+    semi-ballistic and runs serially under EQUI on a second p processors.
     """
 
     name = "csched"
+    scale = Rat(3)  # work scale of the nested B run
 
-    def __init__(self, inner_scale=3):
-        self.scale = Rat(inner_scale)
+    def __init__(self):
         self.inner: Engine | None = None
         self.task_info: dict[int, Task] = {}
         self.task_class: dict[int, Rat] = {}  # fixed at arrival
         self.vested: set[int] = set()
-        self.ballistic: dict[int, Rat] = {}  # tid -> entry time
+        self.ballistic: set[int] = set()
         self.semibal: set[int] = set()
         self.stolen: dict[int, Rat] = {}
         self.flows: list = []  # (victim tid, rate) active over the last slice
@@ -566,7 +562,7 @@ class CScheduler(Scheduler):
                     f"tasks {other} and {tid} are concurrently ballistic with "
                     f"equal serial work in class {cls}"
                 )
-        self.ballistic[tid] = view.now
+        self.ballistic.add(tid)
         self.mode_records.append(
             _ModeRecord(tid, "ballistic", view.now, trigger)
         )
@@ -655,7 +651,7 @@ class CScheduler(Scheduler):
 
     def on_completion(self, view, tid):
         if tid in self.ballistic:
-            entry = self.ballistic.pop(tid)
+            self.ballistic.discard(tid)
             for rec in self.mode_records:
                 if rec.task_id == tid and rec.mode == "ballistic" and rec.exited is None:
                     rec.exited = view.now

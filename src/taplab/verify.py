@@ -13,7 +13,7 @@ import hashlib
 import os
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .adversary import (
     GenParams,
@@ -256,13 +256,7 @@ def crit_a4(ctx: _Ctx) -> CriterionResult:
     for name in ("bal", "unk", "mwf-all-serial", "mwf-all-parallel"):
         adv = GoldenAdversary(p)
         trace = simulate(TAP(p, ()), make_scheduler(name), adversary=adv)
-        emitted = [Task(0, PHI, Rat(p), ZERO)]
-        if adv.injected:
-            sigma = PHI - adv.inject_time
-            emitted += [
-                Task(i, sigma, p * sigma, adv.inject_time) for i in range(1, p)
-            ]
-        tap = TAP(p, tuple(emitted))
+        tap = TAP(p, tuple(trace.injected))
         if not ctx.validated(trace, tap):
             bad.append((name, "invalid trace"))
         awake = metrics_from_trace(trace, tap).awake
@@ -526,15 +520,7 @@ def crit_a10(ctx: _Ctx) -> CriterionResult:
         for R in (10, 100):
             adv = NonPreemptiveAdversary(R, probe, h)
             trace = simulate(probe, make_scheduler(name), adversary=adv)
-            emitted = list(probe.tasks)
-            if adv.triggered:
-                arrivals = {
-                    tid: t for tid, t in trace.arrivals.items() if tid >= adv.base_id
-                }
-                emitted += [
-                    Task(tid, adv.tiny, adv.tiny, t) for tid, t in sorted(arrivals.items())
-                ]
-            tap = TAP(probe.p, tuple(emitted))
+            tap = TAP(probe.p, probe.tasks + tuple(trace.injected))
             if not ctx.validated(trace, tap):
                 bad.append((name, R, "invalid trace"))
             trt = metrics_from_trace(trace, tap).trt

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,10 +8,7 @@ from taplab.adversary import (
     GenParams,
     GoldenAdversary,
     NonPreemptiveAdversary,
-    adv_golden,
-    adv_nonpreemptive,
     c_trigger_corpus,
-    dtap_spawners,
     gen_c_trigger,
     gen_dtap_levels,
     gen_geometric,
@@ -26,11 +25,12 @@ from taplab.core import (
     Task,
     metrics_from_trace,
 )
-from taplab.engine import EngineConfig, SchedCommands, Scheduler, simulate
+from taplab.dtap import _level_structure
+from taplab.engine import EngineConfig, SchedCommands, Scheduler, simulate, validate_trace
 from taplab.oracle import opt_awake_exhaustive, opt_awake_given_decisions, opt_trt_lower
 from taplab.rationals import EPS, PHI, Rat, ZERO, ONE, is_power_of_two
 from taplab.sched_awake import AllParallelScheduler, AllSerialScheduler, BalScheduler
-from taplab.sched_mrt import EquiScheduler, RigidScheduler
+from taplab.sched_mrt import CScheduler, EquiScheduler, RigidScheduler
 from taplab.verify import _CheapExpensiveWitness
 
 S, P = Decision.SERIAL, Decision.PARALLEL
@@ -74,7 +74,7 @@ class TestGenRandom:
 
 class TestGoldenAdversary:
     def test_serial_scheduler_no_injection(self):
-        adv = adv_golden(8)
+        adv = GoldenAdversary(8)
         trace = simulate(TAP(8, ()), AllSerialScheduler(), adversary=adv)
         assert not adv.injected
         awake = max(trace.completions.values())
@@ -93,29 +93,25 @@ class TestGoldenAdversary:
             def allocate(self, view):
                 return {tid: Rat(view.p) for tid in view.running_ids()[:1]}
 
-        adv = adv_golden(8)
+        adv = GoldenAdversary(8)
         simulate(TAP(8, ()), Patient(), adversary=adv)
         assert not adv.injected
 
     def test_eager_parallel_gets_flooded(self):
-        adv = adv_golden(8)
+        adv = GoldenAdversary(8)
         trace = simulate(TAP(8, ()), AllParallelScheduler(), adversary=adv)
         assert adv.injected
-        assert adv.inject_time == 0
+        # the initial task, then p - 1 tasks of serial work phi - t0 at t0 = 0
+        assert trace.injected == [Task(0, PHI, Rat(8), ZERO)] + [
+            Task(i, PHI, 8 * PHI, ZERO) for i in range(1, 8)
+        ]
         assert len(trace.completions) == 8
 
     def test_bal_ratio_large_p(self):
         p = 100
-        adv = adv_golden(p)
+        adv = GoldenAdversary(p)
         trace = simulate(TAP(p, ()), BalScheduler(), adversary=adv)
-        emitted = [Task(0, PHI, Rat(p), ZERO)]
-        if adv.injected:
-            sigma = PHI - adv.inject_time
-            emitted += [
-                Task(i, sigma, p * sigma, adv.inject_time)
-                for i in range(1, p)
-            ]
-        tap = TAP(p, tuple(emitted))
+        tap = TAP(p, tuple(trace.injected))
         opt = opt_awake_given_decisions(tap, adv.witness_decisions())
         awake = metrics_from_trace(trace, tap).awake
         assert awake / opt >= PHI - Rat(1, p) - Rat(1, 100)
@@ -239,8 +235,10 @@ class TestDtapLevels:
 
     def test_tree_depth(self):
         tap = gen_dtap_levels(16, seed=2)
-        spawners = dtap_spawners(tap)
+        _, _, spawners = _level_structure(tap)
         assert len(spawners) == 3
+        # the spawners are exactly the tasks some task depends on
+        assert set(spawners) == {d for t in tap.tasks for d in t.deps}
         # level i+1 depends on exactly its spawner in level i
         for level in range(1, 4):
             deps = {
@@ -276,7 +274,7 @@ class TestNonPreemptiveFlood:
 
     def test_r0_no_injection(self):
         probe = self._probe()
-        adv = adv_nonpreemptive(0, probe, ONE)
+        adv = NonPreemptiveAdversary(0, probe, ONE)
         simulate(probe, RigidScheduler(), adversary=adv)
         assert not adv.triggered
 
@@ -284,7 +282,7 @@ class TestNonPreemptiveFlood:
         probe = self._probe()
         ratios = []
         for R in (1, 10, 100):
-            adv = adv_nonpreemptive(R, probe, ONE)
+            adv = NonPreemptiveAdversary(R, probe, ONE)
             trace = simulate(probe, RigidScheduler(), adversary=adv)
             assert adv.triggered
             ratios.append(sum(trace.completions.values(), ZERO))
@@ -293,7 +291,7 @@ class TestNonPreemptiveFlood:
 
     def test_preemptive_scheduler_shrugs(self):
         probe = self._probe()
-        adv = adv_nonpreemptive(100, probe, ONE)
+        adv = NonPreemptiveAdversary(100, probe, ONE)
         trace = simulate(probe, EquiScheduler(), adversary=adv)
         if adv.triggered:
             floods = [
@@ -305,4 +303,58 @@ class TestNonPreemptiveFlood:
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(InvalidArgumentError):
-            adv_nonpreemptive(1, self._probe(), ZERO)
+            NonPreemptiveAdversary(1, self._probe(), ZERO)
+
+
+class TestReplay:
+    """``Trace.injected`` holds every task an adversary emitted, so the TAP
+    it played is the base TAP plus those tasks."""
+
+    def _flood(self, R):
+        probe = TAP(100, (Task(0, ONE, Rat(100), ZERO),))
+        h = opt_trt_lower(probe)
+        adv = NonPreemptiveAdversary(R, probe, h)
+        return probe, h, simulate(probe, RigidScheduler(), adversary=adv)
+
+    def test_flood_emits_ceil_rh_tasks_at_the_trigger(self):
+        R = 10
+        probe, h, trace = self._flood(R)
+        assert len(trace.injected) == math.ceil(R * h) == 10
+        # rigid starts the probe at once with all its work left: the trigger
+        trigger = trace.injected[0].arrival
+        assert trigger == ZERO
+        assert [t.id for t in trace.injected] == list(range(1, 11))
+        for t in trace.injected:
+            assert (t.sigma, t.pi, t.arrival) == (Rat(1, 1000), Rat(1, 1000), trigger)
+            assert trace.arrivals[t.id] == trigger
+
+    @pytest.mark.parametrize("replay", ["golden", "flood"])
+    def test_replayed_tap_validates(self, replay):
+        if replay == "golden":
+            base = TAP(8, ())
+            trace = simulate(base, AllParallelScheduler(), adversary=GoldenAdversary(8))
+        else:
+            base, _, trace = self._flood(10)
+        tap = TAP(base.p, base.tasks + tuple(trace.injected))
+        tap.validate()
+        # every completed task is in the replayed TAP, so the validator
+        # checks work conservation for each injected task too
+        assert {t.id for t in tap.tasks} == set(trace.completions)
+        assert validate_trace(trace, tap).violations == []
+        last = trace.injected[-1]
+        wrong = Task(last.id, 2 * last.sigma, 2 * last.pi, last.arrival)
+        bad = TAP(tap.p, tap.tasks[:-1] + (wrong,))
+        assert any(
+            v.startswith(f"work conservation: task {last.id}")
+            for v in validate_trace(trace, bad).violations
+        )
+
+    def test_nested_engines_record_no_injections(self):
+        tap = gen_c_trigger(8, Rat(2))
+        sched = CScheduler()
+        trace = simulate(tap, sched, EngineConfig(processor_budget=Rat(4 * tap.p)))
+        b_engine = sched.inner
+        canc_engine = b_engine.scheduler.inner
+        # both nested engines were fed every task, by inject_task
+        assert set(b_engine.tasks) == set(canc_engine.tasks) == {t.id for t in tap.tasks}
+        assert trace.injected == b_engine.trace.injected == canc_engine.trace.injected == []

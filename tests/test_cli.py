@@ -53,6 +53,13 @@ class TestRun:
         path = _write(tmp_path, _golden_tap())
         assert main(["run", path, "nope"]) == 2
 
+    def test_no_inner_scale_flag(self, tmp_path, capsys):
+        path = _write(tmp_path, _golden_tap())
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, "csched", "--inner-scale", "2"])
+        assert exc.value.code == 2
+        assert "--inner-scale" in capsys.readouterr().err
+
     def test_cyclic_instance(self, tmp_path, capsys):
         tap = TAP(
             4,
@@ -213,6 +220,23 @@ class TestSweep:
         assert cells["awake"] != "" and cells["violations"] == ""
         assert "dtap.json/unk" not in capsys.readouterr().err
 
+    def test_jobs_is_ignored(self, tmp_path):
+        args = ["sweep", "--count", "6", "--p-list", "4,8", "--n", "5",
+                "--seed", "11", "--schedulers", "bal,unk,equi"]
+        one, four = tmp_path / "one.csv", tmp_path / "four.csv"
+        assert main(args + ["--jobs", "1", "-o", str(one)]) == 0
+        assert main(args + ["--jobs", "4", "-o", str(four)]) == 0
+        assert one.read_bytes() == four.read_bytes()
+
+    def test_only_the_random_generator(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--generator", "geometric", "--count", "2",
+                  "--p-list", "8", "--n", "3", "--seed", "1", "-o", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'geometric'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_directory_corpus(self, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -223,7 +247,38 @@ class TestSweep:
         assert len(out.read_text().strip().splitlines()) == 2
 
 
+# exact output of each duel; the ratios are computed on the TAP replayed
+# from Trace.injected, so any change to what the replay yields shows here
+DUEL_OUTPUTS = {
+    "duel bal golden --p 8":
+        '{"adversary":"golden","awake":"9349/2440","injected":true,'
+        '"opt_awake":"987/610","p":8,"ratio":"9349/3948","scheduler":"bal","seed":0}',
+    "duel mwf-all-parallel golden --p 100":
+        '{"adversary":"golden","awake":"98323/610","injected":true,'
+        '"opt_awake":"987/610","p":100,"ratio":"98323/987",'
+        '"scheduler":"mwf-all-parallel","seed":0}',
+    "duel unk golden --p 32":
+        '{"adversary":"golden","awake":"1292/305","injected":true,'
+        '"opt_awake":"987/610","p":32,"ratio":"2584/987","scheduler":"unk","seed":0}',
+    "duel rigid flood --R 10":
+        '{"R":10,"adversary":"flood","ratio":"220011/20002","scheduler":"rigid",'
+        '"seed":0,"triggered":true,"trt":"220011/20000","trt_lb":"10001/10000"}',
+    "duel equi flood --R 100":
+        '{"R":100,"adversary":"flood","ratio":"1102/1001","scheduler":"equi",'
+        '"seed":0,"triggered":true,"trt":"551/500","trt_lb":"1001/1000"}',
+    "duel rigid flood --R 0":
+        '{"R":0,"adversary":"flood","inconclusive":true,"ratio":"1",'
+        '"scheduler":"rigid","seed":0,"triggered":false,"trt":"1","trt_lb":"1"}',
+}
+
+
 class TestDuel:
+    @pytest.mark.parametrize("command", sorted(DUEL_OUTPUTS))
+    def test_exact_output(self, command, capsys, monkeypatch):
+        monkeypatch.delenv("TAPLAB_SEED", raising=False)
+        assert main(command.split()) == 0
+        assert capsys.readouterr().out == DUEL_OUTPUTS[command] + "\n"
+
     def test_golden_duel(self, capsys):
         assert main(["duel", "bal", "golden", "--p", "32"]) == 0
         out = json.loads(capsys.readouterr().out)
