@@ -79,7 +79,7 @@ def _build_scheduler(name: str, args) -> tuple:
 
 def _config(tap: TAP, factor, args) -> EngineConfig:
     return EngineConfig(
-        speed=parse_rat(args.speed),
+        speed=args.speed,
         processor_budget=Rat(factor) * tap.p,
         allow_cancel=args.allow_cancel,
     )
@@ -148,7 +148,7 @@ def _generate(args) -> TAP:
     if name == "dtap-random":
         return gen_random_dtap(GenParams(p=args.p, n=args.n, seed=seed))
     if name == "c-trigger":
-        return gen_c_trigger(args.p, parse_rat(args.sigma_t))
+        return gen_c_trigger(args.p, args.sigma_t)
     raise TapError(f"unknown generator {name!r}")
 
 
@@ -180,7 +180,7 @@ def _sweep_instances(args):
             yield fname, _load_tap(f"{args.dir}/{fname}")
         return
     seed = args.seed if args.seed is not None else default_seed()
-    ps = [int(x) for x in args.p_list.split(",")]
+    ps = args.p_list
     for i in range(args.count):
         params = GenParams(
             p=ps[i % len(ps)], n=args.n, seed=seed + i,
@@ -354,11 +354,11 @@ def cmd_oracle(args) -> int:
                 },
             }
         elif args.method == "grid":
-            value = grid_opt(tap, args.objective, parse_rat(args.grid))
+            value = grid_opt(tap, args.objective, args.grid)
             record = {
                 "method": "grid",
                 "objective": args.objective,
-                "grid": args.grid,
+                "grid": rat_str(args.grid),
                 "value": rat_str(value),
             }
         elif args.method == "lb":
@@ -385,9 +385,33 @@ def cmd_verify(args) -> int:
 
 
 # --- argument parsing --------------------------------------------------------
+#
+# Flag values are parsed by argparse, so a malformed one ends in a usage
+# message and exit status 2 before any command runs.
+
+def _flag_type(parse, valid, expected: str):
+    """An argparse type: ``parse(text)``, rejected unless ``valid``."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return convert
+
+
+_count = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
+_int_list = _flag_type(lambda text: [int(x) for x in text.split(",")],
+                       lambda v: True, "comma-separated integers")
+_positive_rational = _flag_type(parse_rat, lambda v: v > 0,
+                                "a positive rational a or a/b")
+
 
 def _add_run_flags(sub):
-    sub.add_argument("--speed", default="1", help="speed augmentation factor")
+    sub.add_argument("--speed", type=_positive_rational, default="1",
+                     help="speed augmentation factor")
     sub.add_argument("--budget-factor", type=int, default=None,
                      help="processor budget as a multiple of p")
     sub.add_argument("--allow-cancel", action="store_true")
@@ -411,23 +435,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("generator", help="random|geometric|randlb|cheap-expensive|"
                        "dtap-levels|dtap-random|c-trigger")
     p_gen.add_argument("--p", type=int, default=8)
-    p_gen.add_argument("--n", type=int, default=8)
+    p_gen.add_argument("--n", type=_count, default=8)
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--ratio-dist", default="uniform",
                        choices=["uniform", "extremes", "pow2"])
     p_gen.add_argument("--arrival", default="batch",
                        choices=["batch", "poisson", "bursty"])
-    p_gen.add_argument("--blocks", type=int, default=4)
-    p_gen.add_argument("--sigma-t", default="4")
+    p_gen.add_argument("--blocks", type=_count, default=4)
+    p_gen.add_argument("--sigma-t", type=_positive_rational, default="4")
     p_gen.add_argument("-o", "--output")
     p_gen.set_defaults(func=cmd_gen)
 
     p_sweep = subs.add_parser("sweep", help="scheduler x instance matrix to CSV")
     p_sweep.add_argument("--dir", help="directory of instance JSON files")
     p_sweep.add_argument("--generator", default="random", choices=["random"])
-    p_sweep.add_argument("--count", type=int, default=100)
-    p_sweep.add_argument("--p-list", default="4,8,16")
-    p_sweep.add_argument("--n", type=int, default=8)
+    p_sweep.add_argument("--count", type=_count, default=100)
+    p_sweep.add_argument("--p-list", type=_int_list, default="4,8,16")
+    p_sweep.add_argument("--n", type=_count, default=8)
     p_sweep.add_argument("--seed", type=int, default=None)
     p_sweep.add_argument("--ratio-dist", default="uniform",
                          choices=["uniform", "extremes", "pow2"])
@@ -459,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--objective", default="awake", choices=["awake", "trt"])
     p_oracle.add_argument("--method", default="exhaustive",
                           choices=["exhaustive", "grid", "lb"])
-    p_oracle.add_argument("--grid", default="1/4")
+    p_oracle.add_argument("--grid", type=_positive_rational, default="1/4")
     p_oracle.add_argument("--bound", type=int, default=20)
     p_oracle.set_defaults(func=cmd_oracle)
 

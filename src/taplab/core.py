@@ -290,6 +290,9 @@ def tap_to_dict(tap: TAP) -> dict:
 
 
 def tap_from_dict(data: dict) -> TAP:
+    if not isinstance(data, dict):
+        raise InvalidInstanceError(
+            f"malformed TAP: expected a JSON object, got {type(data).__name__}")
     if data.get("version") != 1:
         raise InvalidInstanceError(f"unsupported TAP version {data.get('version')!r}")
     try:

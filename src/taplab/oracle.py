@@ -13,7 +13,18 @@
   admissible lower bound is strictly greater than the best value found,
   so every optimal vector is reached and the tie-break (the
   lexicographically first vector in ``tap.tasks`` order, Serial <
-  Parallel) is exact;
+  Parallel) is exact.
+  The best value starts at an incumbent: every task on the shorter of
+  sigma and pi/p, ties Serial.  It is a real vector with its exact value
+  and key, so seeding with it changes which nodes are pruned but not the
+  answer.
+  At each arrival boundary a prefix is dropped when an earlier prefix
+  reached a state that dominates it there: no more awake time, no more
+  parallel work, serial works pointwise no larger (sorted, missing ones
+  0), and a smaller key over the decided tasks.  The dominating state can
+  follow the dropped one's schedule job for job, so under every common
+  suffix its value is no greater and its key smaller: the dropped prefix
+  holds no vector the search could return;
 * ``grid_opt``: a discretized exhaustive cross-check oracle for tiny
   instances;
 * ``opt_trt_lower``: an admissible lower bound on optimal total response
@@ -123,6 +134,25 @@ def _arrival_batches(tap: TAP) -> list:
 
 # --- exact awake time for fixed decisions -----------------------------------
 
+def _mwf_awake(batches: list, p: int, parallel) -> Rat:
+    """Awake time of most-work-first over ``batches`` when the tasks for
+    which ``parallel(task)`` holds run parallel and the others serial."""
+    groups: list = []
+    par = ZERO
+    awake = ZERO
+    for k, (arrival, tasks) in enumerate(batches):
+        serial = []
+        for task in tasks:
+            if parallel(task):
+                par += task.pi
+            else:
+                serial.append(task.sigma)
+        horizon = batches[k + 1][0] - arrival if k + 1 < len(batches) else None
+        groups, par, busy = _mwf_run(_with_serial(groups, serial), par, p, horizon)
+        awake += busy
+    return awake
+
+
 def opt_awake_given_decisions(tap: TAP, decisions: dict) -> Rat:
     """Exact awake time of most-work-first under the given decisions.
 
@@ -130,24 +160,26 @@ def opt_awake_given_decisions(tap: TAP, decisions: dict) -> Rat:
     """
     if tap.has_deps:
         raise TapError("awake oracle requires a plain TAP (no dependencies)")
-    batches = _arrival_batches(tap)
-    groups: list = []
-    par = ZERO
-    awake = ZERO
-    for k, (arrival, tasks) in enumerate(batches):
-        serial = []
-        for task in tasks:
-            if decisions[task.id] is Decision.SERIAL:
-                serial.append(task.sigma)
-            else:
-                par += task.pi
-        horizon = batches[k + 1][0] - arrival if k + 1 < len(batches) else None
-        groups, par, busy = _mwf_run(_with_serial(groups, serial), par, tap.p, horizon)
-        awake += busy
-    return awake
+    return _mwf_awake(
+        _arrival_batches(tap), tap.p,
+        lambda task: decisions[task.id] is not Decision.SERIAL,
+    )
 
 
 # --- exact optimum over decision vectors ------------------------------------
+
+def _dominates(state, other) -> bool:
+    """True when ``state`` = (key, awake, parallel work, serial works in
+    descending order) is no worse than ``other`` in every entry, missing
+    serial works counting as 0, and its key is lexicographically smaller."""
+    key, awake, par, serial = state
+    o_key, o_awake, o_par, o_serial = other
+    return (
+        awake <= o_awake and par <= o_par and key < o_key
+        and len(serial) <= len(o_serial)
+        and all(w <= o for w, o in zip(serial, o_serial))
+    )
+
 
 def opt_awake_exhaustive(tap: TAP, bound: int = 20):
     """(optimal awake time, one minimizing decision vector).
@@ -161,6 +193,21 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
     the least work of the undecided tasks) / p) is strictly greater than
     the best value found.  Ties go to the lexicographically first vector
     in ``tap.tasks`` order with Serial < Parallel.
+
+    The best value starts at an incumbent, the vector in which every task
+    takes the shorter of sigma and pi/p (a tie goes to Serial).  It is a
+    real vector scored exactly, and pruning stays strict, so every
+    optimal vector is still reached and compared with it by key.
+
+    A prefix advanced to the next arrival is dropped when a state that an
+    earlier prefix reached at the same arrival dominates it: awake time,
+    parallel work and each serial work (sorted, missing ones 0) no
+    greater, and a smaller key over the decided tasks in ``tap.tasks``
+    order.  The dominating state can copy the dropped one's schedule job
+    for job and finish every job no later, and most-work-first is optimal
+    for fixed decisions, so under any common suffix its value is no
+    greater and its key is smaller: the dropped prefix holds no vector
+    that could be returned.
     """
     if tap.n > bound:
         raise InstanceTooLargeError(f"n={tap.n} exceeds oracle bound {bound}")
@@ -180,9 +227,14 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
         least[i] = least[i + 1] + min(order[i].sigma, order[i].pi)
     position = {task.id: i for i, task in enumerate(order)}
     slots = [position[task.id] for task in tap.tasks]
+    # decided[k]: the search positions of groups 0..k, in tap.tasks order
+    decided = [[s for s in slots if s < end] for end in ends]
+    # seen[k]: the states kept at the arrival of group k + 1
+    seen = [[] for _ in batches]
     choice = [0] * n  # 0 = Serial, 1 = Parallel, by search position
-    best = None
-    best_key = None
+    shorter = {task.id: task.pi < p * task.sigma for task in tap.tasks}
+    best = _mwf_awake(batches, p, lambda task: shorter[task.id])
+    best_key = tuple(int(shorter[task.id]) for task in tap.tasks)
 
     def branch(k, i, groups, par, serial, awake, smax, work) -> None:
         """Decide position i, in arrival group k.  (groups, par) is the
@@ -193,18 +245,26 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
             if k + 1 == len(batches):
                 # all work is present: McNaughton's closed form
                 value = awake + max(smax, work / p)
-                if best is None or value <= best:
+                if value <= best:
                     key = tuple(choice[s] for s in slots)
-                    if best is None or value < best or key < best_key:
+                    if value < best or key < best_key:
                         best, best_key = value, key
                 return
             horizon = batches[k + 1][0] - batches[k][0]
             groups, par, busy = _mwf_run(_with_serial(groups, serial), par, p, horizon)
+            awake += busy
+            state = (
+                tuple(choice[s] for s in decided[k]), awake, par,
+                tuple(w for w, c in groups for _ in range(c)),
+            )
+            if any(_dominates(earlier, state) for earlier in seen[k]):
+                return
+            seen[k].append(state)
             smax = groups[0][0] if groups else ZERO
             work = sum((w * c for w, c in groups), par)
-            branch(k + 1, i, groups, par, [], awake + busy, smax, work)
+            branch(k + 1, i, groups, par, [], awake, smax, work)
             return
-        if best is not None and awake + max(smax, (work + least[i]) / p) > best:
+        if awake + max(smax, (work + least[i]) / p) > best:
             return
         task = order[i]
         choice[i] = 0

@@ -80,6 +80,61 @@ class TestRun:
         assert dump["slices"]
 
 
+class TestBadInput:
+    """Malformed instances and flag values end in ``error: ...`` and exit
+    status 2, never in a traceback."""
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"x"'])
+    @pytest.mark.parametrize("command", [["run", "{}", "bal"], ["oracle", "{}"]],
+                             ids=["run", "oracle"])
+    def test_instance_not_an_object(self, tmp_path, capsys, text, command):
+        path = tmp_path / "tap.json"
+        path.write_text(text)
+        argv = [arg.format(path) for arg in command]
+        assert main(argv) == 2
+        assert "error: malformed TAP: expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, flag", [
+        # not a number
+        (["sweep", "--count", "1", "--p-list", "x"], "--p-list"),
+        (["sweep", "--count", "x"], "--count"),
+        (["gen", "c-trigger", "--p", "8", "--sigma-t", "x"], "--sigma-t"),
+        (["sweep", "--count", "1", "--p-list", "8", "--n", "2", "--speed", "1/0"],
+         "--speed"),
+        # not positive
+        (["gen", "c-trigger", "--p", "8", "--sigma-t", "0"], "--sigma-t"),
+        (["sweep", "--count", "1", "--p-list", "8", "--n", "2", "--speed", "0"],
+         "--speed"),
+        (["oracle", "tap.json", "--method", "grid", "--grid", "0"], "--grid"),
+        (["oracle", "tap.json", "--method", "grid", "--grid=-1/4"], "--grid"),
+        # a negative count
+        (["gen", "random", "--n", "-1"], "--n"),
+        (["gen", "randlb", "--p", "4", "--blocks", "-1"], "--blocks"),
+        (["sweep", "--count", "-1"], "--count"),
+        (["sweep", "--count", "1", "--n", "-2"], "--n"),
+    ])
+    def test_bad_flag_value(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: argument {flag}: expected" in captured.err
+        assert captured.out == ""
+
+    def test_zero_counts_are_valid(self, tmp_path, capsys):
+        assert main(["gen", "random", "--n", "0", "--seed", "1"]) == 0
+        assert tap_from_json(capsys.readouterr().out).n == 0
+        assert main(["gen", "randlb", "--p", "4", "--blocks", "0", "--seed", "1"]) == 0
+        assert tap_from_json(capsys.readouterr().out).n == 0
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--count", "0", "-o", str(out)]) == 0
+        assert out.read_text().count("\n") == 1  # the header only
+        assert main(["sweep", "--count", "1", "--p-list", "4", "--n", "0",
+                     "--seed", "1", "-o", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[3] for row in rows] == ["0", "0"]
+
+
 class TestGenRoundtrip:
     def test_gen_then_run_then_oracle(self, tmp_path, capsys):
         path = str(tmp_path / "inst.json")

@@ -151,3 +151,8 @@ class TestJson:
     def test_malformed(self):
         with pytest.raises(InvalidInstanceError):
             tap_from_json("{nope")
+
+    @pytest.mark.parametrize("text", ["[]", "5", '"x"', "null"])
+    def test_not_an_object(self, text):
+        with pytest.raises(InvalidInstanceError, match="expected a JSON object"):
+            tap_from_json(text)

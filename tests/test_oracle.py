@@ -118,6 +118,29 @@ def tie_heavy_taps(draw, max_n=6):
     return TAP(p, tuple(tasks))
 
 
+@st.composite
+def spread_taps(draw, max_n=8):
+    """Plain TAPs with one or two tasks per arrival time, shuffled ids
+    (so tap.tasks order and id order differ inside a pair), sigma == pi
+    ties and gaps that are short, long, or drain-to-empty: a gap of the
+    total work so far outlasts all of it, as work drains at rate >= 1."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p = rng.choice([2, 3, 4])
+    n = rng.randint(1, max_n)
+    ids = list(range(n))
+    rng.shuffle(ids)
+    tasks = []
+    arrival = total = ZERO
+    while len(tasks) < n:
+        for _ in range(min(rng.choice([1, 2]), n - len(tasks))):
+            sigma = Rat(rng.randint(1, 4))
+            pi = sigma * rng.choice([1, 1, rng.randint(1, p), p])
+            tasks.append(Task(ids[len(tasks)], sigma, pi, arrival))
+            total += pi
+        arrival += rng.choice([Rat(1, 2), ONE, Rat(3), total])
+    return TAP(p, tuple(tasks))
+
+
 class TestSearchMatchesReference:
     """Same (value, decision vector) as re-simulating all 2^n vectors."""
 
@@ -139,6 +162,30 @@ class TestSearchMatchesReference:
     @settings(max_examples=300, deadline=None)
     def test_tie_heavy(self, tap):
         assert_matches_reference(tap)
+
+    @given(spread_taps())
+    @settings(max_examples=200, deadline=None)
+    def test_spread_arrivals(self, tap):
+        # many arrival boundaries, where dominated prefixes are dropped
+        assert_matches_reference(tap)
+
+    def test_dominated_prefix_holding_a_tied_optimum(self):
+        # {2: P, 0: S, 3: S, 1: S} is optimal too, but at time 2 its state
+        # (serial work 1 left) equals that of {2: S, 0: S}, whose key is
+        # smaller, and {2: S, 0: P} (nothing left) dominates it; the
+        # incumbent {2: S, 0: P, 3: S, 1: S} is not optimal
+        tap = TAP(2, (T(2, 1, 2), T(0, 3, 3), T(3, 1, 2, 2), T(1, 3, 6, 4)))
+        assert_matches_reference(tap)
+        assert opt_awake_exhaustive(tap) == (6, {2: S, 0: S, 3: S, 1: S})
+
+    def test_dominance_compares_keys_not_visit_order(self):
+        # the search visits ids 1, 2, 3 in that order, so {3: P, 1: S}
+        # reaches time 2 before {3: S, 1: P}, in the same state; the
+        # latter has the smaller key in tap.tasks order and is the answer
+        tap = TAP(3, (T(2, 1, 2), T(3, 3, 3), T(1, 3, 3), T(0, 3, 6, 2)))
+        assert_matches_reference(tap)
+        assert opt_awake_exhaustive(tap) == (
+            Rat(13, 3), {2: S, 3: S, 1: P, 0: P})
 
     def test_ids_out_of_arrival_order(self):
         # the search visits id 1 before id 2, but the tie-break follows
