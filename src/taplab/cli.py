@@ -60,10 +60,9 @@ def _die(message: str) -> int:
 
 
 def _load_tap(path: str) -> TAP:
+    """The validated TAP in a JSON file."""
     with open(path) as fh:
-        tap = tap_from_json(fh.read())
-    tap.validate()
-    return tap
+        return tap_from_json(fh.read())
 
 
 def _build_scheduler(name: str, args) -> tuple:
@@ -86,6 +85,7 @@ def _config(tap: TAP, factor, args) -> EngineConfig:
 
 
 def _run_record(tap: TAP, name: str, args) -> dict:
+    """(``run`` record without the instance hash, trace) of one run."""
     scheduler, factor = _build_scheduler(name, args)
     config = _config(tap, factor, args)
     trace = simulate(tap, scheduler, config)
@@ -93,7 +93,6 @@ def _run_record(tap: TAP, name: str, args) -> dict:
     report = validate_trace(trace, tap, config)
     return {
         "scheduler": name,
-        "instance_hash": instance_hash(tap),
         "p": tap.p,
         "speed": rat_str(config.speed),
         "budget_factor": rat_str(Rat(factor)),
@@ -112,6 +111,7 @@ def cmd_run(args) -> int:
         record, trace = _run_record(tap, args.scheduler, args)
     except (TapError, OSError) as exc:
         return _die(str(exc))
+    record["instance_hash"] = instance_hash(tap)
     print(json.dumps(record, separators=(",", ":"), sort_keys=True))
     if args.dump_trace:
         dump = {

@@ -289,6 +289,14 @@ def tap_to_dict(tap: TAP) -> dict:
     return {"version": 1, "p": tap.p, "tasks": tasks}
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float, bool or string is an
+    error rather than a number to truncate or parse."""
+    if type(value) is not int:
+        raise InvalidInstanceError(f"malformed TAP: {what} must be an integer, got {value!r}")
+    return value
+
+
 def tap_from_dict(data: dict) -> TAP:
     if not isinstance(data, dict):
         raise InvalidInstanceError(
@@ -298,15 +306,15 @@ def tap_from_dict(data: dict) -> TAP:
     try:
         tasks = tuple(
             Task(
-                id=int(rec["id"]),
+                id=_json_int(rec["id"], "id"),
                 sigma=parse_rat(str(rec["sigma"])),
                 pi=parse_rat(str(rec["pi"])),
                 arrival=parse_rat(str(rec["arrival"])),
-                deps=frozenset(int(d) for d in rec.get("deps", ())),
+                deps=frozenset(_json_int(d, "dependency") for d in rec.get("deps", ())),
             )
             for rec in data["tasks"]
         )
-        tap = TAP(int(data["p"]), tasks)
+        tap = TAP(_json_int(data["p"], "p"), tasks)
     except (KeyError, ValueError, TypeError) as exc:
         raise InvalidInstanceError(f"malformed TAP: {exc}") from exc
     tap.validate()

@@ -13,24 +13,38 @@ The event loop's fast paths rely on these invariants:
 
 * ``alloc`` holds only positive rates of running tasks, and a serial
   task's rate is at most 1 (``_set_allocation`` rejects anything else);
+  ``speed`` is positive (the constructor rejects anything else);
 * the next completion time ``now + remaining/(speed*rate)`` is invariant
   while the allocation holds, so it is computed once per allocation and
-  cached until the allocation changes (a new allocation, a completion or
-  a cancellation);
+  cached until the allocation changes (a completion, a cancellation, or
+  an allocation with other rates: one equal to the rates in force keeps
+  the cached time);
+* a task's remaining work reaches 0 only in the clock step, so the clock
+  step collects the ids that reach it (``_due``) and the instant's event
+  collection reads them instead of scanning ``alloc``;
+* ``_dependents`` is the reverse of ``_deps_done``: a completion unlocks
+  only the tasks waiting on it;
+* ``_unstamped`` holds the tasks started but never given a rate; only
+  those get a start time when an allocation gives them one;
 * ``_alive`` (arrived or running) and ``_running`` mirror ``status``, so
   no query scans every task.
+
+Simultaneous events are never merged, and an instant is processed even
+when the allocation does not change: both would change the slice splits.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .core import Decision, TAP, Task, TapError
 from .rationals import Rat, ZERO, ONE
 
 # Event-kind tie order.
 _COMPLETION, _ARRIVAL, _TIMER, _INJECTION = 0, 1, 2, 3
+_EVENT_ORDER = itemgetter(0, 1)  # (kind, id or timer sequence number)
 
 _PENDING, _ARRIVED, _RUNNING, _DONE = "pending", "arrived", "running", "done"
 
@@ -158,7 +172,7 @@ class EngineView:
 
     @property
     def speed(self) -> Rat:
-        return self._e.config.speed
+        return self._e.speed
 
     @property
     def budget(self) -> Rat:
@@ -237,6 +251,9 @@ class Engine:
         adversary: Adversary | None = None,
     ):
         self.config = config or EngineConfig()
+        self.speed = Rat(self.config.speed)
+        if self.speed <= 0:
+            raise ContractError(f"speed must be positive, got {self.speed}")
         self.p = tap.p
         self.budget = self.config.budget_for(tap.p)
         self.scheduler = scheduler
@@ -253,12 +270,15 @@ class Engine:
         self._timers: list = []  # heap of (time, seq, tag)
         self._timer_seq = 0
         self._event_count = 0
-        self._deps_done: dict[int, set] = {}
+        self._deps_done: dict[int, set] = {}  # id -> unfinished dependencies
+        self._dependents: dict[int, list] = {}  # id -> ids waiting on it
         self._ready_at: dict[int, Rat] = {}  # pending id -> availability time
         self._alive: set[int] = set()
         self._running: set[int] = set()
         self._finish: Rat | None = None  # next completion under ``alloc``
         self._finish_stale = False
+        self._due: list[int] = []  # ids whose work the last clock step finished
+        self._unstamped: set[int] = set()  # started, never given a rate
         self.view = EngineView(self, hide_pi=getattr(scheduler, "oblivious", False))
         self._started = False
         tap.validate()
@@ -281,6 +301,8 @@ class Engine:
             d for d in task.deps if self.status.get(d) != _DONE
         }
         self._deps_done[task.id] = missing
+        for d in missing:
+            self._dependents.setdefault(d, []).append(task.id)
         if not missing:
             self._ready_at[task.id] = max(task.arrival, self.now)
 
@@ -301,22 +323,23 @@ class Engine:
             first = min(
                 (remaining[tid] / rate for tid, rate in self.alloc.items()), default=None
             )
-            speed = self.config.speed
+            speed = self.speed
             if first is not None:
                 first = self.now + (first if speed == 1 else first / speed)
             self._finish = first
         return self._finish
 
     def next_event_time(self) -> Rat | None:
-        candidates = []
-        comp = self._next_completion()
-        if comp is not None:
-            candidates.append(comp)
+        best = self._next_completion()
         if self._ready_at:
-            candidates.append(min(self._ready_at.values()))
+            t = min(self._ready_at.values())
+            if best is None or t < best:
+                best = t
         if self._timers:
-            candidates.append(self._timers[0][0])
-        return min(candidates) if candidates else None
+            t = self._timers[0][0]
+            if best is None or t < best:
+                best = t
+        return best
 
     @property
     def done(self) -> bool:
@@ -325,18 +348,19 @@ class Engine:
     # -- time advancement ----------------------------------------------------
 
     def _advance_clock(self, t: Rat) -> None:
-        if t < self.now:
-            raise ContractError(f"time going backwards: {t} < {self.now}")
-        if t == self.now:
+        if t <= self.now:
+            if t < self.now:
+                raise ContractError(f"time going backwards: {t} < {self.now}")
             return
         dt = t - self.now
-        speed = self.config.speed
-        work = dt if speed == 1 else dt * speed
+        work = dt * self.speed
         remaining = self.remaining
         for tid, rate in self.alloc.items():
             left = remaining[tid] - rate * work
-            if left < 0:
-                raise RunawayError(f"task {tid} overshot completion (remaining {left})")
+            if left <= 0:
+                if left < 0:
+                    raise RunawayError(f"task {tid} overshot completion (remaining {left})")
+                self._due.append(tid)
             remaining[tid] = left
         self.trace.slices.append((self.now, t, dict(self.alloc)))
         if self._alive:
@@ -346,14 +370,16 @@ class Engine:
     # -- event processing ----------------------------------------------------
 
     def _events_at(self, t: Rat) -> list:
-        events = [(_COMPLETION, tid, None) for tid in self.alloc if self.remaining[tid] == 0]
+        events = [(_COMPLETION, tid, None) for tid in self._due]
+        self._due = []
         for tid, rt in self._ready_at.items():
             if rt == t:
                 events.append((_ARRIVAL, tid, None))
         while self._timers and self._timers[0][0] == t:
             time_, seq, tag = heapq.heappop(self._timers)
             events.append((_TIMER, seq, tag))
-        events.sort(key=lambda e: (e[0], e[1]))
+        if len(events) > 1:
+            events.sort(key=_EVENT_ORDER)
         return events
 
     def _apply_commands(self, commands: SchedCommands | None) -> None:
@@ -385,6 +411,7 @@ class Engine:
             self.decision[tid] = decision
             self.remaining[tid] = task.work(decision)
             self.trace.decisions[tid] = (decision, self.now, None)
+            self._unstamped.add(tid)
         for time_, tag in commands.timers:
             time_ = Rat(time_)
             if time_ < self.now:
@@ -406,12 +433,11 @@ class Engine:
             self.alloc.pop(tid, None)
             self._finish_stale = True
             self.trace.completions[tid] = self.now
-            # unlock dependents
-            for other, missing in self._deps_done.items():
-                if tid in missing:
-                    missing.discard(tid)
-                    if not missing and self.status[other] == _PENDING:
-                        self._ready_at[other] = max(self.tasks[other].arrival, self.now)
+            for other in self._dependents.pop(tid, ()):
+                missing = self._deps_done[other]
+                missing.discard(tid)
+                if not missing and self.status[other] == _PENDING:
+                    self._ready_at[other] = max(self.tasks[other].arrival, self.now)
             self._apply_commands(self.scheduler.on_completion(self.view, tid))
         elif kind == _ARRIVAL:
             tid = key
@@ -428,6 +454,10 @@ class Engine:
 
     def _set_allocation(self) -> None:
         raw = self.scheduler.allocate(self.view)
+        if raw == self.alloc:
+            # the rates in force: checked and stamped when they were set,
+            # and the cached finish time still holds
+            return
         alloc: dict[int, Rat] = {}
         total = ZERO
         for tid, rate in raw.items():
@@ -437,7 +467,7 @@ class Engine:
                 if rate < 0:
                     raise FeasibilityError(f"negative rate for task {tid}")
                 continue
-            if self.status.get(tid) != _RUNNING:
+            if tid not in self._running:
                 raise FeasibilityError(
                     f"rate for task {tid} which is not started/unfinished"
                 )
@@ -451,10 +481,12 @@ class Engine:
             )
         self.alloc = alloc
         self._finish_stale = True
-        for tid in alloc:
-            dec, t_dec, t_start = self.trace.decisions[tid]
-            if t_start is None:
-                self.trace.decisions[tid] = (dec, t_dec, self.now)
+        if self._unstamped:
+            decisions = self.trace.decisions
+            for tid in self._unstamped.intersection(alloc):
+                self._unstamped.discard(tid)
+                dec, t_dec, _ = decisions[tid]
+                decisions[tid] = (dec, t_dec, self.now)
 
     def _process_instant(self) -> None:
         """Process every event at the current clock time, then re-allocate."""
@@ -549,11 +581,14 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
     serial_cap_violated: set[int] = set()
     prev_end = None
     for t0, t1, alloc in trace.slices:
-        if t1 <= t0:
+        empty = t1 <= t0
+        if empty:
             report.violations.append(f"slice [{t0},{t1}] is empty or reversed")
         if prev_end is not None and t0 != prev_end:
             report.violations.append(f"slice gap/overlap at {t0} (previous end {prev_end})")
         prev_end = t1
+        span = t1 - t0
+        after_zero = t0 >= 0  # a task never cancelled counts from time 0
         total = ZERO
         for tid, rate in alloc.items():
             if rate < 0:
@@ -569,19 +604,24 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
             done = trace.completions.get(tid)
             if done is None:
                 continue
-            if t1 > done:
+            late = t1 > done
+            if late:
                 report.violations.append(f"task {tid} runs after completion at {t0}")
-            start = cancel_times.get(tid, ZERO)
-            if t0 >= start and t1 <= done:  # the whole slice counts
-                a, b = t0, t1
+            start = cancel_times.get(tid)
+            if not late and (after_zero if start is None else t0 >= start):
+                if empty:
+                    continue
+                length = span  # the whole slice counts
             else:
-                a, b = max(t0, start), min(t1, done)
-            if b <= a:
-                continue
+                a = max(t0, ZERO if start is None else start)
+                b = done if late else t1
+                if b <= a:
+                    continue
+                length = b - a
             if decided[0] is Decision.SERIAL and rate > 1:
                 serial_cap_violated.add(tid)
                 rate = ONE
-            work[tid] = work.get(tid, ZERO) + rate * (b - a)
+            work[tid] = work.get(tid, ZERO) + rate * length
         if total > budget:
             report.violations.append(
                 f"budget violation at {t0}: total {total} > {budget}"

@@ -15,10 +15,13 @@ operands of exact type ``FastFraction``, ``Fraction`` or ``int``: they
 skip ``Fraction.__new__``, its operator wrappers and the
 ``numbers.Rational`` checks, and reduce with CPython's formulas (Knuth,
 TAOCP vol. 2, 4.5.1), so each result is normalised exactly as
-``Fraction``'s.  Other operand types (float, complex, bool, ...) and other
-operations (``str``, ``float``, ``floor``/``round``, ``//``, ``%``,
-pickling, copying) use the inherited ``Fraction`` code.  A subclass's
-reflected operator wins, so ``Fraction op Rat`` is a ``Rat`` too.
+``Fraction``'s.  Adding or subtracting 0 and multiplying by 1 or by a
+zero ``FastFraction`` return an operand unchanged, and sums and products
+of integers skip the gcd.  Other operand types (float, complex, bool,
+...) and other operations (``str``, ``float``, ``floor``/``round``,
+``//``, ``%``, pickling, copying) use the inherited ``Fraction`` code.
+A subclass's reflected operator wins, so ``Fraction op Rat`` is a
+``Rat`` too.
 ``repr`` stays ``Fraction(n, d)`` and ``BACKEND`` stays ``"fractions"``:
 the values are ``Fraction`` instances, and the battery digests hash
 ``str``/``repr``, so they stay comparable with plain ``Fraction`` runs.
@@ -83,30 +86,88 @@ class FastFraction(Fraction):
     def __repr__(self):
         return f"Fraction({self._numerator}, {self._denominator})"
 
+    # The operators below build their result in place (``_new`` and two
+    # slot stores) rather than through ``_make``: a call is a large part
+    # of one operation.  ``x + 0``, ``x - 0``, ``0 + x``, ``x * 1``,
+    # ``1 * x`` and products with a zero operand return an operand that
+    # is already a ``FastFraction``; sums and products of integers skip
+    # the gcd.
+
     def __add__(a, b):
         tb = type(b)
         if tb is FastFraction or tb is Fraction:
-            return _add(a._numerator, a._denominator, b._numerator, b._denominator)
-        if tb is int:
-            return _make(a._numerator + b * a._denominator, a._denominator)
-        return Fraction.__add__(a, b)
+            nb = b._numerator
+            if not nb:
+                return a
+            na = a._numerator
+            if not na and tb is FastFraction:
+                return b
+            da, db = a._denominator, b._denominator
+            if da == 1 and db == 1:
+                n, d = na + nb, 1
+            else:
+                g = _gcd(da, db)
+                if g == 1:
+                    n, d = na * db + da * nb, da * db
+                else:
+                    s = da // g
+                    n = na * (db // g) + nb * s
+                    g2 = _gcd(n, g)
+                    if g2 == 1:
+                        d = s * db
+                    else:
+                        n, d = n // g2, s * (db // g2)
+        elif tb is int:
+            if not b:
+                return a
+            d = a._denominator
+            n = a._numerator + b * d
+        else:
+            return Fraction.__add__(a, b)
+        r = _new(FastFraction)
+        r._numerator = n
+        r._denominator = d
+        return r
 
     __radd__ = __add__
 
     def __sub__(a, b):
         tb = type(b)
         if tb is FastFraction or tb is Fraction:
-            return _add(a._numerator, a._denominator, -b._numerator, b._denominator)
-        if tb is int:
-            return _make(a._numerator - b * a._denominator, a._denominator)
-        return Fraction.__sub__(a, b)
+            nb = b._numerator
+            if not nb:
+                return a
+            na, da, db = a._numerator, a._denominator, b._denominator
+            if da == 1 and db == 1:
+                n, d = na - nb, 1
+            else:
+                g = _gcd(da, db)
+                if g == 1:
+                    n, d = na * db - da * nb, da * db
+                else:
+                    s = da // g
+                    n = na * (db // g) - nb * s
+                    g2 = _gcd(n, g)
+                    if g2 == 1:
+                        d = s * db
+                    else:
+                        n, d = n // g2, s * (db // g2)
+        elif tb is int:
+            if not b:
+                return a
+            d = a._denominator
+            n = a._numerator - b * d
+        else:
+            return Fraction.__sub__(a, b)
+        r = _new(FastFraction)
+        r._numerator = n
+        r._denominator = d
+        return r
 
     def __rsub__(a, b):
         tb = type(b)
-        if tb is Fraction:
-            return _add(b._numerator, b._denominator, -a._numerator, a._denominator)
-        if tb is int:
-            return _make(b * a._denominator - a._numerator, a._denominator)
+        if tb is Fraction or tb is int:
+            return FastFraction(b) - a
         return Fraction.__rsub__(a, b)
 
     def __mul__(a, b):
@@ -114,12 +175,41 @@ class FastFraction(Fraction):
         if tb is FastFraction or tb is Fraction:
             na, da = a._numerator, a._denominator
             nb, db = b._numerator, b._denominator
-            g1, g2 = _gcd(na, db), _gcd(nb, da)
-            return _make((na // g1) * (nb // g2), (db // g1) * (da // g2))
-        if tb is int:
-            g = _gcd(b, a._denominator)
-            return _make(a._numerator * (b // g), a._denominator // g)
-        return Fraction.__mul__(a, b)
+            if db == 1:
+                if nb == 1 or not na:
+                    return a
+                if tb is FastFraction and (not nb or na == 1 and da == 1):
+                    return b
+                if da == 1:
+                    n, d = na * nb, 1
+                else:
+                    g = _gcd(nb, da)
+                    n, d = na * (nb // g), da // g
+            elif da == 1:
+                if not na:
+                    return a
+                if na == 1 and tb is FastFraction:
+                    return b
+                g = _gcd(na, db)
+                n, d = (na // g) * nb, db // g
+            else:
+                g1, g2 = _gcd(na, db), _gcd(nb, da)
+                n, d = (na // g1) * (nb // g2), (db // g1) * (da // g2)
+        elif tb is int:
+            if b == 1:
+                return a
+            da = a._denominator
+            if da == 1:
+                n, d = a._numerator * b, 1
+            else:
+                g = _gcd(b, da)
+                n, d = a._numerator * (b // g), da // g
+        else:
+            return Fraction.__mul__(a, b)
+        r = _new(FastFraction)
+        r._numerator = n
+        r._denominator = d
+        return r
 
     __rmul__ = __mul__
 
@@ -215,19 +305,6 @@ def _make(numerator: int, denominator: int) -> FastFraction:
     return r
 
 
-def _add(na: int, da: int, nb: int, db: int) -> FastFraction:
-    """na/da + nb/db for reduced pairs, as CPython's ``Fraction._add``."""
-    g = _gcd(da, db)
-    if g == 1:
-        return _make(na * db + da * nb, da * db)
-    s = da // g
-    t = na * (db // g) + nb * s
-    g2 = _gcd(t, g)
-    if g2 == 1:
-        return _make(t, s * db)
-    return _make(t // g2, s * (db // g2))
-
-
 def _div(na: int, da: int, nb: int, db: int) -> FastFraction:
     """(na/da) / (nb/db) for reduced pairs, as CPython's ``Fraction._div``."""
     if nb == 0:
@@ -236,7 +313,10 @@ def _div(na: int, da: int, nb: int, db: int) -> FastFraction:
     n, d = (na // g1) * (db // g2), (nb // g1) * (da // g2)
     if d < 0:
         n, d = -n, -d
-    return _make(n, d)
+    r = _new(FastFraction)
+    r._numerator = n
+    r._denominator = d
+    return r
 
 
 Rat = _mpq if BACKEND == "gmpy2" else FastFraction

@@ -267,6 +267,7 @@ class CancScheduler(Scheduler):
 
 @dataclass
 class _TypeState:
+    key: tuple  # (sigma, pi)
     members: list = field(default_factory=list)  # arrival order; head is runner
 
 
@@ -288,8 +289,9 @@ class BScheduler(Scheduler):
         self.par_budget = par_budget
         self.ser_budget = ser_budget
         self.inner: Engine | None = None
-        self.types: dict = {}  # (sigma, pi) -> _TypeState
-        self.type_of: dict[int, tuple] = {}
+        self.types: list[_TypeState] = []  # by type index, in order of first arrival
+        self.type_index: dict[tuple, int] = {}  # (sigma, pi) -> type index
+        self.type_of: dict[int, int] = {}  # task id -> type index
         self.serialized_inner: set[int] = set()
         self.seen_cancels = 0
         self.seen_completions: set[int] = set()
@@ -328,8 +330,7 @@ class BScheduler(Scheduler):
 
     def _handle_inner_cancel(self, view, inner_tid, commands):
         self.serialized_inner.add(inner_tid)
-        ttype = self.type_of[inner_tid]
-        state = self.types[ttype]
+        state = self.types[self.type_of[inner_tid]]
         # Prefer the very task whose stand-in was cancelled: this way a
         # runner is cancelled no later than its own pool age sigma, which
         # is what makes every parallel completion finish within sigma of
@@ -370,9 +371,9 @@ class BScheduler(Scheduler):
             # every real task of the type is already done: fake serial task
             fid = self.fake_seq
             self.fake_seq += 1
-            self.fakes[fid] = Rat(ttype[0])  # sigma of the type
+            self.fakes[fid] = Rat(state.key[0])  # sigma of the type
             view.trace.aux.setdefault("b_fakes", []).append(
-                (fid, ttype, view.now)
+                (fid, state.key, view.now)
             )
 
     def _sync(self, view) -> SchedCommands:
@@ -409,7 +410,7 @@ class BScheduler(Scheduler):
                     commands.starts[inner_tid] = Decision.SERIAL
                 # a runner with remaining 0 completes in this very batch
         # make sure each type's runner is started
-        for state in self.types.values():
+        for state in self.types:
             if state.members:
                 runner = state.members[0]
                 if view.decision(runner) is None and runner not in commands.starts:
@@ -428,17 +429,21 @@ class BScheduler(Scheduler):
     # -- engine callbacks ----------------------------------------------------
 
     def on_arrival(self, view, task):
-        ttype = (task.sigma, task.pi)
-        self.type_of[task.id] = ttype
-        self.types.setdefault(ttype, _TypeState()).members.append(task.id)
+        key = (task.sigma, task.pi)
+        index = self.type_index.get(key)
+        if index is None:
+            index = self.type_index[key] = len(self.types)
+            self.types.append(_TypeState(key))
+        self.type_of[task.id] = index
+        self.types[index].members.append(task.id)
         self.inner.inject_task(
             Task(task.id, task.sigma, task.pi, view.now)
         )
         return self._sync(view)
 
     def on_completion(self, view, tid):
-        state = self.types.get(self.type_of.get(tid))
-        if state and tid in state.members:
+        state = self.types[self.type_of[tid]]
+        if tid in state.members:
             state.members.remove(tid)
         return self._sync(view)
 
@@ -448,13 +453,13 @@ class BScheduler(Scheduler):
     def allocate(self, view) -> dict:
         alloc: dict[int, Rat] = {}
         # concentrated parallel rates
-        type_rate: dict[tuple, Rat] = {}
+        type_rate: dict[int, Rat] = {}
         for inner_tid, rate in self.inner.alloc.items():
             if self.inner.decision.get(inner_tid) is Decision.PARALLEL:
-                ttype = self.type_of[inner_tid]
-                type_rate[ttype] = type_rate.get(ttype, ZERO) + rate
-        for ttype, rate in type_rate.items():
-            state = self.types[ttype]
+                index = self.type_of[inner_tid]
+                type_rate[index] = type_rate.get(index, ZERO) + rate
+        for index, rate in type_rate.items():
+            state = self.types[index]
             if not state.members:
                 continue  # all real tasks of the type already finished
             runner = state.members[0]
@@ -535,8 +540,9 @@ class CScheduler(Scheduler):
     def _class(self, tid) -> Rat:
         return self.task_class[tid]
 
-    def _emergency_classes(self) -> set:
-        return {self._class(tid) for tid in self.ballistic}
+    def _emergency_classes(self):
+        """Classes with a ballistic task; an empty tuple while none is."""
+        return {self._class(tid) for tid in self.ballistic} if self.ballistic else ()
 
     def _smallest_ballistic(self, cls) -> int:
         candidates = [
@@ -582,7 +588,7 @@ class CScheduler(Scheduler):
         self.last_sync = view.now
         self.inner.advance_to(view.now)
         commands = SchedCommands()
-        outer_done = set(view.completed_ids())
+        outer_done = view.trace.completions
         # transitions driven by the nested B run
         for tid, (dec, _, _) in self.inner.trace.decisions.items():
             if self.seen_decisions.get(tid) is dec:
@@ -618,16 +624,17 @@ class CScheduler(Scheduler):
                 continue
             if view.decision(tid) is not None:
                 continue
-            if self._class(tid) in emergency:
+            if emergency and self._class(tid) in emergency:
                 continue  # vesting paused for the class
             self.vested.add(tid)
             commands.starts[tid] = Decision.PARALLEL
         # redirect flows for the next slice
-        self.flows = []
-        for tid, rate in self.inner.alloc.items():
-            if self.inner.decision.get(tid) is Decision.PARALLEL:
-                if self._class(tid) in emergency:
-                    self.flows.append((tid, rate))
+        self.flows = [
+            (tid, rate)
+            for tid, rate in self.inner.alloc.items()
+            if self.inner.decision.get(tid) is Decision.PARALLEL
+            and self._class(tid) in emergency
+        ] if emergency else []
         nxt = self.inner.next_event_time()
         if nxt is not None and nxt not in self.timer_times:
             self.timer_times.add(nxt)
@@ -669,13 +676,12 @@ class CScheduler(Scheduler):
                 alloc[tid] = alloc.get(tid, ZERO) + rate
 
         emergency = self._emergency_classes()
-        outer_done = set(view.completed_ids())
+        outer_done = view.trace.completions
         # mirror of the nested B allocation on the first p processors
         for tid, rate in self.inner.alloc.items():
             dec = self.inner.decision.get(tid)
             if dec is Decision.PARALLEL:
-                cls = self._class(tid)
-                if cls in emergency:
+                if emergency and (cls := self._class(tid)) in emergency:
                     add(self._smallest_ballistic(cls), rate)
                 elif (
                     tid not in outer_done

@@ -94,6 +94,23 @@ class TestBadInput:
         assert main(argv) == 2
         assert "error: malformed TAP: expected a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        '{"version":1,"p":4.7,"tasks":[{"id":1,"sigma":"1","pi":"2","arrival":"0"}]}',
+        '{"version":1,"p":true,"tasks":[{"id":1,"sigma":"1","pi":"2","arrival":"0"}]}',
+        '{"version":1,"p":4,"tasks":[{"id":1.9,"sigma":"1","pi":"2","arrival":"0"}]}',
+        '{"version":1,"p":4,"tasks":[{"id":1,"sigma":"1","pi":"2","arrival":"0"},'
+        '{"id":2,"sigma":"1","pi":"2","arrival":"0","deps":[1.5]}]}',
+    ], ids=["float-p", "bool-p", "float-id", "float-dep"])
+    @pytest.mark.parametrize("command", [["run", "{}", "turtle"], ["oracle", "{}"]],
+                             ids=["run", "oracle"])
+    def test_non_integer_numbers(self, tmp_path, capsys, text, command):
+        path = tmp_path / "tap.json"
+        path.write_text(text)
+        assert main([arg.format(path) for arg in command]) == 2
+        captured = capsys.readouterr()
+        assert "error: malformed TAP:" in captured.err and "must be an integer" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, flag", [
         # not a number
         (["sweep", "--count", "1", "--p-list", "x"], "--p-list"),
@@ -185,6 +202,63 @@ class TestModule:
         assert "A5   PASS" in done.stdout
 
 
+# exact output of ``run`` and ``oracle``, one line each, on a pow2 instance
+# (``gen random --p 8 --n 5 --seed 4 --ratio-dist pow2``) and a DTAP
+# (``gen dtap-random --p 4 --n 4 --seed 1``)
+POW2_TAP = ('{"p":8,"tasks":[{"arrival":"0","id":0,"pi":"4","sigma":"2"},'
+            '{"arrival":"0","id":1,"pi":"4","sigma":"1"},'
+            '{"arrival":"0","id":2,"pi":"16","sigma":"8"},'
+            '{"arrival":"0","id":3,"pi":"2","sigma":"2"},'
+            '{"arrival":"0","id":4,"pi":"1","sigma":"1"}],"version":1}')
+DEP_TAP = ('{"p":4,"tasks":[{"arrival":"0","id":0,"pi":"325/32","sigma":"25/8"},'
+           '{"arrival":"0","id":1,"pi":"58","sigma":"29/2"},'
+           '{"arrival":"0","id":2,"pi":"4","sigma":"2"},'
+           '{"arrival":"0","deps":[0,2],"id":3,"pi":"529/64","sigma":"23/8"}],"version":1}')
+RUN_ORACLE_OUTPUTS = {
+    "run POW2 bal":
+        '{"awake":"27/8","budget_factor":"1","cancellations":0,'
+        '"instance_hash":"e259d4a421a4a51a","mrt":"1399/840","n":5,"p":8,'
+        '"scheduler":"bal","speed":"1","trt":"1399/168","violations":[]}',
+    "run POW2 csched":
+        '{"awake":"167/20","budget_factor":"4","cancellations":0,'
+        '"instance_hash":"e259d4a421a4a51a","mrt":"197/50","n":5,"p":8,'
+        '"scheduler":"csched","speed":"1","trt":"197/10","violations":[]}',
+    "run POW2 csched --speed 2":
+        '{"awake":"127/20","budget_factor":"4","cancellations":0,'
+        '"instance_hash":"e259d4a421a4a51a","mrt":"529/200","n":5,"p":8,'
+        '"scheduler":"csched","speed":"2","trt":"529/40","violations":[]}',
+    "run POW2 bsched --allow-cancel":
+        '{"awake":"99/32","budget_factor":"2","cancellations":1,'
+        '"instance_hash":"e259d4a421a4a51a","mrt":"269/160","n":5,"p":8,'
+        '"scheduler":"bsched","speed":"1","trt":"269/32","violations":[]}',
+    "run POW2 equi --speed 3/2 --budget-factor 2":
+        '{"awake":"9/8","budget_factor":"2","cancellations":0,'
+        '"instance_hash":"e259d4a421a4a51a","mrt":"71/120","n":5,"p":8,'
+        '"scheduler":"equi","speed":"3/2","trt":"71/24","violations":[]}',
+    "run DEP turtle":
+        '{"awake":"29/2","budget_factor":"1","cancellations":0,'
+        '"instance_hash":"4693b87614ee2116","mrt":"205/32","n":4,"p":4,'
+        '"scheduler":"turtle","speed":"1","trt":"205/8","violations":[]}',
+    "oracle POW2":
+        '{"decisions":{"0":"serial","1":"serial","2":"parallel","3":"serial",'
+        '"4":"serial"},"instance_hash":"e259d4a421a4a51a","method":"exhaustive",'
+        '"objective":"awake","value":"11/4"}',
+    "oracle POW2 --method lb --objective trt":
+        '{"instance_hash":"e259d4a421a4a51a","method":"lb","objective":"trt",'
+        '"value":"27/8"}',
+}
+
+
+@pytest.mark.parametrize("command", sorted(RUN_ORACLE_OUTPUTS))
+def test_run_and_oracle_exact_output(command, tmp_path, capsys):
+    paths = {"POW2": tmp_path / "pow2.json", "DEP": tmp_path / "dep.json"}
+    paths["POW2"].write_text(POW2_TAP)
+    paths["DEP"].write_text(DEP_TAP)
+    argv = [str(paths.get(arg, arg)) for arg in command.split()]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == RUN_ORACLE_OUTPUTS[command] + "\n"
+
+
 class TestOracle:
     def test_lb_method(self, tmp_path, capsys):
         path = _write(tmp_path, _golden_tap())
@@ -245,6 +319,19 @@ class TestSweep:
         # the CSV the sweep wrote when it ran the oracle once per row
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "265e67e9e186c5a0ff92a8b39840b7aa1593abfbc2ef86a78ab0794d77b2430f")
+
+    def test_rows_do_not_hash_the_instance(self, tmp_path, monkeypatch):
+        # the sweep prints no instance hash, so it computes none
+        import taplab.cli as cli
+
+        def unused(tap):
+            raise AssertionError("instance_hash called by sweep")
+
+        monkeypatch.setattr(cli, "instance_hash", unused)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--count", "2", "--p-list", "4", "--n", "3",
+                     "--seed", "1", "--schedulers", "bal,equi", "-o", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 5
 
     def test_dependency_instance_leaves_oracles_blank(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -156,3 +158,21 @@ class TestJson:
     def test_not_an_object(self, text):
         with pytest.raises(InvalidInstanceError, match="expected a JSON object"):
             tap_from_json(text)
+
+    @pytest.mark.parametrize("field, value", [
+        ("p", 4.7), ("p", 4.0), ("p", True), ("p", "4"), ("p", None),
+        ("id", 1.9), ("id", False), ("id", "1"),
+        ("deps", [1.5]), ("deps", [True]), ("deps", ["0"]),
+    ])
+    def test_non_integer_numbers_rejected(self, field, value):
+        # a float is never truncated and a bool never read as 0 or 1
+        data = {"version": 1, "p": 4, "tasks": [
+            {"id": 0, "sigma": "1", "pi": "2", "arrival": "0"},
+            {"id": 1, "sigma": "1", "pi": "2", "arrival": "0"},
+        ]}
+        if field == "p":
+            data["p"] = value
+        else:
+            data["tasks"][1][field] = value
+        with pytest.raises(InvalidInstanceError, match="must be an integer"):
+            tap_from_json(json.dumps(data))

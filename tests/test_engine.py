@@ -98,6 +98,11 @@ class TestContracts:
         with pytest.raises(FeasibilityError):
             simulate(TAP(2, (T(0, 1, 2),)), Greedy(Decision.PARALLEL))
 
+    @pytest.mark.parametrize("speed", [0, -1, Rat(-1, 2)])
+    def test_speed_must_be_positive(self, speed):
+        with pytest.raises(ContractError, match="speed must be positive"):
+            Engine(TAP(2, (T(0, 1, 2),)), _Fixed(Decision.SERIAL), EngineConfig(speed=speed))
+
     def test_dependency_gates_arrival(self):
         tap = TAP(2, (T(0, 1, 2), T(1, 1, 2, deps=(0,))))
         trace = simulate(tap, _Fixed(Decision.SERIAL))
@@ -183,9 +188,10 @@ class TestProperties:
 # --- fast paths against the scanning references ------------------------------
 #
 # The engine caches the next completion time per allocation, keeps live
-# alive/running index sets and validates a trace in one pass.  The scanning
-# versions below are the code those fast paths replaced; they stay here as
-# the references the fast paths must agree with exactly.
+# alive/running index sets, collects completions in the clock step, unlocks
+# dependents through a reverse index and validates a trace in one pass.  The
+# scanning versions below are the code those fast paths replaced; they stay
+# here as the references the fast paths must agree with exactly.
 
 MRT = ("equi", "rigid", "sss", "canc", "bsched", "csched")
 _LIVE = ("arrived", "running")
@@ -272,11 +278,20 @@ def _indexed_ids(e) -> tuple:
     return (v.alive_ids(), v.unstarted_ids(), v.running_ids(), v.completed_ids(), e.done)
 
 
+def reference_unlocked(e, tid) -> set:
+    """Pending tasks whose last unfinished dependency is ``tid``, by
+    scanning every task's ``_deps_done`` set."""
+    return {other for other, missing in e._deps_done.items()
+            if missing == {tid} and e.status[other] == "pending"}
+
+
 class _CheckedEngine(Engine):
-    """Asserts after every event and at every event-time query that the
-    fast paths agree with the references."""
+    """Asserts after every event, at every event-time query and at every
+    instant's event collection that the fast paths agree with the
+    references."""
 
     checks = 0
+    unlocks = 0
 
     def _check(self):
         assert _indexed_ids(self) == reference_ids(self)
@@ -287,8 +302,22 @@ class _CheckedEngine(Engine):
         self._check()
         return super().next_event_time()
 
+    def _events_at(self, t):
+        # the completions the clock step collected, against a scan of alloc
+        assert self._due == [tid for tid in self.alloc if self.remaining[tid] == 0]
+        return super()._events_at(t)
+
     def _dispatch(self, kind, key, tag):
+        if kind != engine_mod._COMPLETION:
+            super()._dispatch(kind, key, tag)
+            self._check()
+            return
+        unlocked = reference_unlocked(self, key)
+        before = set(self._ready_at)
         super()._dispatch(kind, key, tag)
+        assert not any(key in missing for missing in self._deps_done.values())
+        assert set(self._ready_at) - before == unlocked
+        _CheckedEngine.unlocks += len(unlocked)
         self._check()
 
 
@@ -387,12 +416,13 @@ class TestFastPaths:
         # nested engines (bsched inside csched, canc inside bsched) too
         monkeypatch.setattr(engine_mod, "Engine", _CheckedEngine)
         monkeypatch.setattr(sched_mrt, "Engine", _CheckedEngine)
-        _CheckedEngine.checks = 0
+        _CheckedEngine.checks = _CheckedEngine.unlocks = 0
         for tap, name in _corpus():
             config = _run_config(name, tap.p)
             trace = simulate(tap, make_scheduler(name), config)
             assert validate_trace(trace, tap, config).violations == reference_validate(trace, tap, config)
         assert _CheckedEngine.checks > 5000
+        assert _CheckedEngine.unlocks > 0  # the DTAP runs unlock dependents
 
     def test_cancel_without_restart(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "Engine", _CheckedEngine)

@@ -214,3 +214,44 @@ def test_rat_is_fast_fraction_on_fractions_backend():
         assert Rat is FastFraction
     for value in (ZERO, ONE, PHI, SQRT3, EPS, rat("3/4"), parse_rat("5")):
         assert type(value) is Rat
+
+
+@st.composite
+def _identity_operands(draw):
+    """(operand, its plain Fraction): 0, 1 or -1 as a FastFraction, a
+    Fraction or an int."""
+    value = draw(st.sampled_from([0, 1, -1]))
+    kind = draw(st.sampled_from([FastFraction, Fraction, int]))
+    return kind(value), Fraction(value)
+
+
+@given(_operands(), _identity_operands())
+@settings(max_examples=300, deadline=None)
+def test_fast_fraction_identity_shortcuts(left, right):
+    # x + 0, 0 + x, x - 0, x * 1, 1 * x and products with 0, in both orders
+    x, fx = left
+    y, fy = right
+    if type(y) is not FastFraction:
+        x = FastFraction(x)  # at least one operand takes the fast path
+    for a, b, fa, fb in ((x, y, fx, fy), (y, x, fy, fx)):
+        for op in (operator.add, operator.sub, operator.mul):
+            _assert_same(op(a, b), op(fa, fb))
+
+
+@given(_INTS, _INTS, st.sampled_from([FastFraction, Fraction, int]))
+@settings(max_examples=300, deadline=None)
+def test_fast_fraction_integer_sums_and_products(m, n, kind):
+    x, y = FastFraction(m), kind(n)
+    for a, b in ((x, y), (y, x)):
+        for op in (operator.add, operator.sub, operator.mul):
+            _assert_same(op(a, b), op(Fraction(a), Fraction(b)))
+
+
+def test_fast_fraction_identities_return_the_operand():
+    x = FastFraction(3, 7)
+    for zero in (0, Fraction(0), FastFraction(0)):
+        assert x + zero is x and zero + x is x and x - zero is x
+    for one in (1, Fraction(1), FastFraction(1)):
+        assert x * one is x and one * x is x
+    zero = FastFraction(0)
+    assert x * zero is zero and zero * x is zero
