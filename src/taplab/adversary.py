@@ -200,9 +200,9 @@ def gen_obliv_two_task(p: int, x, unparallelizable_second: bool = False) -> TAP:
 def gen_mrt_cheap_expensive(p: int, seed: int = 0) -> TAP:
     """sqrt(p) cheap tasks (sigma=pi=1) and p^(1/4) expensive tasks
     (sigma=1, pi=p), all at time 0, order shuffled by seed."""
-    q = round(p ** 0.25)
-    if q ** 4 != p:
-        raise InvalidArgumentError(f"p must be a fourth power, got {p}")
+    q = math.isqrt(math.isqrt(max(p, 0)))  # floor(p^(1/4))
+    if p < 16 or q ** 4 != p:
+        raise InvalidArgumentError(f"p must be a fourth power >= 16, got {p}")
     rng = random.Random(seed)
     kinds = ["cheap"] * (q * q) + ["expensive"] * q
     rng.shuffle(kinds)
@@ -218,7 +218,7 @@ def gen_dtap_levels(p: int, seed: int = 0) -> TAP:
     (sigma=1, pi=sqrt(p)); one seeded spawner per level is the sole
     dependency of the entire next level.  Requires a perfect-square p so
     that pi = sqrt(p) is exact."""
-    s = math.isqrt(p)
+    s = math.isqrt(max(p, 0))
     if s * s != p or p < 4:
         raise InvalidArgumentError(f"p must be a perfect square >= 4, got {p}")
     rng = random.Random(seed)

@@ -66,7 +66,7 @@ def _load_tap(path: str) -> TAP:
 
 
 def _build_scheduler(name: str, args) -> tuple:
-    """(scheduler, EngineConfig) honoring per-scheduler defaults and flags."""
+    """(scheduler, budget factor) honoring per-scheduler defaults and flags."""
     if name not in SCHEDULERS:
         raise TapError(f"unknown scheduler {name!r}")
     _, default_factor, needs_cancel = SCHEDULERS[name]
@@ -379,7 +379,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_battery(seed=args.seed, only=args.only)
+    try:
+        results = run_battery(seed=args.seed, only=args.only)
+    except TapError as exc:
+        return _die(str(exc))
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -472,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_duel.add_argument("scheduler")
     p_duel.add_argument("adversary", help="golden|flood")
     p_duel.add_argument("--p", type=int, default=100)
-    p_duel.add_argument("--R", type=int, default=10)
+    p_duel.add_argument("--R", type=_count, default=10)
     p_duel.add_argument("--probe", help="probe instance file for the flood")
     p_duel.add_argument("--seed", type=int, default=None)
     _add_run_flags(p_duel)

@@ -163,13 +163,11 @@ class TAP:
 
 @dataclass
 class Metrics:
-    """Awake time, total/mean response time, per-task details."""
+    """Awake time and total/mean response time."""
 
     awake: Rat
     trt: Rat
     mrt: Rat
-    per_task_response: dict[int, Rat]
-    completion_times: dict[int, Rat]
 
 
 def normalize_task(task: Task, p: int) -> Task:
@@ -253,12 +251,11 @@ def interval_union_measure(intervals) -> Rat:
 
 def metrics_from_trace(trace, tap: TAP) -> Metrics:
     """Awake time, TRT and MRT of a completed trace."""
-    completions = dict(trace.completions)
+    completions = trace.completions
     missing = [t.id for t in tap.tasks if t.id not in completions]
     if missing:
         raise IncompleteTraceError(f"unfinished tasks: {sorted(missing)}")
-    per = {t.id: completions[t.id] - t.arrival for t in tap.tasks}
-    trt = sum(per.values(), ZERO)
+    trt = sum((completions[t.id] - t.arrival for t in tap.tasks), ZERO)
     n = len(tap.tasks)
     awake = interval_union_measure(
         (t.arrival, completions[t.id]) for t in tap.tasks
@@ -267,8 +264,6 @@ def metrics_from_trace(trace, tap: TAP) -> Metrics:
         awake=awake,
         trt=trt,
         mrt=trt / n if n else ZERO,
-        per_task_response=per,
-        completion_times=completions,
     )
 
 

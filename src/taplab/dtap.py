@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from .core import Decision, TAP, TapError
 from .engine import SchedCommands, Scheduler, simulate
-from .rationals import Rat, ZERO, ONE
+from .rationals import Rat, ZERO
+from .sched_awake import _MwfMixin, most_work_first_alloc
 
 FAIRLY_PARALLEL = "fairly-parallel"
 NOT_VERY_PARALLEL = "not-very-parallel"
@@ -55,8 +56,9 @@ class TurtleScheduler(Scheduler):
                 nvp.append(tid)
         if fp:
             return {min(fp): Rat(view.p)}
-        nvp.sort(key=lambda tid: (-view.remaining(tid), tid))
-        return {tid: ONE for tid in nvp[: view.p]}
+        return most_work_first_alloc(
+            {tid: view.remaining(tid) for tid in nvp}, (), view.p
+        )
 
 
 def turtle_parallel_work_bound(tap: TAP) -> bool:
@@ -109,9 +111,12 @@ def _level_structure(tap: TAP):
     return s, levels, spawners
 
 
-class _LevelWitnessScheduler(Scheduler):
+class _LevelWitnessScheduler(_MwfMixin, Scheduler):
     """Scripted schedule: run the spawner chain in parallel first, then
-    everything else serially, one processor each."""
+    everything else serially, one processor each.  It never runs serial
+    and parallel tasks together, and at most p serial tasks, so
+    most-work-first gives a running spawner the whole budget and each
+    serial task one processor."""
 
     name = "level-witness"
 
@@ -144,17 +149,6 @@ class _LevelWitnessScheduler(Scheduler):
         if tail:
             commands.starts.update(tail.starts)
         return commands if commands.starts else None
-
-    def allocate(self, view) -> dict:
-        parallel = [
-            tid
-            for tid in view.running_ids()
-            if view.decision(tid) is Decision.PARALLEL
-        ]
-        if parallel:
-            return {min(parallel): Rat(view.p)}
-        serial = view.running_ids()
-        return {tid: ONE for tid in serial[: view.p]}
 
 
 def dtap_opt_upper_levels(tap: TAP):

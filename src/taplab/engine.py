@@ -195,7 +195,7 @@ class EngineView:
 
     def unstarted_ids(self) -> list[int]:
         """Arrived, not-yet-started ids in (availability, id) order."""
-        avail = self._e.avail_time
+        avail = self._e.trace.arrivals
         return sorted(self._e._alive - self._e._running, key=lambda t: (avail[t], t))
 
     def running_ids(self) -> list[int]:
@@ -211,10 +211,7 @@ class EngineView:
         return self._e.remaining[tid]
 
     def avail_time(self, tid: int) -> Rat:
-        return self._e.avail_time[tid]
-
-    def completion_time(self, tid: int) -> Rat:
-        return self._e.trace.completions[tid]
+        return self._e.trace.arrivals[tid]
 
     def current_rate(self, tid: int) -> Rat:
         return self._e.alloc.get(tid, ZERO)
@@ -263,7 +260,6 @@ class Engine:
         self.status: dict[int, str] = {}
         self.remaining: dict[int, Rat] = {}
         self.decision: dict[int, Decision] = {}
-        self.avail_time: dict[int, Rat] = {}
         self.alloc: dict[int, Rat] = {}
         self.trace = Trace()
         self.awake_so_far = ZERO
@@ -444,7 +440,6 @@ class Engine:
             del self._ready_at[tid]
             self.status[tid] = _ARRIVED
             self._alive.add(tid)
-            self.avail_time[tid] = self.now
             self.trace.arrivals[tid] = self.now
             self._apply_commands(
                 self.scheduler.on_arrival(self.view, self.view.task(tid))

@@ -287,7 +287,7 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
 
 def _ceil_div(work, grid) -> int:
     q = Rat(work) / Rat(grid)
-    return -(-int(q.numerator) // int(q.denominator))
+    return -(-q.numerator // q.denominator)
 
 
 def grid_opt(tap: TAP, objective: str, grid, max_steps: int = 4096) -> Rat:

@@ -1,59 +1,35 @@
-"""Exact rational arithmetic with a selectable backend.
+"""Exact rational arithmetic.
 
 All times and works in the simulator are exact rationals.  The hot loops
 (event-time computation, allocation integrals, oracle search) are
-dominated by rational arithmetic, so we use gmpy2's compiled ``mpq`` type
-when it is available and a fast subclass of ``fractions.Fraction``
-otherwise.  The backend is chosen once at import time; set
-``TAPLAB_RATIONAL=fractions`` (or ``gmpy2``) to force a backend.
-
-Without gmpy2, ``Rat`` is ``FastFraction``, a slotted ``Fraction``
-subclass.  It overrides construction, ``+ - * /`` and their reflected
-forms, unary ``-``/``+``, ``abs``, ``**`` with an integral exponent,
-``== < <= > >=`` (``!=`` follows ``==``) and ``hash`` with fast paths for
-operands of exact type ``FastFraction``, ``Fraction`` or ``int``: they
-skip ``Fraction.__new__``, its operator wrappers and the
+dominated by rational arithmetic, so ``Rat`` is ``FastFraction``, a
+slotted ``Fraction`` subclass.  It overrides construction, ``+ - * /``
+and their reflected forms, unary ``-``/``+``, ``abs``, ``**`` with an
+integral exponent, ``== < <= > >=`` (``!=`` follows ``==``) and ``hash``
+with fast paths for operands of exact type ``FastFraction``, ``Fraction``
+or ``int``: they skip ``Fraction.__new__``, its operator wrappers and the
 ``numbers.Rational`` checks, and reduce with CPython's formulas (Knuth,
 TAOCP vol. 2, 4.5.1), so each result is normalised exactly as
-``Fraction``'s.  Adding or subtracting 0 and multiplying by 1 or by a
-zero ``FastFraction`` return an operand unchanged, and sums and products
-of integers skip the gcd.  Other operand types (float, complex, bool,
-...) and other operations (``str``, ``float``, ``floor``/``round``,
-``//``, ``%``, pickling, copying) use the inherited ``Fraction`` code.
-A subclass's reflected operator wins, so ``Fraction op Rat`` is a
-``Rat`` too.
-``repr`` stays ``Fraction(n, d)`` and ``BACKEND`` stays ``"fractions"``:
-the values are ``Fraction`` instances, and the battery digests hash
-``str``/``repr``, so they stay comparable with plain ``Fraction`` runs.
-
-Both backends normalise to lowest terms with a positive denominator and
-interoperate with Python ints, which is all the rest of the package
-relies on.
+``Fraction``'s: lowest terms, positive denominator.  Adding or
+subtracting 0 and multiplying by 1 or by a zero ``FastFraction`` return
+an operand unchanged, and sums and products of integers skip the gcd.
+Other operand types (float, complex, bool, ...) and other operations
+(``str``, ``float``, ``floor``/``round``, ``//``, ``%``, pickling,
+copying) use the inherited ``Fraction`` code.  A subclass's reflected
+operator wins, so ``Fraction op Rat`` is a ``Rat`` too.
+``repr`` stays ``Fraction(n, d)``: the values are ``Fraction``
+instances, and the battery digests hash ``str``/``repr``, so they stay
+comparable with plain ``Fraction`` runs.  ``BACKEND`` names the type for
+benchmark records.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
-_requested = os.environ.get("TAPLAB_RATIONAL", "").strip().lower()
-
-if _requested in ("", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _mpq  # type: ignore[import-not-found]
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _requested == "gmpy2":
-            raise
-        _mpq = None
-        BACKEND = "fractions"
-elif _requested in ("fractions", "python", "fraction"):
-    _mpq = None
-    BACKEND = "fractions"
-else:
-    raise RuntimeError(f"unknown TAPLAB_RATIONAL backend {_requested!r}")
+#: The rational type's name, recorded with benchmark results.
+BACKEND = "fractions"
 
 _gcd = math.gcd
 _new = object.__new__
@@ -319,9 +295,9 @@ def _div(na: int, da: int, nb: int, db: int) -> FastFraction:
     return r
 
 
-Rat = _mpq if BACKEND == "gmpy2" else FastFraction
+Rat = FastFraction
 
-#: Rational zero and one in the active backend.
+#: Rational zero and one.
 ZERO = Rat(0)
 ONE = Rat(1)
 
@@ -366,7 +342,7 @@ def is_power_of_two(value) -> bool:
     value = Rat(value)
     if value <= 0:
         return False
-    num, den = int(value.numerator), int(value.denominator)
+    num, den = value.numerator, value.denominator
     if num == 1:
         return den & (den - 1) == 0
     if den == 1:
@@ -385,7 +361,7 @@ def pow2_ceil(value):
 def pow2_ceil_exponent(value) -> int:
     """Smallest integer e with 2**e >= value (value > 0)."""
     value = Rat(value)
-    num, den = int(value.numerator), int(value.denominator)
+    num, den = value.numerator, value.denominator
     e = num.bit_length() - den.bit_length()
     while not _pow2_at_least(e, num, den):
         e += 1
@@ -406,7 +382,7 @@ def floor_log2(value) -> int:
     if not is_power_of_two(value):
         raise ValueError(f"{value} is not a power of two")
     value = Rat(value)
-    num, den = int(value.numerator), int(value.denominator)
+    num, den = value.numerator, value.denominator
     if den == 1:
         return num.bit_length() - 1
     return -(den.bit_length() - 1)

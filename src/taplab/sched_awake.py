@@ -62,12 +62,13 @@ def bal_decide(state: BalanceState, task: Task) -> Decision:
 
 # --- most-work-first allocation --------------------------------------------
 
-def most_work_first_alloc(serial: dict, parallel: dict, budget) -> dict:
+def most_work_first_alloc(serial: dict, parallel, budget) -> dict:
     """Rate 1 to the serial jobs with the largest remaining work (ties by
     ascending id), all leftover budget to the lowest-id parallel job.
 
-    ``serial`` and ``parallel`` map job id to remaining work.  The split
-    of leftover among parallel jobs does not affect awake time.
+    ``serial`` maps job id to remaining work; ``parallel`` holds job ids
+    only, so a parallel job's remaining work is never read.  The split of
+    leftover among parallel jobs does not affect awake time.
     """
     budget = Rat(budget)
     if budget < 0:
@@ -84,16 +85,17 @@ def most_work_first_alloc(serial: dict, parallel: dict, budget) -> dict:
 
 
 class _MwfMixin:
-    """Allocation shared by every decide-on-arrival most-work-first scheduler."""
+    """Most-work-first allocation on the whole budget, shared by the
+    decide-on-arrival schedulers, UNK and the level-DTAP witness."""
 
     def allocate(self, view) -> dict:
         serial: dict[int, Rat] = {}
-        parallel: dict[int, Rat] = {}
+        parallel: list[int] = []
         for tid in view.running_ids():
             if view.decision(tid) is Decision.SERIAL:
                 serial[tid] = view.remaining(tid)
             else:
-                parallel[tid] = view.remaining(tid)
+                parallel.append(tid)
         return most_work_first_alloc(serial, parallel, view.budget)
 
 
@@ -135,7 +137,7 @@ class AllParallelScheduler(_MwfMixin, Scheduler):
         return SchedCommands(starts={task.id: Decision.PARALLEL})
 
 
-class UnkScheduler(Scheduler):
+class UnkScheduler(_MwfMixin, Scheduler):
     """Parallel-work-oblivious scheduler (6-competitive).
 
     Never reads any pi (the engine view hides them).  A not-yet-started
@@ -185,20 +187,6 @@ class UnkScheduler(Scheduler):
 
     def on_timer(self, view, tag):
         return self._try_starts(view)
-
-    def allocate(self, view) -> dict:
-        alloc: dict[int, Rat] = {}
-        used = ZERO
-        parallel_tid = None
-        for tid in view.running_ids():
-            if view.decision(tid) is Decision.SERIAL:
-                alloc[tid] = ONE
-                used += 1
-            else:
-                parallel_tid = tid
-        if parallel_tid is not None and used < view.budget:
-            alloc[parallel_tid] = view.budget - used
-        return alloc
 
 
 class GoldenAlg(_MwfMixin, Scheduler):

@@ -10,6 +10,10 @@
   nested simulation and mirrors its allocations, with ballistic /
   semi-ballistic / emergency machinery for tasks whose mirrored work was
   stolen.
+
+CANC and B spend half the budget on the parallel pool and half on the
+serial pool: p + p on their default budget 2p, p/2 + p/2 inside C's
+nested run on budget p.
 """
 
 from __future__ import annotations
@@ -176,27 +180,24 @@ class CancScheduler(Scheduler):
     """Cancelling MRT scheduler (default budget 2p: p parallel + p serial).
 
     Arriving tasks enter the parallel pool, which runs EQUI over the
-    relaxed jobs on the parallel budget; each real task receives exactly
-    the processor rate of its relaxed job.  A task still alive when its
-    pool age reaches sigma is cancelled and restarted serially; the serial
-    pool runs EQUI with the serial cap on the serial budget.
+    relaxed jobs on half the budget; each real task receives exactly the
+    processor rate of its relaxed job.  A task still alive when its pool
+    age reaches sigma is cancelled and restarted serially; the serial
+    pool runs EQUI with the serial cap on the other half.
     """
 
     name = "canc"
 
-    def __init__(self, par_budget=None, ser_budget=None):
-        self.par_budget = par_budget
-        self.ser_budget = ser_budget
+    def __init__(self):
+        self.half = ZERO  # of the budget: the parallel and the serial pool's
         self.relaxed: dict[int, RelaxedJob] = {}
         self.pool_entry: dict[int, Rat] = {}
         self.par_shares: dict[int, Rat] = {}
         self.last_sync = ZERO
 
-    def _par(self, view) -> Rat:
-        return Rat(self.par_budget) if self.par_budget is not None else Rat(view.p)
-
-    def _ser(self, view) -> Rat:
-        return Rat(self.ser_budget) if self.ser_budget is not None else Rat(view.p)
+    def setup(self, view):
+        self.half = view.budget / 2
+        return None
 
     def _sync(self, view):
         dt = view.now - self.last_sync
@@ -252,14 +253,14 @@ class CancScheduler(Scheduler):
         parallel = [
             tid for tid in self.relaxed if view.status(tid) == "running"
         ]
-        alloc = equi_alloc(parallel, self._par(view), serial_cap=False)
+        alloc = equi_alloc(parallel, self.half, serial_cap=False)
         self.par_shares = dict(alloc)
         serial = [
             tid
             for tid in view.running_ids()
             if view.decision(tid) is Decision.SERIAL
         ]
-        alloc.update(equi_alloc(serial, self._ser(view), serial_cap=True))
+        alloc.update(equi_alloc(serial, self.half, serial_cap=True))
         return alloc
 
 
@@ -276,7 +277,9 @@ class BScheduler(Scheduler):
 
     Runs CANC inside a nested simulation fed the same arrivals and, at
     every instant, gives one running task per power-of-two type the sum of
-    the rates CANC gives that type.  When CANC cancels a task of a type, a
+    the rates CANC gives that type.  The nested CANC runs on this
+    scheduler's budget, and the serial pool here gets half of it, as
+    CANC's does.  When CANC cancels a task of a type, a
     not-yet-started task of the type is serialized (most recent arrival
     first), else the running one is cancelled, else a fake serial task of
     the type's serial work takes an EQUI share of the serial pool.
@@ -285,9 +288,8 @@ class BScheduler(Scheduler):
 
     name = "bsched"
 
-    def __init__(self, par_budget=None, ser_budget=None):
-        self.par_budget = par_budget
-        self.ser_budget = ser_budget
+    def __init__(self):
+        self.half = ZERO  # of the budget: the serial pool's
         self.inner: Engine | None = None
         self.types: list[_TypeState] = []  # by type index, in order of first arrival
         self.type_index: dict[tuple, int] = {}  # (sigma, pi) -> type index
@@ -301,16 +303,12 @@ class BScheduler(Scheduler):
         self.last_sync = ZERO
         self.timer_times: set = set()
 
-    def _ser(self, view) -> Rat:
-        return Rat(self.ser_budget) if self.ser_budget is not None else Rat(view.p)
-
     def setup(self, view):
-        par = Rat(self.par_budget) if self.par_budget is not None else Rat(view.p)
-        ser = self._ser(view)
+        self.half = view.budget / 2
         self.inner = Engine(
             TAP(view.p, ()),
-            CancScheduler(par_budget=par, ser_budget=ser),
-            EngineConfig(processor_budget=max(par + ser, Rat(view.p)), allow_cancel=True),
+            CancScheduler(),
+            EngineConfig(processor_budget=view.budget, allow_cancel=True),
         )
         return None
 
@@ -475,7 +473,7 @@ class BScheduler(Scheduler):
             if view.decision(tid) is Decision.SERIAL
         ]
         k = len(serial) + len(self.fakes)
-        share = min(ONE, self._ser(view) / k) if k else ZERO
+        share = min(ONE, self.half / k) if k else ZERO
         for tid in serial:
             alloc[tid] = share
         self.fake_share = share
@@ -527,10 +525,9 @@ class CScheduler(Scheduler):
         self.mode_records: list[_ModeRecord] = []
 
     def setup(self, view):
-        half = Rat(view.p) / 2
         self.inner = Engine(
             TAP(view.p, ()),
-            BScheduler(par_budget=half, ser_budget=half),
+            BScheduler(),
             EngineConfig(processor_budget=Rat(view.p), allow_cancel=True),
         )
         view.trace.aux["c_modes"] = self.mode_records

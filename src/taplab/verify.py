@@ -26,7 +26,7 @@ from .adversary import (
     gen_random,
     gen_random_dtap,
 )
-from .core import Decision, TAP, Task, metrics_from_trace
+from .core import Decision, InvalidArgumentError, TAP, Task, metrics_from_trace
 from .dtap import TurtleScheduler, dtap_opt_upper_levels, turtle_parallel_work_bound
 from .engine import EngineConfig, SchedCommands, Scheduler, simulate, validate_trace
 from .oracle import (
@@ -619,18 +619,21 @@ def run_battery(seed: int | None = None, only: str | None = None):
     The determinism criterion repeats the entire battery with the same
     seed and compares outcome digests byte for byte, so a full run costs
     two passes.  ``only`` restricts to a single criterion name (no
-    determinism re-run in that case).
+    determinism re-run in that case, so A12 is not one).
     """
     seed = default_seed() if seed is None else seed
     if only is not None:
         wanted = only.upper()
+        if wanted == "A12":
+            raise InvalidArgumentError("A12 compares two full battery passes, "
+                                       "so it needs the full battery")
         ctx = _Ctx(seed)
         for label, fn in _CRITERIA:
             if wanted in label.split("+"):
                 out = fn(ctx)
                 results = list(out if isinstance(out, tuple) else (out,))
                 return [r for r in results if r.name == wanted] or results
-        raise KeyError(f"unknown criterion {only!r}")
+        raise InvalidArgumentError(f"unknown criterion {only!r}")
     t0 = time.time()
     ctx, results = _run_pass(seed)
     ctx2, _ = _run_pass(seed)

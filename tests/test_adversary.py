@@ -207,6 +207,12 @@ class TestCheapExpensive:
         with pytest.raises(InvalidArgumentError):
             gen_mrt_cheap_expensive(64)
 
+    @pytest.mark.parametrize("p", [-5, -16, 0, 1])
+    def test_rejects_p_below_16(self, p):
+        # 0 and 1 are fourth powers, but no valid TAP has p < 2
+        with pytest.raises(InvalidArgumentError):
+            gen_mrt_cheap_expensive(p)
+
     def test_seed_shuffles_positions(self):
         layouts = {
             tuple(t.pi for t in gen_mrt_cheap_expensive(16, seed=s).tasks)
@@ -250,6 +256,11 @@ class TestDtapLevels:
     def test_rejects_non_square(self):
         with pytest.raises(InvalidArgumentError):
             gen_dtap_levels(8)
+
+    @pytest.mark.parametrize("p", [-4, -1, 0, 1])
+    def test_rejects_p_below_4(self, p):
+        with pytest.raises(InvalidArgumentError):
+            gen_dtap_levels(p)
 
 
 class TestCTriggerCorpus:

@@ -129,6 +129,7 @@ class TestBadInput:
         (["gen", "randlb", "--p", "4", "--blocks", "-1"], "--blocks"),
         (["sweep", "--count", "-1"], "--count"),
         (["sweep", "--count", "1", "--n", "-2"], "--n"),
+        (["duel", "rigid", "flood", "--R", "-1"], "--R"),
     ])
     def test_bad_flag_value(self, capsys, argv, flag):
         with pytest.raises(SystemExit) as exc:
@@ -136,6 +137,28 @@ class TestBadInput:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert f"error: argument {flag}: expected" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        # p is checked before any root of it is taken
+        (["gen", "cheap-expensive", "--p", "-5"], "p must be a fourth power >= 16"),
+        (["gen", "cheap-expensive", "--p", "1"], "p must be a fourth power >= 16"),
+        (["gen", "dtap-levels", "--p", "-4"], "p must be a perfect square >= 4"),
+    ])
+    def test_bad_generator_p(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("only, message", [
+        ("A99", "unknown criterion 'A99'"),
+        ("A12", "A12 compares two full battery passes"),
+    ])
+    def test_bad_criterion(self, capsys, only, message):
+        assert main(["verify", "--only", only]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
         assert captured.out == ""
 
     def test_zero_counts_are_valid(self, tmp_path, capsys):
@@ -204,7 +227,9 @@ class TestModule:
 
 # exact output of ``run`` and ``oracle``, one line each, on a pow2 instance
 # (``gen random --p 8 --n 5 --seed 4 --ratio-dist pow2``) and a DTAP
-# (``gen dtap-random --p 4 --n 4 --seed 1``)
+# (``gen dtap-random --p 4 --n 4 --seed 1``); canc and bsched split any
+# budget into equal parallel and serial halves, so budget factors 1 and 4
+# differ from the default 2
 POW2_TAP = ('{"p":8,"tasks":[{"arrival":"0","id":0,"pi":"4","sigma":"2"},'
             '{"arrival":"0","id":1,"pi":"4","sigma":"1"},'
             '{"arrival":"0","id":2,"pi":"16","sigma":"8"},'
@@ -231,6 +256,22 @@ RUN_ORACLE_OUTPUTS = {
         '{"awake":"99/32","budget_factor":"2","cancellations":1,'
         '"instance_hash":"e259d4a421a4a51a","mrt":"269/160","n":5,"p":8,'
         '"scheduler":"bsched","speed":"1","trt":"269/32","violations":[]}',
+    "run POW2 canc --allow-cancel --budget-factor 1":
+        '{"awake":"109/20","budget_factor":"1","cancellations":3,'
+        '"instance_hash":"e259d4a421a4a51a","mrt":"307/100","n":5,"p":8,'
+        '"scheduler":"canc","speed":"1","trt":"307/20","violations":[]}',
+    "run POW2 canc --allow-cancel --budget-factor 4":
+        '{"awake":"27/16","budget_factor":"4","cancellations":0,'
+        '"instance_hash":"e259d4a421a4a51a","mrt":"71/80","n":5,"p":8,'
+        '"scheduler":"canc","speed":"1","trt":"71/16","violations":[]}',
+    "run POW2 bsched --allow-cancel --budget-factor 1":
+        '{"awake":"109/20","budget_factor":"1","cancellations":3,'
+        '"instance_hash":"e259d4a421a4a51a","mrt":"307/100","n":5,"p":8,'
+        '"scheduler":"bsched","speed":"1","trt":"307/20","violations":[]}',
+    "run POW2 bsched --allow-cancel --budget-factor 4":
+        '{"awake":"27/16","budget_factor":"4","cancellations":0,'
+        '"instance_hash":"e259d4a421a4a51a","mrt":"71/80","n":5,"p":8,'
+        '"scheduler":"bsched","speed":"1","trt":"71/16","violations":[]}',
     "run POW2 equi --speed 3/2 --budget-factor 2":
         '{"awake":"9/8","budget_factor":"2","cancellations":0,'
         '"instance_hash":"e259d4a421a4a51a","mrt":"71/120","n":5,"p":8,'

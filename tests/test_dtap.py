@@ -10,18 +10,61 @@ from taplab.dtap import (
     FAIRLY_PARALLEL,
     NOT_VERY_PARALLEL,
     TurtleScheduler,
+    _LevelWitnessScheduler,
+    _level_structure,
     dtap_opt_upper_levels,
     turtle_classify,
     turtle_parallel_work_bound,
 )
 from taplab.engine import simulate, validate_trace
-from taplab.rationals import Rat
+from taplab.rationals import Rat, ONE
 
 S, P = Decision.SERIAL, Decision.PARALLEL
 
 
 def T(tid, sigma, pi, arrival=0, deps=()):
     return Task(tid, Rat(sigma), Rat(pi), Rat(arrival), frozenset(deps))
+
+
+def reference_turtle_alloc(view) -> dict:
+    """TURTLE's allocation written out on its own: all p processors to
+    the lowest-id fairly-parallel task, else one each to the p
+    not-very-parallel tasks with the most remaining work."""
+    fp = []
+    nvp = []
+    for tid in view.running_ids():
+        if view.decision(tid) is P:
+            fp.append(tid)
+        else:
+            nvp.append(tid)
+    if fp:
+        return {min(fp): Rat(view.p)}
+    nvp.sort(key=lambda tid: (-view.remaining(tid), tid))
+    return {tid: ONE for tid in nvp[: view.p]}
+
+
+def reference_level_witness_alloc(view) -> dict:
+    """The level witness's allocation written out on its own: all p
+    processors to the lowest-id running spawner, else one each to the
+    lowest-id p running tasks."""
+    parallel = [tid for tid in view.running_ids() if view.decision(tid) is P]
+    if parallel:
+        return {min(parallel): Rat(view.p)}
+    return {tid: ONE for tid in view.running_ids()[: view.p]}
+
+
+class _CheckedTurtle(TurtleScheduler):
+    def allocate(self, view) -> dict:
+        alloc = super().allocate(view)
+        assert alloc == reference_turtle_alloc(view)
+        return alloc
+
+
+class _CheckedWitness(_LevelWitnessScheduler):
+    def allocate(self, view) -> dict:
+        alloc = super().allocate(view)
+        assert alloc == reference_level_witness_alloc(view)
+        return alloc
 
 
 class TestClassify:
@@ -84,6 +127,21 @@ class TestTurtle:
             for dep in t.deps:
                 assert trace.completions[dep] <= trace.arrivals[t.id]
 
+    @given(st.integers(min_value=0, max_value=2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_allocation_matches_reference(self, seed):
+        rng = random.Random(seed)
+        tap = gen_random_dtap(
+            GenParams(
+                p=rng.choice([4, 16]),
+                n=rng.randrange(1, 10),
+                ratio_distribution=rng.choice(["uniform", "extremes"]),
+                arrival_pattern=rng.choice(["batch", "poisson", "bursty"]),
+                seed=seed,
+            )
+        )
+        assert simulate(tap, _CheckedTurtle()) == simulate(tap, TurtleScheduler())
+
 
 class TestLevelWitness:
     def test_p16_exact_value(self):
@@ -103,6 +161,16 @@ class TestLevelWitness:
         assert awake <= 2
         assert validate_trace(trace, tap).ok
         assert set(trace.completions) == {t.id for t in tap.tasks}
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("p", [4, 16, 64])
+    def test_allocation_matches_reference(self, p, seed):
+        # most-work-first equals the witness's own rule: it never runs
+        # serial and parallel tasks together, nor more than p serial tasks
+        tap = gen_dtap_levels(p, seed=seed)
+        _, _, spawners = _level_structure(tap)
+        trace = simulate(tap, _CheckedWitness(set(spawners)))
+        assert trace == dtap_opt_upper_levels(tap)[0]
 
     def test_rejects_non_level_instance(self):
         tap = TAP(4, (T(0, 1, 2), T(1, 1, 2)))

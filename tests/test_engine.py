@@ -266,7 +266,7 @@ def reference_ids(e) -> tuple:
     return (
         sorted(tid for tid, s in st.items() if s in _LIVE),
         sorted((tid for tid, s in st.items() if s == "arrived"),
-               key=lambda t: (e.avail_time[t], t)),
+               key=lambda t: (e.trace.arrivals[t], t)),
         sorted(tid for tid, s in st.items() if s == "running"),
         sorted(tid for tid, s in st.items() if s == "done"),
         not e._ready_at and not any(s in _LIVE for s in st.values()),

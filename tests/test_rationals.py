@@ -30,7 +30,7 @@ from conftest import rationals
 
 
 def test_backend_selected():
-    assert BACKEND in ("gmpy2", "fractions")
+    assert BACKEND == "fractions"
 
 
 def test_constants():
@@ -210,8 +210,7 @@ def test_fast_fraction_from_float_and_decimal_string():
 
 
 def test_rat_is_fast_fraction_on_fractions_backend():
-    if BACKEND == "fractions":
-        assert Rat is FastFraction
+    assert Rat is FastFraction
     for value in (ZERO, ONE, PHI, SQRT3, EPS, rat("3/4"), parse_rat("5")):
         assert type(value) is Rat
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from taplab.adversary import GenParams, gen_random_dtap
 from taplab.core import Decision, TAP, Task, TapError, metrics_from_trace
-from taplab.engine import ObliviousnessError, simulate, validate_trace
+from taplab.engine import Engine, ObliviousnessError, simulate, validate_trace
 from taplab.oracle import opt_awake_exhaustive
 from taplab.rationals import Rat, ZERO, ONE
 from taplab.sched_awake import (
@@ -30,6 +30,57 @@ def T(tid, sigma, pi, arrival=0):
 
 def _oracle(tasks, p):
     return opt_awake_exhaustive(TAP(p, tuple(tasks)))[0]
+
+
+def reference_unk_alloc(view) -> dict:
+    """UNK's allocation written out on its own: one processor per serial
+    task, the rest of the budget to the parallel task."""
+    alloc = {}
+    used = ZERO
+    parallel_tid = None
+    for tid in view.running_ids():
+        if view.decision(tid) is S:
+            alloc[tid] = ONE
+            used += 1
+        else:
+            parallel_tid = tid
+    if parallel_tid is not None and used < view.budget:
+        alloc[parallel_tid] = view.budget - used
+    return alloc
+
+
+class _ParallelWorkHidden:
+    """Engine view whose ``remaining`` raises for a parallel task."""
+
+    def __init__(self, view):
+        self._view = view
+
+    def __getattr__(self, name):
+        return getattr(self._view, name)
+
+    def remaining(self, tid):
+        if self._view.decision(tid) is P:
+            raise ObliviousnessError(f"read remaining work of parallel task {tid}")
+        return self._view.remaining(tid)
+
+
+class _CheckedUnk(UnkScheduler):
+    """UNK on views that hide parallel remaining work; every allocation
+    is checked against ``reference_unk_alloc``."""
+
+    def on_arrival(self, view, task):
+        return super().on_arrival(_ParallelWorkHidden(view), task)
+
+    def on_completion(self, view, tid):
+        return super().on_completion(_ParallelWorkHidden(view), tid)
+
+    def on_timer(self, view, tag):
+        return super().on_timer(_ParallelWorkHidden(view), tag)
+
+    def allocate(self, view) -> dict:
+        alloc = super().allocate(_ParallelWorkHidden(view))
+        assert alloc == reference_unk_alloc(view)
+        return alloc
 
 
 class TestBalanceTest:
@@ -62,19 +113,19 @@ class TestBalanceTest:
 
 class TestMostWorkFirst:
     def test_top_p_serial(self):
-        alloc = most_work_first_alloc({0: Rat(3), 1: Rat(2), 2: ONE}, {}, 2)
+        alloc = most_work_first_alloc({0: Rat(3), 1: Rat(2), 2: ONE}, (), 2)
         assert alloc == {0: ONE, 1: ONE}
 
     def test_leftover_to_parallel(self):
-        alloc = most_work_first_alloc({0: ONE}, {1: Rat(10)}, 4)
+        alloc = most_work_first_alloc({0: ONE}, [1], 4)
         assert alloc == {0: ONE, 1: Rat(3)}
 
     def test_empty(self):
-        assert most_work_first_alloc({}, {}, 4) == {}
+        assert most_work_first_alloc({}, (), 4) == {}
 
     def test_negative_budget(self):
         with pytest.raises(TapError):
-            most_work_first_alloc({}, {}, -1)
+            most_work_first_alloc({}, (), -1)
 
 
 class TestUnk:
@@ -107,6 +158,21 @@ class TestUnk:
             trace = simulate(tap, UnkScheduler())
             assert validate_trace(trace, tap).ok
             assert set(trace.completions) == {t.id for t in tap.tasks}
+
+    def test_parallel_remaining_hidden_by_guard(self):
+        engine = Engine(TAP(2, (T(0, 1, 2),)), UnkScheduler())
+        engine.advance_to(ZERO)
+        assert engine.view.decision(0) is P
+        with pytest.raises(ObliviousnessError):
+            _ParallelWorkHidden(engine.view).remaining(0)
+
+    @given(small_taps(max_n=6))
+    @settings(max_examples=60, deadline=None)
+    def test_allocation_matches_reference(self, tap):
+        # most-work-first equals UNK's own rule: UNK runs at most p serial
+        # tasks and at most one parallel task, whose remaining work it
+        # never reads
+        assert simulate(tap, _CheckedUnk()) == simulate(tap, UnkScheduler())
 
     def test_hidden_pi_read_rejected(self):
         class Peeker(UnkScheduler):
