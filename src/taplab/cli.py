@@ -37,7 +37,7 @@ from .core import (
     tap_from_json,
     tap_to_json,
 )
-from .engine import EngineConfig, simulate, validate_trace
+from .engine import simulate, validate_trace
 from .oracle import (
     InstanceTooLargeError,
     grid_opt,
@@ -46,7 +46,8 @@ from .oracle import (
     opt_trt_lower,
 )
 from .rationals import Rat, ZERO, ONE, parse_rat, rat_str
-from .verify import SCHEDULERS, default_seed, format_results, make_scheduler, run_battery
+from .verify import (SCHEDULERS, default_seed, format_results, make_scheduler,
+                     run_battery, run_config)
 
 SWEEP_COLUMNS = [
     "instance", "scheduler", "p", "n", "awake", "trt", "opt_awake", "trt_lb",
@@ -65,29 +66,15 @@ def _load_tap(path: str) -> TAP:
         return tap_from_json(fh.read())
 
 
-def _build_scheduler(name: str, args) -> tuple:
-    """(scheduler, budget factor) honoring per-scheduler defaults and flags."""
-    if name not in SCHEDULERS:
-        raise TapError(f"unknown scheduler {name!r}")
-    _, default_factor, needs_cancel = SCHEDULERS[name]
-    factor = args.budget_factor if args.budget_factor is not None else default_factor
-    if needs_cancel and not args.allow_cancel:
-        raise TapError(f"scheduler {name!r} requires --allow-cancel")
-    return make_scheduler(name), factor
+def _build_scheduler(name: str, tap: TAP, args) -> tuple:
+    """(scheduler, engine config) of a registry scheduler on ``tap`` under
+    the ``--speed`` and ``--budget-factor`` flags."""
+    return make_scheduler(name), run_config(name, tap.p, args.budget_factor, args.speed)
 
 
-def _config(tap: TAP, factor, args) -> EngineConfig:
-    return EngineConfig(
-        speed=args.speed,
-        processor_budget=Rat(factor) * tap.p,
-        allow_cancel=args.allow_cancel,
-    )
-
-
-def _run_record(tap: TAP, name: str, args) -> dict:
-    """(``run`` record without the instance hash, trace) of one run."""
-    scheduler, factor = _build_scheduler(name, args)
-    config = _config(tap, factor, args)
+def _run_record(tap: TAP, name: str, args) -> tuple:
+    """(``run`` record without the instance hash, trace, scheduler) of one run."""
+    scheduler, config = _build_scheduler(name, tap, args)
     trace = simulate(tap, scheduler, config)
     metrics = metrics_from_trace(trace, tap)
     report = validate_trace(trace, tap, config)
@@ -95,20 +82,20 @@ def _run_record(tap: TAP, name: str, args) -> dict:
         "scheduler": name,
         "p": tap.p,
         "speed": rat_str(config.speed),
-        "budget_factor": rat_str(Rat(factor)),
+        "budget_factor": rat_str(config.processor_budget / tap.p),
         "awake": rat_str(metrics.awake),
         "trt": rat_str(metrics.trt),
         "mrt": rat_str(metrics.mrt),
         "n": tap.n,
         "cancellations": len(trace.cancellations),
         "violations": report.violations,
-    }, trace
+    }, trace, scheduler
 
 
 def cmd_run(args) -> int:
     try:
         tap = _load_tap(args.instance)
-        record, trace = _run_record(tap, args.scheduler, args)
+        record, trace, _ = _run_record(tap, args.scheduler, args)
     except (TapError, OSError) as exc:
         return _die(str(exc))
     record["instance_hash"] = instance_hash(tap)
@@ -207,7 +194,7 @@ def _sweep_bounds(tap: TAP, args) -> tuple:
     return opt, lb
 
 
-def _sweep_row(label: str, tap: TAP, name: str, record: dict, trace, bounds) -> list:
+def _sweep_row(label: str, tap: TAP, name: str, record: dict, scheduler, bounds) -> list:
     opt, lb = bounds
     opt_awake = trt_lb = ratio_awake = ratio_trt = ""
     if opt is not None:
@@ -219,10 +206,9 @@ def _sweep_row(label: str, tap: TAP, name: str, record: dict, trace, bounds) -> 
         if lb > 0:
             ratio_trt = rat_str(parse_rat(record["trt"]) / lb)
     ballistic = ""
-    records = trace.aux.get("c_modes", [])
     ratios = [
         (r.exited - r.entered) / (2 * tap.task(r.task_id).sigma)
-        for r in records
+        for r in getattr(scheduler, "mode_records", ())
         if r.mode == "ballistic" and r.exited is not None
     ]
     if ratios:
@@ -242,13 +228,13 @@ def _sweep_instance(label: str, tap: TAP, schedulers: list, args) -> list:
     bounds = None
     for name in schedulers:
         try:
-            record, trace = _run_record(tap, name, args)
+            record, _, scheduler = _run_record(tap, name, args)
         except TapError as exc:
             rows.append([label, name, tap.p, tap.n, "", "", "", "", "", "", "", str(exc)])
             continue
         if bounds is None:
             bounds = _sweep_bounds(tap, args)
-        rows.append(_sweep_row(label, tap, name, record, trace, bounds))
+        rows.append(_sweep_row(label, tap, name, record, scheduler, bounds))
     return rows
 
 
@@ -289,7 +275,6 @@ def cmd_sweep(args) -> int:
 def cmd_duel(args) -> int:
     seed = args.seed if args.seed is not None else default_seed()
     try:
-        scheduler, factor = _build_scheduler(args.scheduler, args)
         if args.adversary == "golden":
             base = TAP(args.p, ())
             adv = GoldenAdversary(args.p)
@@ -299,10 +284,12 @@ def cmd_duel(args) -> int:
                 if args.probe
                 else TAP(args.p, (Task(0, ONE, Rat(args.p), ZERO),))
             )
+            base.validate()  # the lower bound assumes a valid TAP
             adv = NonPreemptiveAdversary(args.R, base, opt_trt_lower(base))
         else:
             return _die(f"unknown adversary {args.adversary!r}")
-        trace = simulate(base, scheduler, _config(base, factor, args), adversary=adv)
+        scheduler, config = _build_scheduler(args.scheduler, base, args)
+        trace = simulate(base, scheduler, config, adversary=adv)
         tap = TAP(base.p, base.tasks + tuple(trace.injected))
         metrics = metrics_from_trace(trace, tap)
         if args.adversary == "golden":
@@ -417,7 +404,6 @@ def _add_run_flags(sub):
                      help="speed augmentation factor")
     sub.add_argument("--budget-factor", type=int, default=None,
                      help="processor budget as a multiple of p")
-    sub.add_argument("--allow-cancel", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -89,7 +89,6 @@ class Trace:
     cancellations: list = field(default_factory=list)  # (id, time)
     arrivals: dict = field(default_factory=dict)  # id -> availability time
     injected: list = field(default_factory=list)  # adversary's tasks, in emission order
-    aux: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -171,16 +170,8 @@ class EngineView:
         return self._e.p
 
     @property
-    def speed(self) -> Rat:
-        return self._e.speed
-
-    @property
     def budget(self) -> Rat:
         return self._e.budget
-
-    @property
-    def allow_cancel(self) -> bool:
-        return self._e.config.allow_cancel
 
     def task(self, tid: int):
         task = self._e.tasks[tid]

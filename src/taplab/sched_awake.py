@@ -104,6 +104,9 @@ class BalScheduler(_MwfMixin, Scheduler):
 
     name = "bal"
 
+    def __init__(self):
+        self.balanced: list = []  # (time, balanced after the decision), per arrival
+
     def _state(self, view) -> BalanceState:
         serial = []
         total = ZERO
@@ -117,9 +120,7 @@ class BalScheduler(_MwfMixin, Scheduler):
     def on_arrival(self, view, task):
         state = self._state(view)
         decision = bal_decide(state, task)
-        view.trace.aux.setdefault("bal_balanced", []).append(
-            (view.now, is_balanced(state))
-        )
+        self.balanced.append((view.now, is_balanced(state)))
         return SchedCommands(starts={task.id: decision})
 
 

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Decision, TAP, Task, TapError
-from .engine import Engine, EngineConfig, SchedCommands, Scheduler
-from .rationals import Rat, ZERO, ONE
+from .core import Decision, InvalidInstanceError, TAP, Task, TapError
+from .engine import ContractError, Engine, EngineConfig, SchedCommands, Scheduler
+from .rationals import Rat, ZERO, ONE, is_power_of_two, rat_str
 
 
 class MrtInvariantError(TapError):
@@ -64,6 +64,16 @@ def relaxed_rate(job: RelaxedJob, x) -> Rat:
 
 def _task_class(sigma, pi) -> Rat:
     return Rat(pi) / Rat(sigma)
+
+
+def _require_budget(view, name: str, factor: int) -> None:
+    """Refuse a budget below the ``factor`` times p that the rules assume."""
+    if view.budget < factor * view.p:
+        raise ContractError(
+            f"{name} needs a processor budget of at least {factor}p = "
+            f"{factor * view.p}, got {rat_str(view.budget)} "
+            f"(budget factor {rat_str(view.budget / view.p)})"
+        )
 
 
 # --- EQUI baseline ----------------------------------------------------------
@@ -114,7 +124,7 @@ class RigidScheduler(Scheduler):
 # --- SSS --------------------------------------------------------------------
 
 class SssScheduler(Scheduler):
-    """Two-mode scheduler for serial-only instances (budget 2p).
+    """Two-mode scheduler for serial-only instances (budget at least 2p).
 
     Silly mode (< p alive jobs): every job gets its own processor.
     Serious mode (>= p alive): the jobs carried over from the silly
@@ -128,6 +138,11 @@ class SssScheduler(Scheduler):
     def __init__(self):
         self.mode = "silly"
         self.scary: set[int] = set()
+        self.modes: list = []  # (time, mode entered), per switch
+
+    def setup(self, view):
+        _require_budget(view, self.name, 2)
+        return None
 
     def _update_mode(self, view, arriving: int | None = None):
         alive = view.alive_ids()
@@ -137,18 +152,14 @@ class SssScheduler(Scheduler):
             self.scary = {
                 tid for tid in alive if view.avail_time(tid) == view.now
             }
-            view.trace.aux.setdefault("sss_modes", []).append(
-                (view.now, "serious")
-            )
+            self.modes.append((view.now, "serious"))
         elif self.mode == "serious":
             if arriving is not None:
                 self.scary.add(arriving)
             if len(alive) < view.p:
                 self.mode = "silly"
                 self.scary = set()
-                view.trace.aux.setdefault("sss_modes", []).append(
-                    (view.now, "silly")
-                )
+                self.modes.append((view.now, "silly"))
 
     def on_arrival(self, view, task):
         commands = SchedCommands(starts={task.id: Decision.SERIAL})
@@ -194,6 +205,7 @@ class CancScheduler(Scheduler):
         self.pool_entry: dict[int, Rat] = {}
         self.par_shares: dict[int, Rat] = {}
         self.last_sync = ZERO
+        self.pool_ages: list = []  # (id, pool age), per cancellation
 
     def setup(self, view):
         self.half = view.budget / 2
@@ -246,7 +258,7 @@ class CancScheduler(Scheduler):
             raise MrtInvariantError(f"cancel timer for {tid} at pool age {age}")
         del self.relaxed[tid]
         self.par_shares.pop(tid, None)
-        view.trace.aux.setdefault("canc_pool_ages", []).append((tid, age))
+        self.pool_ages.append((tid, age))
         return SchedCommands(cancels={tid}, starts={tid: Decision.SERIAL})
 
     def allocate(self, view) -> dict:
@@ -297,9 +309,8 @@ class BScheduler(Scheduler):
         self.serialized_inner: set[int] = set()
         self.seen_cancels = 0
         self.seen_completions: set[int] = set()
-        self.fakes: dict[int, Rat] = {}  # fake id -> remaining work
+        self.fakes: list[Rat] = []  # remaining work of each fake serial task
         self.fake_share = ZERO
-        self.fake_seq = 0
         self.last_sync = ZERO
         self.timer_times: set = set()
 
@@ -317,13 +328,8 @@ class BScheduler(Scheduler):
     def _advance_fakes(self, view):
         dt = view.now - self.last_sync
         if dt > 0 and self.fakes:
-            for fid in list(self.fakes):
-                self.fakes[fid] -= self.fake_share * dt
-                if self.fakes[fid] <= 0:
-                    del self.fakes[fid]
-                    view.trace.aux.setdefault("b_fake_completions", []).append(
-                        (fid, view.now)
-                    )
+            done = self.fake_share * dt
+            self.fakes = [work - done for work in self.fakes if work > done]
         self.last_sync = view.now
 
     def _handle_inner_cancel(self, view, inner_tid, commands):
@@ -367,12 +373,7 @@ class BScheduler(Scheduler):
             commands.starts[victim] = Decision.SERIAL
         else:
             # every real task of the type is already done: fake serial task
-            fid = self.fake_seq
-            self.fake_seq += 1
-            self.fakes[fid] = Rat(state.key[0])  # sigma of the type
-            view.trace.aux.setdefault("b_fakes", []).append(
-                (fid, state.key, view.now)
-            )
+            self.fakes.append(Rat(state.key[0]))  # sigma of the type
 
     def _sync(self, view) -> SchedCommands:
         self._advance_fakes(view)
@@ -418,7 +419,7 @@ class BScheduler(Scheduler):
             self.timer_times.add(nxt)
             commands.timers.append((nxt, ("inner",)))
         if self.fakes and self.fake_share > 0:
-            due = view.now + min(self.fakes.values()) / self.fake_share
+            due = view.now + min(self.fakes) / self.fake_share
             if due not in self.timer_times:
                 self.timer_times.add(due)
                 commands.timers.append((due, ("fake",)))
@@ -492,7 +493,7 @@ class _ModeRecord:
 
 
 class CScheduler(Scheduler):
-    """Non-cancelling MRT scheduler (default budget 4p).
+    """Non-cancelling MRT scheduler (budget at least 4p, power-of-two works).
 
     Simulates B on a copy of the input with all works scaled by 3 on p
     processors, and mirrors B's allocations onto its own tasks.  A task
@@ -525,13 +526,14 @@ class CScheduler(Scheduler):
         self.mode_records: list[_ModeRecord] = []
 
     def setup(self, view):
+        # p each for the mirror and the semi-ballistic pool, up to 2p for
+        # the class reserves
+        _require_budget(view, self.name, 4)
         self.inner = Engine(
             TAP(view.p, ()),
             BScheduler(),
             EngineConfig(processor_budget=Rat(view.p), allow_cancel=True),
         )
-        view.trace.aux["c_modes"] = self.mode_records
-        view.trace.aux["c_stolen"] = self.stolen
         return None
 
     def _class(self, tid) -> Rat:
@@ -641,6 +643,11 @@ class CScheduler(Scheduler):
     # -- engine callbacks ----------------------------------------------------
 
     def on_arrival(self, view, task):
+        if not (is_power_of_two(task.sigma) and is_power_of_two(task.pi)):
+            raise InvalidInstanceError(
+                f"csched needs power-of-two works, task {task.id} has sigma "
+                f"{rat_str(task.sigma)} and pi {rat_str(task.pi)}: apply round_pow2"
+            )
         self.task_info[task.id] = task
         self.task_class[task.id] = _task_class(task.sigma, task.pi)
         self.inner.inject_task(

@@ -82,8 +82,18 @@ SCHEDULERS = {
 
 def make_scheduler(name: str) -> Scheduler:
     if name not in SCHEDULERS:
-        raise KeyError(f"unknown scheduler {name!r}")
+        raise InvalidArgumentError(f"unknown scheduler {name!r}")
     return SCHEDULERS[name][0]()
+
+
+def run_config(name: str, p: int, factor=None, speed=ONE) -> EngineConfig:
+    """The engine configuration of a registry scheduler on p processors:
+    a budget of ``factor`` (default: the registry's) times p, and
+    cancellation exactly when the scheduler needs it."""
+    _, default_factor, needs_cancel = SCHEDULERS[name]
+    factor = default_factor if factor is None else factor
+    return EngineConfig(speed=speed, processor_budget=Rat(factor) * p,
+                        allow_cancel=needs_cancel)
 
 
 # --- battery plumbing --------------------------------------------------------
@@ -204,13 +214,14 @@ def crit_a2_a3(ctx: _Ctx):
     n_sub = 0
     for idx, tap in enumerate(_awake_corpus(ctx.seed)):
         opt, _ = opt_awake_exhaustive(tap)
-        trace = simulate(tap, BalScheduler())
+        bal = BalScheduler()
+        trace = simulate(tap, bal)
         if not ctx.validated(trace, tap):
             bad2.append((idx, "invalid trace"))
         awake = metrics_from_trace(trace, tap).awake
         if awake > 3 * opt:
             bad2.append((idx, "ratio", rat_str(awake / opt)))
-        if not all(flag for _, flag in trace.aux.get("bal_balanced", [])):
+        if not all(flag for _, flag in bal.balanced):
             bad2.append((idx, "balance broken"))
         ctx.note("a2", idx, rat_str(awake), rat_str(opt))
 
@@ -309,20 +320,22 @@ def crit_a6_a7(ctx: _Ctx):
     t0 = time.time()
     bad6, bad7 = [], []
     for idx, tap in enumerate(_pow2_corpus(ctx.seed)):
-        cfg = EngineConfig(processor_budget=Rat(2 * tap.p), allow_cancel=True)
-        trace = simulate(tap, CancScheduler(), cfg)
+        cfg = run_config("canc", tap.p)
+        canc = CancScheduler()
+        trace = simulate(tap, canc, cfg)
         if not ctx.validated(trace, tap, cfg):
             bad6.append((idx, "invalid trace"))
         if set(trace.completions) != {t.id for t in tap.tasks}:
             bad6.append((idx, "missing completions"))
-        for tid, age in trace.aux.get("canc_pool_ages", []):
+        for tid, age in canc.pool_ages:
             if age != tap.task(tid).sigma:
                 bad6.append((idx, "pool age", tid, rat_str(age)))
         ctx.note("a6", idx, len(trace.cancellations),
                  rat_str(max(trace.completions.values(), default=ZERO)))
 
-        btrace = simulate(tap, BScheduler(), cfg)
-        if not ctx.validated(btrace, tap, cfg):
+        bcfg = run_config("bsched", tap.p)
+        btrace = simulate(tap, BScheduler(), bcfg)
+        if not ctx.validated(btrace, tap, bcfg):
             bad7.append((idx, "invalid trace"))
         types = {t.id: (t.sigma, t.pi) for t in tap.tasks}
         for a, b, alloc in btrace.slices:
@@ -352,15 +365,20 @@ def crit_a6_a7(ctx: _Ctx):
     return r6, r7
 
 
-def _check_c_trace(tap, trace, ctx, bad, idx):
-    if not ctx.validated(trace, tap, EngineConfig(processor_budget=Rat(4 * tap.p))):
+def _run_c(tap, ctx, bad, idx):
+    """Run csched on ``tap`` and check its ballistic machinery; returns
+    (trace, mode records)."""
+    sched = CScheduler()
+    config = run_config("csched", tap.p)
+    trace = simulate(tap, sched, config)
+    if not ctx.validated(trace, tap, config):
         bad.append((idx, "invalid trace"))
     if trace.cancellations:
         bad.append((idx, "cancellation"))
     if set(trace.completions) != {t.id for t in tap.tasks}:
         bad.append((idx, "missing completions"))
-    records = trace.aux.get("c_modes", [])
-    stolen = trace.aux.get("c_stolen", {})
+    records = sched.mode_records
+    stolen = sched.stolen
     intervals = []
     for rec in records:
         task = tap.task(rec.task_id)
@@ -387,7 +405,7 @@ def _check_c_trace(tap, trace, ctx, bad, idx):
         }
         if sum(classes, ZERO) > 2 * tap.p:
             bad.append((idx, "reserve over budget", rat_str(t)))
-    return records
+    return trace, records
 
 
 def crit_a8(ctx: _Ctx) -> CriterionResult:
@@ -397,9 +415,7 @@ def crit_a8(ctx: _Ctx) -> CriterionResult:
     n_modes = n_bal = n_semi = 0
     crafted = c_trigger_corpus()
     for idx, tap in enumerate(crafted):
-        cfg = EngineConfig(processor_budget=Rat(4 * tap.p))
-        trace = simulate(tap, CScheduler(), cfg)
-        records = _check_c_trace(tap, trace, ctx, bad, ("crafted", idx))
+        trace, records = _run_c(tap, ctx, bad, ("crafted", idx))
         if records:
             n_modes += 1
         n_bal += sum(1 for r in records if r.mode == "ballistic")
@@ -410,9 +426,7 @@ def crit_a8(ctx: _Ctx) -> CriterionResult:
     if n_bal == 0 or n_semi == 0:
         bad.append(("crafted corpus", "missing a mode", n_bal, n_semi))
     for idx, tap in enumerate(_pow2_corpus(ctx.seed, count=300)):
-        cfg = EngineConfig(processor_budget=Rat(4 * tap.p))
-        trace = simulate(tap, CScheduler(), cfg)
-        _check_c_trace(tap, trace, ctx, bad, ("random", idx))
+        trace, _ = _run_c(tap, ctx, bad, ("random", idx))
         ctx.note("a8r", idx, rat_str(max(trace.completions.values(), default=ZERO)))
     return CriterionResult(
         "A8", "non-cancelling scheduler properties", not bad,

@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from taplab.core import TAP, Task, metrics_from_trace, tap_from_json, tap_to_jso
 from taplab.engine import simulate
 from taplab.rationals import PHI, Rat, ZERO, parse_rat
 from taplab.sched_awake import BalScheduler
+from taplab.verify import SCHEDULERS
 
 
 def _write(tmp_path, tap, name="tap.json"):
@@ -45,9 +48,13 @@ class TestRun:
         assert record["cancellations"] == 0
 
     def test_canc_requires_flag(self, tmp_path, capsys):
+        """Cancellation comes from the registry, so no flag asks for it."""
         path = _write(tmp_path, _golden_tap())
-        assert main(["run", path, "canc"]) == 2
-        assert main(["run", path, "canc", "--allow-cancel"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, "canc", "--allow-cancel"])
+        assert exc.value.code == 2
+        assert "--allow-cancel" in capsys.readouterr().err
+        assert main(["run", path, "canc"]) == 0
 
     def test_unknown_scheduler(self, tmp_path, capsys):
         path = _write(tmp_path, _golden_tap())
@@ -78,6 +85,21 @@ class TestRun:
         assert main(["run", path, "bal", "--dump-trace", str(out)]) == 0
         dump = json.loads(out.read_text())
         assert dump["slices"]
+
+
+def test_registry_budgets_match_perfbench(monkeypatch):
+    """The benchmark names its own budgets and cancellation; they are the
+    registry's for every scheduler both know."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    shared = SCHEDULERS.keys() & workloads.SCHEDULERS.keys()
+    assert len(shared) == len(workloads.SCHEDULERS)
+    for name in shared:
+        assert workloads.SCHEDULERS[name][2:] == SCHEDULERS[name][1:], name
 
 
 class TestBadInput:
@@ -140,15 +162,36 @@ class TestBadInput:
         assert captured.out == ""
 
     @pytest.mark.parametrize("argv, message", [
-        # p is checked before any root of it is taken
+        # p is checked before any root of it is taken, and before the
+        # flood's lower bound divides by it
         (["gen", "cheap-expensive", "--p", "-5"], "p must be a fourth power >= 16"),
         (["gen", "cheap-expensive", "--p", "1"], "p must be a fourth power >= 16"),
         (["gen", "dtap-levels", "--p", "-4"], "p must be a perfect square >= 4"),
+        (["duel", "equi", "flood", "--p", "0"], "p must be >= 2, got 0"),
+        (["duel", "equi", "flood", "--p", "1"], "p must be >= 2, got 1"),
     ])
     def test_bad_generator_p(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("gen, run, message", [
+        # sss assumes a budget of 2p and csched one of 4p
+        ("--p 4 --n 12 --seed 5 --ratio-dist pow2 --arrival poisson",
+         "sss --budget-factor 1", "at least 2p = 8, got 4 (budget factor 1)"),
+        ("--p 4 --n 12 --seed 5 --ratio-dist pow2 --arrival poisson",
+         "csched --budget-factor 3", "at least 4p = 16, got 12 (budget factor 3)"),
+        # csched runs on power-of-two works only
+        ("--p 8 --n 20 --seed 6 --arrival poisson", "csched", "apply round_pow2"),
+        ("--p 8 --n 20 --seed 7 --arrival poisson", "csched", "apply round_pow2"),
+    ])
+    def test_scheduler_refuses_up_front(self, tmp_path, capsys, gen, run, message):
+        path = str(tmp_path / "tap.json")
+        assert main(["gen", "random", *gen.split(), "-o", path]) == 0
+        assert main(["run", path, *run.split()]) == 2
+        captured = capsys.readouterr()
+        assert "error: " in captured.err and message in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("only, message", [
@@ -252,23 +295,23 @@ RUN_ORACLE_OUTPUTS = {
         '{"awake":"127/20","budget_factor":"4","cancellations":0,'
         '"instance_hash":"e259d4a421a4a51a","mrt":"529/200","n":5,"p":8,'
         '"scheduler":"csched","speed":"2","trt":"529/40","violations":[]}',
-    "run POW2 bsched --allow-cancel":
+    "run POW2 bsched":
         '{"awake":"99/32","budget_factor":"2","cancellations":1,'
         '"instance_hash":"e259d4a421a4a51a","mrt":"269/160","n":5,"p":8,'
         '"scheduler":"bsched","speed":"1","trt":"269/32","violations":[]}',
-    "run POW2 canc --allow-cancel --budget-factor 1":
+    "run POW2 canc --budget-factor 1":
         '{"awake":"109/20","budget_factor":"1","cancellations":3,'
         '"instance_hash":"e259d4a421a4a51a","mrt":"307/100","n":5,"p":8,'
         '"scheduler":"canc","speed":"1","trt":"307/20","violations":[]}',
-    "run POW2 canc --allow-cancel --budget-factor 4":
+    "run POW2 canc --budget-factor 4":
         '{"awake":"27/16","budget_factor":"4","cancellations":0,'
         '"instance_hash":"e259d4a421a4a51a","mrt":"71/80","n":5,"p":8,'
         '"scheduler":"canc","speed":"1","trt":"71/16","violations":[]}',
-    "run POW2 bsched --allow-cancel --budget-factor 1":
+    "run POW2 bsched --budget-factor 1":
         '{"awake":"109/20","budget_factor":"1","cancellations":3,'
         '"instance_hash":"e259d4a421a4a51a","mrt":"307/100","n":5,"p":8,'
         '"scheduler":"bsched","speed":"1","trt":"307/20","violations":[]}',
-    "run POW2 bsched --allow-cancel --budget-factor 4":
+    "run POW2 bsched --budget-factor 4":
         '{"awake":"27/16","budget_factor":"4","cancellations":0,'
         '"instance_hash":"e259d4a421a4a51a","mrt":"71/80","n":5,"p":8,'
         '"scheduler":"bsched","speed":"1","trt":"71/16","violations":[]}',

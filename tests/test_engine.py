@@ -22,7 +22,7 @@ from taplab.engine import (
 )
 from taplab.rationals import Rat, ZERO, ONE, rat_str
 from taplab.sched_awake import BalScheduler
-from taplab.verify import SCHEDULERS, make_scheduler
+from taplab.verify import make_scheduler, run_config
 
 from conftest import small_taps
 
@@ -198,12 +198,9 @@ _LIVE = ("arrived", "running")
 
 #: SHA-256 of the exact traces of ``_corpus()``, recorded with the scanning
 #: engine; a fast path that changes any trace changes it
-CORPUS_TRACES_SHA256 = "2e3ca1b1eb6b73d1bb3cbfad2123de45ae1ab3fa0b42cfd42a8bae7389782a1c"
-
-
-def _run_config(name, p):
-    _, factor, cancel = SCHEDULERS[name]
-    return EngineConfig(processor_budget=Rat(factor * p), allow_cancel=cancel)
+CORPUS_TRACES_SHA256 = "4ce4ec4259f70fe968c9ed256c4fba3544f3395fe6b0a4d69883188fb6af684b"
+#: SHA-256 of the diagnostic records the schedulers keep over the same runs
+CORPUS_RECORDS_SHA256 = "0dedbb3659a5957db827bb81949d8d7dd9e4d350a2ea669511059fd7d5d74956"
 
 
 def _corpus():
@@ -236,9 +233,18 @@ def _plain(x):
     return rat_str(x)
 
 
+def _records(name, sched) -> list:
+    """The diagnostic records a registry scheduler kept over its run."""
+    return {
+        "sss": lambda: [sched.modes],
+        "canc": lambda: [sched.pool_ages],
+        "csched": lambda: [sched.mode_records, sched.stolen],
+    }.get(name, list)()
+
+
 def _trace_text(trace) -> str:
     return json.dumps(_plain([trace.slices, trace.decisions, trace.completions,
-                              trace.cancellations, trace.arrivals, trace.aux]))
+                              trace.cancellations, trace.arrivals]))
 
 
 def reference_next_event_time(e):
@@ -406,11 +412,14 @@ def reference_validate(trace: Trace, tap: TAP, config: EngineConfig | None = Non
 
 class TestFastPaths:
     def test_corpus_traces_unchanged(self):
-        digest = hashlib.sha256()
+        digest, records = hashlib.sha256(), hashlib.sha256()
         for tap, name in _corpus():
-            trace = simulate(tap, make_scheduler(name), _run_config(name, tap.p))
+            sched = make_scheduler(name)
+            trace = simulate(tap, sched, run_config(name, tap.p))
             digest.update(_trace_text(trace).encode())
+            records.update(json.dumps(_plain(_records(name, sched))).encode())
         assert digest.hexdigest() == CORPUS_TRACES_SHA256
+        assert records.hexdigest() == CORPUS_RECORDS_SHA256
 
     def test_cached_times_and_indexes_match_scans(self, monkeypatch):
         # nested engines (bsched inside csched, canc inside bsched) too
@@ -418,7 +427,7 @@ class TestFastPaths:
         monkeypatch.setattr(sched_mrt, "Engine", _CheckedEngine)
         _CheckedEngine.checks = _CheckedEngine.unlocks = 0
         for tap, name in _corpus():
-            config = _run_config(name, tap.p)
+            config = run_config(name, tap.p)
             trace = simulate(tap, make_scheduler(name), config)
             assert validate_trace(trace, tap, config).violations == reference_validate(trace, tap, config)
         assert _CheckedEngine.checks > 5000
@@ -436,7 +445,7 @@ class TestFastPaths:
     @given(small_taps(pow2=True), st.sampled_from(MRT), st.data())
     @settings(max_examples=300, deadline=None)
     def test_validator_matches_reference_on_corrupted_traces(self, tap, name, data):
-        config = _run_config(name, tap.p)
+        config = run_config(name, tap.p)
         trace = simulate(tap, make_scheduler(name), config)
         trace = _corrupt(trace, data)
         assert validate_trace(trace, tap, config).violations == reference_validate(trace, tap, config)

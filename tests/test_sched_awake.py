@@ -209,8 +209,9 @@ class TestBal:
     @given(small_taps(max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_always_balanced(self, tap):
-        trace = simulate(tap, BalScheduler())
-        assert all(flag for _, flag in trace.aux.get("bal_balanced", []))
+        sched = BalScheduler()
+        simulate(tap, sched)
+        assert all(flag for _, flag in sched.balanced)
 
     @given(small_taps(max_n=5))
     @settings(max_examples=30, deadline=None)

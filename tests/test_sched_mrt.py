@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 
 from taplab.core import Decision, TAP, Task, metrics_from_trace, round_pow2
-from taplab.engine import EngineConfig, simulate, validate_trace
+from taplab.engine import simulate, validate_trace
 from taplab.adversary import gen_c_trigger
 from taplab.rationals import Rat, ZERO, ONE
+from taplab.verify import run_config
 from taplab.sched_mrt import (
     BScheduler,
     CancScheduler,
@@ -24,12 +25,6 @@ S, P = Decision.SERIAL, Decision.PARALLEL
 
 def T(tid, sigma, pi, arrival=0):
     return Task(tid, Rat(sigma), Rat(pi), Rat(arrival))
-
-
-def _cfg(tap, factor, cancel=False):
-    return EngineConfig(
-        processor_budget=Rat(factor * tap.p), allow_cancel=cancel
-    )
 
 
 def _coalesce(slices):
@@ -94,66 +89,69 @@ class TestSss:
     def test_pure_silly(self):
         # p-1 simultaneous unit jobs: one processor each, never serious
         tap = TAP(4, tuple(T(i, 1, 4) for i in range(3)))
-        trace = simulate(tap, SssScheduler(), _cfg(tap, 2))
+        sched = SssScheduler()
+        trace = simulate(tap, sched, run_config("sss", tap.p))
         m = metrics_from_trace(trace, tap)
         assert m.trt == 3
-        assert "sss_modes" not in trace.aux
+        assert sched.modes == []
 
     def test_all_scary_serious(self):
         tap = TAP(4, tuple(T(i, 1, 4) for i in range(4)))
-        trace = simulate(tap, SssScheduler(), _cfg(tap, 2))
-        assert (ZERO, "serious") in trace.aux["sss_modes"]
+        sched = SssScheduler()
+        trace = simulate(tap, sched, run_config("sss", tap.p))
+        assert (ZERO, "serious") in sched.modes
         # serial-capped EQUI on the second pool: all done at 1
         assert all(c == 1 for c in trace.completions.values())
 
     def test_empty(self):
         tap = TAP(4, ())
-        trace = simulate(tap, SssScheduler(), _cfg(tap, 2))
+        trace = simulate(tap, SssScheduler(), run_config("sss", tap.p))
         assert trace.slices == []
 
     @given(small_taps(max_n=8))
     @settings(max_examples=25, deadline=None)
     def test_validates_and_completes(self, tap):
-        trace = simulate(tap, SssScheduler(), _cfg(tap, 2))
-        assert validate_trace(trace, tap, _cfg(tap, 2)).ok
+        trace = simulate(tap, SssScheduler(), run_config("sss", tap.p))
+        assert validate_trace(trace, tap, run_config("sss", tap.p)).ok
         assert set(trace.completions) == {t.id for t in tap.tasks}
 
 
 class TestCanc:
     def test_lone_parallel_task(self):
         tap = TAP(4, (T(0, 1, 4),))
-        trace = simulate(tap, CancScheduler(), _cfg(tap, 2, cancel=True))
+        trace = simulate(tap, CancScheduler(), run_config("canc", tap.p))
         assert trace.completions[0] == 1
         assert trace.cancellations == []
 
     def test_crowd_all_cancelled(self):
         tap = TAP(4, tuple(T(i, 1, 4) for i in range(5)))
-        trace = simulate(tap, CancScheduler(), _cfg(tap, 2, cancel=True))
+        trace = simulate(tap, CancScheduler(), run_config("canc", tap.p))
         assert [t for _, t in trace.cancellations] == [ONE] * 5
         assert all(c == Rat(9, 4) for c in trace.completions.values())
 
     def test_empty(self):
         tap = TAP(4, ())
-        trace = simulate(tap, CancScheduler(), _cfg(tap, 2, cancel=True))
+        trace = simulate(tap, CancScheduler(), run_config("canc", tap.p))
         assert trace.slices == []
 
     @given(small_taps(max_n=6, pow2=True))
     @settings(max_examples=25, deadline=None)
     def test_completes_everything(self, tap):
-        cfg = _cfg(tap, 2, cancel=True)
-        trace = simulate(tap, CancScheduler(), cfg)
+        cfg = run_config("canc", tap.p)
+        sched = CancScheduler()
+        trace = simulate(tap, sched, cfg)
         assert validate_trace(trace, tap, cfg).ok
         assert set(trace.completions) == {t.id for t in tap.tasks}
         # a task stays in the parallel pool for at most its serial work
         sigma = {t.id: t.sigma for t in tap.tasks}
-        for tid, age in trace.aux.get("canc_pool_ages", []):
+        for tid, age in sched.pool_ages:
             assert age <= sigma[tid]
 
 
 class TestB:
     def test_distinct_types_match_canc(self):
         tap = TAP(8, (T(0, 1, 2), T(1, 1, 4), T(2, 2, 8)))
-        cfg = _cfg(tap, 2, cancel=True)
+        cfg = run_config("bsched", tap.p)
         canc = simulate(tap, CancScheduler(), cfg)
         b = simulate(tap, BScheduler(), cfg)
         assert b.completions == canc.completions
@@ -162,14 +160,14 @@ class TestB:
 
     def test_same_type_pair_serialized(self):
         tap = TAP(4, (T(0, 1, 4), T(1, 1, 4)))
-        trace = simulate(tap, BScheduler(), _cfg(tap, 2, cancel=True))
+        trace = simulate(tap, BScheduler(), run_config("bsched", tap.p))
         assert sorted(trace.completions.values()) == [1, 2]
 
     @given(small_taps(max_n=6, pow2=True))
     @settings(max_examples=25, deadline=None)
     def test_one_parallel_per_type_and_fast(self, tap):
         tap = round_pow2(tap)
-        cfg = _cfg(tap, 2, cancel=True)
+        cfg = run_config("bsched", tap.p)
         trace = simulate(tap, BScheduler(), cfg)
         assert validate_trace(trace, tap, cfg).ok
         by_id = {t.id: t for t in tap.tasks}
@@ -194,17 +192,19 @@ class TestB:
 class TestC:
     def test_quiet_instance_no_modes(self):
         tap = TAP(8, (T(0, 1, 2), T(1, 2, 8)))
-        cfg = _cfg(tap, 4)
-        trace = simulate(tap, CScheduler(), cfg)
+        cfg = run_config("csched", tap.p)
+        sched = CScheduler()
+        trace = simulate(tap, sched, cfg)
         assert trace.cancellations == []
-        assert trace.aux["c_modes"] == []
+        assert sched.mode_records == []
         assert set(trace.completions) == {0, 1}
 
     def test_crafted_ballistic_episode(self):
         tap = gen_c_trigger(8, Rat(2), with_candidate=False)
-        cfg = _cfg(tap, 4)
-        trace = simulate(tap, CScheduler(), cfg)
-        records = trace.aux["c_modes"]
+        cfg = run_config("csched", tap.p)
+        sched = CScheduler()
+        trace = simulate(tap, sched, cfg)
+        records = sched.mode_records
         ballistic = [r for r in records if r.mode == "ballistic"]
         assert ballistic
         sigma = {t.id: t.sigma for t in tap.tasks}
@@ -215,9 +215,10 @@ class TestC:
 
     def test_crafted_semi_ballistic(self):
         tap = gen_c_trigger(8, Rat(2), with_candidate=True)
-        cfg = _cfg(tap, 4)
-        trace = simulate(tap, CScheduler(), cfg)
-        records = trace.aux["c_modes"]
+        cfg = run_config("csched", tap.p)
+        sched = CScheduler()
+        trace = simulate(tap, sched, cfg)
+        records = sched.mode_records
         assert any(r.mode == "semi-ballistic" for r in records)
         semis = [r for r in records if r.mode == "semi-ballistic"]
         for r in semis:
@@ -228,7 +229,7 @@ class TestC:
     @settings(max_examples=20, deadline=None)
     def test_never_cancels_and_completes(self, tap):
         tap = round_pow2(tap)
-        cfg = _cfg(tap, 4)
+        cfg = run_config("csched", tap.p)
         trace = simulate(tap, CScheduler(), cfg)
         assert validate_trace(trace, tap, cfg).ok
         assert trace.cancellations == []
