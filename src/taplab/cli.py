@@ -28,16 +28,7 @@ from .adversary import (
     gen_random_dtap,
     gen_randlb,
 )
-from .core import (
-    TAP,
-    Task,
-    TapError,
-    instance_hash,
-    metrics_from_trace,
-    tap_from_json,
-    tap_to_json,
-)
-from .engine import simulate, validate_trace
+from .core import TAP, Task, TapError, instance_hash, tap_from_json, tap_to_json
 from .oracle import (
     InstanceTooLargeError,
     grid_opt,
@@ -46,8 +37,7 @@ from .oracle import (
     opt_trt_lower,
 )
 from .rationals import Rat, ZERO, ONE, parse_rat, rat_str
-from .verify import (SCHEDULERS, default_seed, format_results, make_scheduler,
-                     run_battery, run_config)
+from .verify import SCHEDULERS, default_seed, format_results, run, run_battery
 
 SWEEP_COLUMNS = [
     "instance", "scheduler", "p", "n", "awake", "trt", "opt_awake", "trt_lb",
@@ -66,41 +56,44 @@ def _load_tap(path: str) -> TAP:
         return tap_from_json(fh.read())
 
 
-def _build_scheduler(name: str, tap: TAP, args) -> tuple:
-    """(scheduler, engine config) of a registry scheduler on ``tap`` under
-    the ``--speed`` and ``--budget-factor`` flags."""
-    return make_scheduler(name), run_config(name, tap.p, args.budget_factor, args.speed)
+def _save(path: str, text: str) -> int:
+    """Write ``text`` to ``path``; 0, or 2 after an ``error:`` line when
+    the path cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _die(str(exc))
+    return 0
 
 
 def _run_record(tap: TAP, name: str, args) -> tuple:
-    """(``run`` record without the instance hash, trace, scheduler) of one run."""
-    scheduler, config = _build_scheduler(name, tap, args)
-    trace = simulate(tap, scheduler, config)
-    metrics = metrics_from_trace(trace, tap)
-    report = validate_trace(trace, tap, config)
+    """(``run`` record without the instance hash, the run) of one
+    scheduler under the ``--speed`` and ``--budget-factor`` flags."""
+    done = run(name, tap, args.budget_factor, args.speed)
+    metrics = done.metrics()
     return {
         "scheduler": name,
         "p": tap.p,
-        "speed": rat_str(config.speed),
-        "budget_factor": rat_str(config.processor_budget / tap.p),
+        "speed": rat_str(done.config.speed),
+        "budget_factor": rat_str(done.config.processor_budget / tap.p),
         "awake": rat_str(metrics.awake),
         "trt": rat_str(metrics.trt),
         "mrt": rat_str(metrics.mrt),
         "n": tap.n,
-        "cancellations": len(trace.cancellations),
-        "violations": report.violations,
-    }, trace, scheduler
+        "cancellations": len(done.trace.cancellations),
+        "violations": done.violations,
+    }, done
 
 
 def cmd_run(args) -> int:
     try:
         tap = _load_tap(args.instance)
-        record, trace, _ = _run_record(tap, args.scheduler, args)
+        record, done = _run_record(tap, args.scheduler, args)
     except (TapError, OSError) as exc:
         return _die(str(exc))
-    record["instance_hash"] = instance_hash(tap)
-    print(json.dumps(record, separators=(",", ":"), sort_keys=True))
     if args.dump_trace:
+        trace = done.trace
         dump = {
             "slices": [
                 [rat_str(a), rat_str(b), {str(t): rat_str(r) for t, r in alloc.items()}]
@@ -109,8 +102,10 @@ def cmd_run(args) -> int:
             "completions": {str(t): rat_str(f) for t, f in trace.completions.items()},
             "cancellations": [[t, rat_str(at)] for t, at in trace.cancellations],
         }
-        with open(args.dump_trace, "w") as fh:
-            json.dump(dump, fh, separators=(",", ":"), sort_keys=True)
+        if _save(args.dump_trace, json.dumps(dump, separators=(",", ":"), sort_keys=True)):
+            return 2
+    record["instance_hash"] = instance_hash(tap)
+    print(json.dumps(record, separators=(",", ":"), sort_keys=True))
     return 0 if not record["violations"] else 1
 
 
@@ -146,10 +141,8 @@ def cmd_gen(args) -> int:
         return _die(str(exc))
     text = tap_to_json(tap)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        return _save(args.output, text + "\n")
+    print(text)
     return 0
 
 
@@ -220,21 +213,21 @@ def _sweep_row(label: str, tap: TAP, name: str, record: dict, scheduler, bounds)
     ]
 
 
-def _sweep_instance(label: str, tap: TAP, schedulers: list, args) -> list:
+def _sweep_instance(label: str, tap: TAP, args) -> list:
     """The rows of one instance.  Its bounds are computed once, when the
     first scheduler run succeeds, so an instance on which every run fails
     never reaches the oracles."""
     rows = []
     bounds = None
-    for name in schedulers:
+    for name in args.schedulers:
         try:
-            record, _, scheduler = _run_record(tap, name, args)
+            record, done = _run_record(tap, name, args)
         except TapError as exc:
             rows.append([label, name, tap.p, tap.n, "", "", "", "", "", "", "", str(exc)])
             continue
         if bounds is None:
             bounds = _sweep_bounds(tap, args)
-        rows.append(_sweep_row(label, tap, name, record, scheduler, bounds))
+        rows.append(_sweep_row(label, tap, name, record, done.scheduler, bounds))
     return rows
 
 
@@ -243,11 +236,10 @@ def cmd_sweep(args) -> int:
         instances = list(_sweep_instances(args))
     except (TapError, OSError) as exc:
         return _die(str(exc))
-    schedulers = args.schedulers.split(",")
     rows = [
         row
         for label, tap in instances
-        for row in _sweep_instance(label, tap, schedulers, args)
+        for row in _sweep_instance(label, tap, args)
     ]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -263,10 +255,8 @@ def cmd_sweep(args) -> int:
                 print(f"warning: {label}: dependencies, no oracle columns", file=sys.stderr)
     text = out.getvalue()
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return _save(args.output, text)
+    sys.stdout.write(text)
     return 0
 
 
@@ -288,12 +278,10 @@ def cmd_duel(args) -> int:
             adv = NonPreemptiveAdversary(args.R, base, opt_trt_lower(base))
         else:
             return _die(f"unknown adversary {args.adversary!r}")
-        scheduler, config = _build_scheduler(args.scheduler, base, args)
-        trace = simulate(base, scheduler, config, adversary=adv)
-        tap = TAP(base.p, base.tasks + tuple(trace.injected))
-        metrics = metrics_from_trace(trace, tap)
+        done = run(args.scheduler, base, args.budget_factor, args.speed, adversary=adv)
+        metrics = done.metrics()
         if args.adversary == "golden":
-            opt = opt_awake_given_decisions(tap, adv.witness_decisions())
+            opt = opt_awake_given_decisions(done.tap, adv.witness_decisions())
             report = {
                 "adversary": "golden",
                 "scheduler": args.scheduler,
@@ -304,7 +292,7 @@ def cmd_duel(args) -> int:
                 "ratio": rat_str(metrics.awake / opt),
             }
         else:
-            lb = opt_trt_lower(tap)
+            lb = opt_trt_lower(done.tap)
             report = {
                 "adversary": "flood",
                 "scheduler": args.scheduler,
@@ -397,6 +385,10 @@ _int_list = _flag_type(lambda text: [int(x) for x in text.split(",")],
                        lambda v: True, "comma-separated integers")
 _positive_rational = _flag_type(parse_rat, lambda v: v > 0,
                                 "a positive rational a or a/b")
+_scheduler_list = _flag_type(lambda text: text.split(","),
+                             lambda names: all(name in SCHEDULERS for name in names),
+                             "comma-separated schedulers from "
+                             + ",".join(sorted(SCHEDULERS)))
 
 
 def _add_run_flags(sub):
@@ -446,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["uniform", "extremes", "pow2"])
     p_sweep.add_argument("--arrival", default="batch",
                          choices=["batch", "poisson", "bursty"])
-    p_sweep.add_argument("--schedulers", default="bal,unk")
+    p_sweep.add_argument("--schedulers", type=_scheduler_list, default="bal,unk")
     p_sweep.add_argument("--oracle", default="both",
                          choices=["exhaustive", "lb", "both", "none"])
     p_sweep.add_argument("--oracle-bound", type=int, default=14,

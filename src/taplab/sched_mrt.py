@@ -128,20 +128,23 @@ class SssScheduler(Scheduler):
 
     Silly mode (< p alive jobs): every job gets its own processor.
     Serious mode (>= p alive): the jobs carried over from the silly
-    interval keep dedicated processors from the first p; jobs arriving
-    during the serious interval (including at the switch instant) are
-    "scary" and share the second p under EQUI with the serial cap.
+    interval keep dedicated processors from the first half of the budget;
+    jobs arriving during the serious interval (including at the switch
+    instant) are "scary" and share the second half under EQUI with the
+    serial cap.
     """
 
     name = "sss"
 
     def __init__(self):
         self.mode = "silly"
+        self.half = ZERO  # of the budget: the scary jobs' share
         self.scary: set[int] = set()
         self.modes: list = []  # (time, mode entered), per switch
 
     def setup(self, view):
         _require_budget(view, self.name, 2)
+        self.half = view.budget / 2
         return None
 
     def _update_mode(self, view, arriving: int | None = None):
@@ -175,11 +178,10 @@ class SssScheduler(Scheduler):
         running = view.running_ids()
         if self.mode == "silly":
             return {tid: ONE for tid in running}
-        p = Rat(view.p)
         alloc = {tid: ONE for tid in running if tid not in self.scary}
         alloc.update(
             equi_alloc(
-                [tid for tid in running if tid in self.scary], p, serial_cap=True
+                [tid for tid in running if tid in self.scary], self.half, serial_cap=True
             )
         )
         return alloc

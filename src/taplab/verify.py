@@ -1,10 +1,16 @@
-"""Acceptance battery: twelve named criteria covering the oracles, the
-awake-time and mean-response-time schedulers, the lower-bound families,
-the dependency-aware scheduler, and end-to-end determinism.
+"""The scheduler registry, the one run path, and the acceptance battery.
 
-Every criterion returns a :class:`CriterionResult` carrying a pass/fail
-flag, a human-readable detail line, and a digest of all numeric outcomes
-so that a re-run can be compared byte for byte.
+:func:`run` simulates a registry scheduler (or a scheduler instance) on a
+TAP, replays what an adversary injected and validates the trace; the
+CLI and the battery make every run through it.
+
+The battery has twelve named criteria covering the oracles, the
+awake-time and mean-response-time schedulers, the lower-bound families,
+the dependency-aware scheduler, and end-to-end determinism.  A criterion
+function returns one ``(name, title, failures, summary)`` per criterion
+it decides, and :func:`_decide` turns each into a :class:`CriterionResult`
+carrying a pass/fail flag, a human-readable detail line, and a digest of
+all numeric outcomes so that a re-run can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .adversary import (
     GenParams,
@@ -26,9 +33,11 @@ from .adversary import (
     gen_random,
     gen_random_dtap,
 )
-from .core import Decision, InvalidArgumentError, TAP, Task, metrics_from_trace
+from . import engine
+from .core import (Decision, InvalidArgumentError, Metrics, TAP, Task,
+                   metrics_from_trace)
 from .dtap import TurtleScheduler, dtap_opt_upper_levels, turtle_parallel_work_bound
-from .engine import EngineConfig, SchedCommands, Scheduler, simulate, validate_trace
+from .engine import EngineConfig, SchedCommands, Scheduler, Trace, validate_trace
 from .oracle import (
     opt_awake_exhaustive,
     opt_awake_given_decisions,
@@ -96,6 +105,53 @@ def run_config(name: str, p: int, factor=None, speed=ONE) -> EngineConfig:
                         allow_cancel=needs_cancel)
 
 
+# --- one run ----------------------------------------------------------------
+
+@dataclass
+class Run:
+    """One simulated run.  ``tap`` is the TAP that was played: the given
+    tasks followed by every task an adversary injected."""
+
+    tap: TAP
+    scheduler: Scheduler
+    config: EngineConfig
+    trace: Trace
+
+    @cached_property
+    def violations(self) -> list:
+        """The validator's findings, computed when first read."""
+        return validate_trace(self.trace, self.tap, self.config).violations
+
+    @property
+    def complete(self) -> bool:
+        """Every task of the played TAP finished."""
+        return all(t.id in self.trace.completions for t in self.tap.tasks)
+
+    def metrics(self) -> Metrics:
+        """Awake time, TRT and MRT; ``IncompleteTraceError`` unless complete."""
+        return metrics_from_trace(self.trace, self.tap)
+
+
+def run(scheduler, tap: TAP, factor=None, speed=ONE, adversary=None) -> Run:
+    """Simulate ``scheduler`` on ``tap``, against ``adversary`` if given.
+
+    A registry name runs on its :func:`run_config` under ``factor`` and
+    ``speed``; a :class:`Scheduler` instance runs on ``EngineConfig()``.
+    """
+    if isinstance(scheduler, str):
+        name = scheduler
+        scheduler = make_scheduler(name)
+        config = run_config(name, tap.p, factor, speed)
+    else:
+        config = EngineConfig()
+    # read off the engine module at call time, so that a wrapper put on
+    # ``engine.simulate`` sees every run
+    trace = engine.simulate(tap, scheduler, config, adversary)
+    if trace.injected:
+        tap = TAP(tap.p, tap.tasks + tuple(trace.injected))
+    return Run(tap, scheduler, config, trace)
+
+
 # --- battery plumbing --------------------------------------------------------
 
 @dataclass
@@ -110,7 +166,8 @@ class CriterionResult:
 
 @dataclass
 class _Ctx:
-    """Shared state for one battery pass."""
+    """Shared state for one battery pass: the outcome digest, and the
+    validated traces and their violations that A12 reports."""
 
     seed: int
     hasher: object = None
@@ -125,18 +182,40 @@ class _Ctx:
             self.hasher.update(str(part).encode())
             self.hasher.update(b"|")
 
-    def validated(self, trace, tap, config=None) -> bool:
-        report = validate_trace(trace, tap, config)
+    def run(self, scheduler, tap, bad: list, *label, **kw) -> Run:
+        """:func:`run`, counted; an invalid trace appends
+        ``(*label, "invalid trace")`` to ``bad``."""
+        done = run(scheduler, tap, **kw)
+        self.count(done.violations, bad, *label)
+        return done
+
+    def count(self, violations: list, bad: list, *label) -> None:
+        """Count one validated trace and its violations."""
         self.traces += 1
-        self.violations += len(report.violations)
-        return report.ok
+        self.violations += len(violations)
+        if violations:
+            bad.append((*label, "invalid trace"))
 
     def digest(self) -> str:
         return self.hasher.hexdigest()
 
 
-def _fail(lines: list, limit: int = 3) -> str:
-    return "; ".join(str(w) for w in lines[:limit])
+def _decide(ctx: _Ctx, fn) -> list:
+    """The CriterionResults of one criterion function: its time split
+    evenly among the criteria it decides, each detail line followed by
+    up to three failures, each stamped with the pass's digest so far."""
+    t0 = time.time()
+    decided = fn(ctx)
+    elapsed = (time.time() - t0) / len(decided)
+    digest = ctx.digest()
+    return [
+        CriterionResult(
+            name, title, not bad,
+            summary + (": " + "; ".join(str(w) for w in bad[:3]) if bad else ""),
+            elapsed, digest,
+        )
+        for name, title, bad, summary in decided
+    ]
 
 
 # --- corpora -----------------------------------------------------------------
@@ -186,10 +265,12 @@ def _pow2_corpus(seed: int, count: int = 1000):
 
 
 # --- criteria ----------------------------------------------------------------
+#
+# A criterion function returns one (name, title, failures, summary) per
+# criterion it decides; see _decide.
 
-def crit_a1(ctx: _Ctx) -> CriterionResult:
+def crit_a1(ctx: _Ctx) -> list:
     """Exhaustive oracle equals the discretized brute-force oracle."""
-    t0 = time.time()
     bad = []
     count = 0
     for i, tap in enumerate(_grid_corpus(ctx.seed), start=1):
@@ -199,94 +280,69 @@ def crit_a1(ctx: _Ctx) -> CriterionResult:
         if exact != gridded:
             bad.append((i, rat_str(exact), rat_str(gridded)))
         count += 1
-    return CriterionResult(
-        "A1", "oracle cross-validation", not bad,
-        f"{count} instances, {len(bad)} mismatches" + (": " + _fail(bad) if bad else ""),
-        time.time() - t0, ctx.digest(),
-    )
+    return [("A1", "oracle cross-validation", bad,
+             f"{count} instances, {len(bad)} mismatches")]
 
 
-def crit_a2_a3(ctx: _Ctx):
+def crit_a2_a3(ctx: _Ctx) -> list:
     """Balance-test scheduler ratio <= 3 with its invariant; oblivious
     scheduler ratio <= 6 plus the half-awake unsaturated-time bound."""
-    t0 = time.time()
     bad2, bad3 = [], []
     n_sub = 0
     for idx, tap in enumerate(_awake_corpus(ctx.seed)):
         opt, _ = opt_awake_exhaustive(tap)
-        bal = BalScheduler()
-        trace = simulate(tap, bal)
-        if not ctx.validated(trace, tap):
-            bad2.append((idx, "invalid trace"))
-        awake = metrics_from_trace(trace, tap).awake
+        bal = ctx.run("bal", tap, bad2, idx)
+        awake = bal.metrics().awake
         if awake > 3 * opt:
             bad2.append((idx, "ratio", rat_str(awake / opt)))
-        if not all(flag for _, flag in bal.balanced):
+        if not all(flag for _, flag in bal.scheduler.balanced):
             bad2.append((idx, "balance broken"))
         ctx.note("a2", idx, rat_str(awake), rat_str(opt))
 
-        utrace = simulate(tap, UnkScheduler())
-        if not ctx.validated(utrace, tap):
-            bad3.append((idx, "invalid trace"))
-        uawake = metrics_from_trace(utrace, tap).awake
+        unk = ctx.run("unk", tap, bad3, idx)
+        uawake = unk.metrics().awake
         if uawake > 6 * opt:
             bad3.append((idx, "ratio", rat_str(uawake / opt)))
         ctx.note("a3", idx, rat_str(uawake))
         # never-idle sub-corpus: tasks present from 0 to the last completion
-        end = max(utrace.completions.values())
+        end = max(unk.trace.completions.values())
         if min(t.arrival for t in tap.tasks) == 0 and uawake == end:
             n_sub += 1
             unsat = sum(
-                (b - a for a, b, alloc in utrace.slices
+                (b - a for a, b, alloc in unk.trace.slices
                  if sum(alloc.values(), ZERO) < tap.p),
                 ZERO,
             )
             if 2 * unsat > uawake:
                 bad3.append((idx, "unsaturated", rat_str(unsat), rat_str(uawake)))
-    elapsed = time.time() - t0
-    r2 = CriterionResult(
-        "A2", "balance-test scheduler ratio <= 3", not bad2,
-        f"1000 instances, {len(bad2)} failures" + (": " + _fail(bad2) if bad2 else ""),
-        elapsed / 2, ctx.digest(),
-    )
-    r3 = CriterionResult(
-        "A3", "oblivious scheduler ratio <= 6", not bad3,
-        f"1000 instances ({n_sub} never-idle), {len(bad3)} failures"
-        + (": " + _fail(bad3) if bad3 else ""),
-        elapsed / 2, ctx.digest(),
-    )
-    return r2, r3
+    return [
+        ("A2", "balance-test scheduler ratio <= 3", bad2,
+         f"1000 instances, {len(bad2)} failures"),
+        ("A3", "oblivious scheduler ratio <= 6", bad3,
+         f"1000 instances ({n_sub} never-idle), {len(bad3)} failures"),
+    ]
 
 
-def crit_a4(ctx: _Ctx) -> CriterionResult:
+def crit_a4(ctx: _Ctx) -> list:
     """Adaptive golden-ratio adversary forces ratio >= phi - 1/p."""
-    t0 = time.time()
     p = 100
     bound = PHI - Rat(1, p) - Rat(1, 100)
     bad = []
     for name in ("bal", "unk", "mwf-all-serial", "mwf-all-parallel"):
         adv = GoldenAdversary(p)
-        trace = simulate(TAP(p, ()), make_scheduler(name), adversary=adv)
-        tap = TAP(p, tuple(trace.injected))
-        if not ctx.validated(trace, tap):
-            bad.append((name, "invalid trace"))
-        awake = metrics_from_trace(trace, tap).awake
-        opt = opt_awake_given_decisions(tap, adv.witness_decisions())
+        done = ctx.run(name, TAP(p, ()), bad, name, adversary=adv)
+        awake = done.metrics().awake
+        opt = opt_awake_given_decisions(done.tap, adv.witness_decisions())
         ratio = awake / opt
         ctx.note("a4", name, rat_str(ratio))
         if ratio < bound:
             bad.append((name, rat_str(ratio)))
-    return CriterionResult(
-        "A4", "golden-ratio lower bound at p=100", not bad,
-        f"4 schedulers, bound {float(bound):.4f}"
-        + (": " + _fail(bad) if bad else ""),
-        time.time() - t0, ctx.digest(),
-    )
+    return [("A4", "golden-ratio lower bound at p=100", bad,
+             f"4 schedulers, bound {float(bound):.4f}")]
 
 
-def crit_a5(ctx: _Ctx) -> CriterionResult:
+def crit_a5(ctx: _Ctx) -> list:
     """Geometric-instance arithmetic at p=16."""
-    t0 = time.time()
     p = 16
     tap = gen_geometric(p)
     k = p.bit_length() - 1
@@ -299,44 +355,30 @@ def crit_a5(ctx: _Ctx) -> CriterionResult:
         ctx.note("a5", j, rat_str(opt))
         if opt > bound:
             bad.append((j, rat_str(opt), rat_str(bound)))
-    trace = simulate(tap, AllParallelScheduler())
-    if not ctx.validated(trace, tap):
-        bad.append(("all-parallel", "invalid trace"))
-    awake = metrics_from_trace(trace, tap).awake
+    awake = ctx.run("mwf-all-parallel", tap, bad, "all-parallel").metrics().awake
     lower = Rat(2) ** k * (2 - Rat(k, p)) - 1 - n * EPS
     ctx.note("a5", "allpar", rat_str(awake))
     if awake < lower:
         bad.append(("all-parallel", rat_str(awake), rat_str(lower)))
-    return CriterionResult(
-        "A5", "geometric instance arithmetic at p=16", not bad,
-        f"{k} prefixes + all-parallel tail" + (": " + _fail(bad) if bad else ""),
-        time.time() - t0, ctx.digest(),
-    )
+    return [("A5", "geometric instance arithmetic at p=16", bad,
+             f"{k} prefixes + all-parallel tail")]
 
 
-def crit_a6_a7(ctx: _Ctx):
+def crit_a6_a7(ctx: _Ctx) -> list:
     """Cancelling scheduler completeness and pool-age exactness; the
     concentrated variant's one-per-type and fast-parallel guarantees."""
-    t0 = time.time()
     bad6, bad7 = [], []
     for idx, tap in enumerate(_pow2_corpus(ctx.seed)):
-        cfg = run_config("canc", tap.p)
-        canc = CancScheduler()
-        trace = simulate(tap, canc, cfg)
-        if not ctx.validated(trace, tap, cfg):
-            bad6.append((idx, "invalid trace"))
-        if set(trace.completions) != {t.id for t in tap.tasks}:
+        canc = ctx.run("canc", tap, bad6, idx)
+        if not canc.complete:
             bad6.append((idx, "missing completions"))
-        for tid, age in canc.pool_ages:
+        for tid, age in canc.scheduler.pool_ages:
             if age != tap.task(tid).sigma:
                 bad6.append((idx, "pool age", tid, rat_str(age)))
-        ctx.note("a6", idx, len(trace.cancellations),
-                 rat_str(max(trace.completions.values(), default=ZERO)))
+        ctx.note("a6", idx, len(canc.trace.cancellations),
+                 rat_str(max(canc.trace.completions.values(), default=ZERO)))
 
-        bcfg = run_config("bsched", tap.p)
-        btrace = simulate(tap, BScheduler(), bcfg)
-        if not ctx.validated(btrace, tap, bcfg):
-            bad7.append((idx, "invalid trace"))
+        btrace = ctx.run("bsched", tap, bad7, idx).trace
         types = {t.id: (t.sigma, t.pi) for t in tap.tasks}
         for a, b, alloc in btrace.slices:
             seen = set()
@@ -351,34 +393,23 @@ def crit_a6_a7(ctx: _Ctx):
                 if finish - tap.task(tid).arrival > tap.task(tid).sigma:
                     bad7.append((idx, "slow parallel completion", tid))
         ctx.note("a7", idx, rat_str(max(btrace.completions.values(), default=ZERO)))
-    elapsed = time.time() - t0
-    r6 = CriterionResult(
-        "A6", "cancelling scheduler properties", not bad6,
-        f"1000 instances, {len(bad6)} failures" + (": " + _fail(bad6) if bad6 else ""),
-        elapsed / 2, ctx.digest(),
-    )
-    r7 = CriterionResult(
-        "A7", "one-per-type concentration properties", not bad7,
-        f"1000 instances, {len(bad7)} failures" + (": " + _fail(bad7) if bad7 else ""),
-        elapsed / 2, ctx.digest(),
-    )
-    return r6, r7
+    return [
+        ("A6", "cancelling scheduler properties", bad6,
+         f"1000 instances, {len(bad6)} failures"),
+        ("A7", "one-per-type concentration properties", bad7,
+         f"1000 instances, {len(bad7)} failures"),
+    ]
 
 
-def _run_c(tap, ctx, bad, idx):
-    """Run csched on ``tap`` and check its ballistic machinery; returns
-    (trace, mode records)."""
-    sched = CScheduler()
-    config = run_config("csched", tap.p)
-    trace = simulate(tap, sched, config)
-    if not ctx.validated(trace, tap, config):
-        bad.append((idx, "invalid trace"))
-    if trace.cancellations:
+def _run_c(tap, ctx, bad, idx) -> Run:
+    """Run csched on ``tap`` and check its ballistic machinery."""
+    done = ctx.run("csched", tap, bad, idx)
+    if done.trace.cancellations:
         bad.append((idx, "cancellation"))
-    if set(trace.completions) != {t.id for t in tap.tasks}:
+    if not done.complete:
         bad.append((idx, "missing completions"))
-    records = sched.mode_records
-    stolen = sched.stolen
+    records = done.scheduler.mode_records
+    stolen = done.scheduler.stolen
     intervals = []
     for rec in records:
         task = tap.task(rec.task_id)
@@ -405,35 +436,32 @@ def _run_c(tap, ctx, bad, idx):
         }
         if sum(classes, ZERO) > 2 * tap.p:
             bad.append((idx, "reserve over budget", rat_str(t)))
-    return trace, records
+    return done
 
 
-def crit_a8(ctx: _Ctx) -> CriterionResult:
+def crit_a8(ctx: _Ctx) -> list:
     """Non-cancelling scheduler properties plus the crafted trigger corpus."""
-    t0 = time.time()
     bad = []
     n_modes = n_bal = n_semi = 0
     crafted = c_trigger_corpus()
     for idx, tap in enumerate(crafted):
-        trace, records = _run_c(tap, ctx, bad, ("crafted", idx))
+        done = _run_c(tap, ctx, bad, ("crafted", idx))
+        records = done.scheduler.mode_records
         if records:
             n_modes += 1
         n_bal += sum(1 for r in records if r.mode == "ballistic")
         n_semi += sum(1 for r in records if r.mode == "semi-ballistic")
-        ctx.note("a8", idx, len(records), rat_str(max(trace.completions.values())))
+        ctx.note("a8", idx, len(records), rat_str(max(done.trace.completions.values())))
     if n_modes < 20:
         bad.append(("crafted corpus", "only", n_modes, "instances with mode records"))
     if n_bal == 0 or n_semi == 0:
         bad.append(("crafted corpus", "missing a mode", n_bal, n_semi))
     for idx, tap in enumerate(_pow2_corpus(ctx.seed, count=300)):
-        trace, _ = _run_c(tap, ctx, bad, ("random", idx))
-        ctx.note("a8r", idx, rat_str(max(trace.completions.values(), default=ZERO)))
-    return CriterionResult(
-        "A8", "non-cancelling scheduler properties", not bad,
-        f"{len(crafted)} crafted ({n_bal} ballistic, {n_semi} semi-ballistic entries)"
-        f" + 300 random, {len(bad)} failures" + (": " + _fail(bad) if bad else ""),
-        time.time() - t0, ctx.digest(),
-    )
+        done = _run_c(tap, ctx, bad, ("random", idx))
+        ctx.note("a8r", idx, rat_str(max(done.trace.completions.values(), default=ZERO)))
+    return [("A8", "non-cancelling scheduler properties", bad,
+             f"{len(crafted)} crafted ({n_bal} ballistic, {n_semi} semi-ballistic entries)"
+             f" + 300 random, {len(bad)} failures")]
 
 
 class _CheapExpensiveWitness(Scheduler):
@@ -464,7 +492,7 @@ class _CheapExpensiveWitness(Scheduler):
         return alloc
 
 
-def crit_a9(ctx: _Ctx) -> CriterionResult:
+def crit_a9(ctx: _Ctx) -> list:
     """Serial-awareness separation for total response time.
 
     On the cheap/expensive family with p = q^4 (q^2 tasks with
@@ -482,23 +510,16 @@ def crit_a9(ctx: _Ctx) -> CriterionResult:
     and EQUI / witness > q - 1, so EQUI is more than p^(1/4) - 1 times
     OPT: the Theta(p^(1/4)) gap of an oblivious scheduler.
     """
-    t0 = time.time()
     bad = []
     equi_ratios = []
     for q in (2, 4, 8):
         p = q ** 4
         tap = gen_mrt_cheap_expensive(p, seed=ctx.seed)
         lb = opt_trt_lower(tap)
-        wtrace = simulate(tap, _CheapExpensiveWitness())
-        if not ctx.validated(wtrace, tap):
-            bad.append((p, "invalid witness trace"))
-        wtrt = metrics_from_trace(wtrace, tap).trt
+        wtrt = ctx.run(_CheapExpensiveWitness(), tap, bad, p, "witness").metrics().trt
         if wtrt > 4 * lb:
             bad.append((p, "witness ratio", rat_str(wtrt / lb)))
-        etrace = simulate(tap, EquiScheduler())
-        if not ctx.validated(etrace, tap):
-            bad.append((p, "invalid equi trace"))
-        etrt = metrics_from_trace(etrace, tap).trt
+        etrt = ctx.run("equi", tap, bad, p, "equi").metrics().trt
         equi_ratios.append(etrt / lb)
         ctx.note("a9", p, rat_str(wtrt / lb), rat_str(etrt / lb))
         for label, got, want in (
@@ -512,18 +533,13 @@ def crit_a9(ctx: _Ctx) -> CriterionResult:
             bad.append((p, "equi/lb outside (q, q+1]", rat_str(etrt / lb)))
         if etrt / wtrt <= q - 1:
             bad.append((p, "equi/witness not above q-1", rat_str(etrt / wtrt)))
-    return CriterionResult(
-        "A9", "serial-awareness separation", not bad,
-        "equi ratios " + ", ".join(f"{float(r):.2f}" for r in equi_ratios)
-        + (": " + _fail(bad) if bad else ""),
-        time.time() - t0, ctx.digest(),
-    )
+    return [("A9", "serial-awareness separation", bad,
+             "equi ratios " + ", ".join(f"{float(r):.2f}" for r in equi_ratios))]
 
 
-def crit_a10(ctx: _Ctx) -> CriterionResult:
+def crit_a10(ctx: _Ctx) -> list:
     """Preemption separation: the zero-work flood hurts only the rigid
     baseline."""
-    t0 = time.time()
     # large p keeps the injected flood negligible for the lower bound and
     # for any preemptive scheduler, isolating the non-preemption penalty
     probe = TAP(100, (Task(0, ONE, Rat(100), ZERO),))
@@ -533,46 +549,32 @@ def crit_a10(ctx: _Ctx) -> CriterionResult:
     for name in ("rigid", "equi"):
         for R in (10, 100):
             adv = NonPreemptiveAdversary(R, probe, h)
-            trace = simulate(probe, make_scheduler(name), adversary=adv)
-            tap = TAP(probe.p, probe.tasks + tuple(trace.injected))
-            if not ctx.validated(trace, tap):
-                bad.append((name, R, "invalid trace"))
-            trt = metrics_from_trace(trace, tap).trt
-            ratios[(name, R)] = trt / opt_trt_lower(tap)
+            done = ctx.run(name, probe, bad, name, R, adversary=adv)
+            ratios[(name, R)] = done.metrics().trt / opt_trt_lower(done.tap)
             ctx.note("a10", name, R, rat_str(ratios[(name, R)]))
     if ratios[("rigid", 100)] < 5 * ratios[("rigid", 10)]:
         bad.append(("rigid growth", rat_str(ratios[("rigid", 100)] / ratios[("rigid", 10)])))
     lo, hi = sorted([ratios[("equi", 10)], ratios[("equi", 100)]])
     if hi > 2 * lo:
         bad.append(("equi drift", rat_str(hi / lo)))
-    return CriterionResult(
-        "A10", "preemption separation", not bad,
-        f"rigid {float(ratios[('rigid', 10)]):.1f}->{float(ratios[('rigid', 100)]):.1f}, "
-        f"equi {float(ratios[('equi', 10)]):.2f}->{float(ratios[('equi', 100)]):.2f}"
-        + (": " + _fail(bad) if bad else ""),
-        time.time() - t0, ctx.digest(),
-    )
+    return [("A10", "preemption separation", bad,
+             f"rigid {float(ratios[('rigid', 10)]):.1f}->{float(ratios[('rigid', 100)]):.1f}, "
+             f"equi {float(ratios[('equi', 10)]):.2f}->{float(ratios[('equi', 100)]):.2f}")]
 
 
-def crit_a11(ctx: _Ctx) -> CriterionResult:
+def crit_a11(ctx: _Ctx) -> list:
     """Dependency-aware bounds: level witness <= 2 and the square-root
     envelope for the two-bucket scheduler."""
-    t0 = time.time()
     bad = []
     import math
 
     for p in (16, 64, 256):
         tap = gen_dtap_levels(p, seed=ctx.seed)
         wtrace, upper = dtap_opt_upper_levels(tap)
-        if not ctx.validated(wtrace, tap):
-            bad.append((p, "invalid witness trace"))
+        ctx.count(validate_trace(wtrace, tap).violations, bad, p, "witness")
         if upper > 2:
             bad.append((p, "witness awake", rat_str(upper)))
-        trace = simulate(tap, TurtleScheduler())
-        if not ctx.validated(trace, tap):
-            bad.append((p, "invalid trace"))
-        awake = metrics_from_trace(trace, tap).awake
-        ratio = awake / upper
+        ratio = ctx.run("turtle", tap, bad, p).metrics().awake / upper
         s = math.isqrt(p)
         if not (Rat(s, 8) <= ratio <= 3 * s):
             bad.append((p, "ratio outside envelope", rat_str(ratio)))
@@ -589,20 +591,14 @@ def crit_a11(ctx: _Ctx) -> CriterionResult:
         )
         if not turtle_parallel_work_bound(tap):
             bad.append(("dtap", i, "parallel-work inequality"))
-        trace = simulate(tap, TurtleScheduler())
-        if not ctx.validated(trace, tap):
-            bad.append(("dtap", i, "invalid trace"))
-        if set(trace.completions) == {t.id for t in tap.tasks}:
+        done = ctx.run("turtle", tap, bad, "dtap", i)
+        if done.complete:
             n_ok += 1
-        ctx.note("a11r", i, rat_str(max(trace.completions.values(), default=ZERO)))
+        ctx.note("a11r", i, rat_str(max(done.trace.completions.values(), default=ZERO)))
     if n_ok < 200:
         bad.append(("dtap corpus", "incomplete runs", 200 - n_ok))
-    return CriterionResult(
-        "A11", "dependency-aware bounds", not bad,
-        f"3 level instances + 200 random, {len(bad)} failures"
-        + (": " + _fail(bad) if bad else ""),
-        time.time() - t0, ctx.digest(),
-    )
+    return [("A11", "dependency-aware bounds", bad,
+             f"3 level instances + 200 random, {len(bad)} failures")]
 
 
 _CRITERIA = [
@@ -616,15 +612,6 @@ _CRITERIA = [
     ("A10", crit_a10),
     ("A11", crit_a11),
 ]
-
-
-def _run_pass(seed: int):
-    ctx = _Ctx(seed)
-    results = []
-    for _, fn in _CRITERIA:
-        out = fn(ctx)
-        results.extend(out if isinstance(out, tuple) else (out,))
-    return ctx, results
 
 
 def run_battery(seed: int | None = None, only: str | None = None):
@@ -641,16 +628,16 @@ def run_battery(seed: int | None = None, only: str | None = None):
         if wanted == "A12":
             raise InvalidArgumentError("A12 compares two full battery passes, "
                                        "so it needs the full battery")
-        ctx = _Ctx(seed)
         for label, fn in _CRITERIA:
             if wanted in label.split("+"):
-                out = fn(ctx)
-                results = list(out if isinstance(out, tuple) else (out,))
-                return [r for r in results if r.name == wanted] or results
+                return [r for r in _decide(_Ctx(seed), fn) if r.name == wanted]
         raise InvalidArgumentError(f"unknown criterion {only!r}")
     t0 = time.time()
-    ctx, results = _run_pass(seed)
-    ctx2, _ = _run_pass(seed)
+    ctx = _Ctx(seed)
+    results = [r for _, fn in _CRITERIA for r in _decide(ctx, fn)]
+    ctx2 = _Ctx(seed)
+    for _, fn in _CRITERIA:
+        fn(ctx2)
     deterministic = ctx.digest() == ctx2.digest()
     clean = ctx.violations == 0 and ctx2.violations == 0
     results.append(

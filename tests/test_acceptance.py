@@ -35,6 +35,11 @@ DIGESTS = {
 }
 
 
+#: ``run_battery(seed=0, only="A7")`` digest: a pass of A6+A7 alone, so
+#: it covers fewer notes than the full pass's A7 digest
+ONLY_A7_DIGEST = "5669b63bd31cc8d91246b66ce3196951eec2bea67183d0649f9d5824f84c46b8"
+
+
 def _check(battery, name):
     result = battery[name]
     status = "PASS" if result.passed else "FAIL"
@@ -93,3 +98,10 @@ def test_a12_battery_deterministic(battery):
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_outcome_digest_pinned(battery, name):
     assert battery[name].digest == DIGESTS[name]
+
+
+def test_only_one_criterion_of_a_pair():
+    results = run_battery(seed=0, only="A7")
+    assert [r.name for r in results] == ["A7"]
+    assert results[0].passed
+    assert results[0].digest == ONLY_A7_DIGEST

@@ -194,6 +194,29 @@ class TestBadInput:
         assert "error: " in captured.err and message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "random", "-o", "{missing}/x.json"],
+        ["run", "{tap}", "bal", "--dump-trace", "{missing}/t.json"],
+        ["sweep", "--count", "1", "--n", "3", "-o", "{missing}/s.csv"],
+    ], ids=["gen", "run", "sweep"])
+    def test_unwritable_output(self, tmp_path, capsys, argv):
+        tap, missing = _write(tmp_path, _golden_tap()), tmp_path / "missing"
+        assert main([arg.format(tap=tap, missing=missing) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert "error: [Errno 2] No such file or directory" in captured.err
+        assert captured.out == ""
+
+    def test_unknown_sweep_scheduler(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--count", "2", "--n", "3", "--schedulers", "bal,bogus",
+                  "-o", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("error: argument --schedulers: expected comma-separated schedulers "
+                f"from {','.join(sorted(SCHEDULERS))}, got 'bal,bogus'") in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("only, message", [
         ("A99", "unknown criterion 'A99'"),
         ("A12", "A12 compares two full battery passes"),

@@ -5,7 +5,7 @@ from taplab.core import Decision, TAP, Task, metrics_from_trace, round_pow2
 from taplab.engine import simulate, validate_trace
 from taplab.adversary import gen_c_trigger
 from taplab.rationals import Rat, ZERO, ONE
-from taplab.verify import run_config
+from taplab.verify import run, run_config
 from taplab.sched_mrt import (
     BScheduler,
     CancScheduler,
@@ -107,6 +107,17 @@ class TestSss:
         tap = TAP(4, ())
         trace = simulate(tap, SssScheduler(), run_config("sss", tap.p))
         assert trace.slices == []
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    @pytest.mark.parametrize("k", [6, 12])
+    def test_scary_jobs_share_half_the_budget(self, factor, k):
+        # k > p jobs arrive together, so all are scary: each gets
+        # min(1, (factor p / 2) / k)
+        tap = TAP(4, tuple(T(i, 1, 4) for i in range(k)))
+        done = run("sss", tap, factor)
+        share = min(ONE, Rat(factor * tap.p, 2 * k))
+        assert done.trace.slices[0][2] == {i: share for i in range(k)}
+        assert done.violations == [] and done.complete
 
     @given(small_taps(max_n=8))
     @settings(max_examples=25, deadline=None)
