@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import Decision, InvalidArgumentError, TAP, Task, normalize_tap
 from .engine import Adversary
@@ -23,7 +23,6 @@ from .rationals import Rat, ZERO, ONE, PHI, SQRT3, EPS
 class GenParams:
     p: int
     n: int
-    work_range: tuple = (Rat(1), Rat(16))
     ratio_distribution: str = "uniform"  # uniform | extremes | pow2
     arrival_pattern: str = "batch"  # batch | poisson | bursty
     seed: int = 0
@@ -37,19 +36,15 @@ def _rand_rat(rng: random.Random, lo: Rat, hi: Rat, denom: int = 8) -> Rat:
 
 
 def gen_random(params: GenParams) -> TAP:
-    """Seeded random normalized TAP."""
-    lo, hi = Rat(params.work_range[0]), Rat(params.work_range[1])
-    if hi < lo or lo <= 0:
-        raise InvalidArgumentError(f"empty work range [{lo}, {hi}]")
+    """Seeded random normalized TAP, serial works in [1, 16]."""
+    lo, hi = ONE, Rat(16)
     rng = random.Random(params.seed)
     p = params.p
     raw = []
     now = ZERO
     for _ in range(params.n):
         if params.ratio_distribution == "pow2":
-            lo_e = max(int(lo).bit_length() - 1, -4)
-            hi_e = int(hi).bit_length()
-            sigma = Rat(2) ** rng.randint(lo_e, hi_e - 1)
+            sigma = Rat(2) ** rng.randint(0, 4)  # 1 .. 16
             ratio = Rat(2) ** rng.randint(0, (p - 1).bit_length() - 1 if p > 1 else 0)
         elif params.ratio_distribution == "extremes":
             sigma = _rand_rat(rng, lo, hi)
@@ -238,16 +233,7 @@ def gen_dtap_levels(p: int, seed: int = 0) -> TAP:
 def gen_random_dtap(params: GenParams) -> TAP:
     """Seeded random DTAP: random works plus a random acyclic dependency
     graph (edges only from earlier ids, simultaneous arrivals)."""
-    base = gen_random(
-        GenParams(
-            params.p,
-            params.n,
-            params.work_range,
-            params.ratio_distribution,
-            "batch",
-            params.seed,
-        )
-    )
+    base = gen_random(replace(params, arrival_pattern="batch"))
     rng = random.Random(params.seed ^ 0x9E3779B9)
     tasks = []
     for i, t in enumerate(base.tasks):

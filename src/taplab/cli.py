@@ -12,9 +12,9 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import sys
+from contextlib import nullcontext
 
 from .adversary import (
     GenParams,
@@ -67,29 +67,11 @@ def _save(path: str, text: str) -> int:
     return 0
 
 
-def _run_record(tap: TAP, name: str, args) -> tuple:
-    """(``run`` record without the instance hash, the run) of one
-    scheduler under the ``--speed`` and ``--budget-factor`` flags."""
-    done = run(name, tap, args.budget_factor, args.speed)
-    metrics = done.metrics()
-    return {
-        "scheduler": name,
-        "p": tap.p,
-        "speed": rat_str(done.config.speed),
-        "budget_factor": rat_str(done.config.processor_budget / tap.p),
-        "awake": rat_str(metrics.awake),
-        "trt": rat_str(metrics.trt),
-        "mrt": rat_str(metrics.mrt),
-        "n": tap.n,
-        "cancellations": len(done.trace.cancellations),
-        "violations": done.violations,
-    }, done
-
-
 def cmd_run(args) -> int:
     try:
         tap = _load_tap(args.instance)
-        record, done = _run_record(tap, args.scheduler, args)
+        done = run(args.scheduler, tap, args.budget_factor, args.speed)
+        metrics = done.metrics()
     except (TapError, OSError) as exc:
         return _die(str(exc))
     if args.dump_trace:
@@ -104,9 +86,21 @@ def cmd_run(args) -> int:
         }
         if _save(args.dump_trace, json.dumps(dump, separators=(",", ":"), sort_keys=True)):
             return 2
-    record["instance_hash"] = instance_hash(tap)
+    record = {
+        "scheduler": args.scheduler,
+        "p": tap.p,
+        "speed": rat_str(done.config.speed),
+        "budget_factor": rat_str(done.config.processor_budget / tap.p),
+        "awake": rat_str(metrics.awake),
+        "trt": rat_str(metrics.trt),
+        "mrt": rat_str(metrics.mrt),
+        "n": tap.n,
+        "cancellations": len(done.trace.cancellations),
+        "violations": done.violations,
+        "instance_hash": instance_hash(tap),
+    }
     print(json.dumps(record, separators=(",", ":"), sort_keys=True))
-    return 0 if not record["violations"] else 1
+    return 0 if not done.violations else 1
 
 
 # --- gen ---------------------------------------------------------------------
@@ -187,76 +181,59 @@ def _sweep_bounds(tap: TAP, args) -> tuple:
     return opt, lb
 
 
-def _sweep_row(label: str, tap: TAP, name: str, record: dict, scheduler, bounds) -> list:
+def _sweep_row(label: str, tap: TAP, name: str, done, metrics, bounds) -> dict:
+    row = {
+        "instance": label, "scheduler": name, "p": tap.p, "n": tap.n,
+        "awake": rat_str(metrics.awake), "trt": rat_str(metrics.trt),
+        "violations": " / ".join(done.violations),
+    }
     opt, lb = bounds
-    opt_awake = trt_lb = ratio_awake = ratio_trt = ""
     if opt is not None:
-        opt_awake = rat_str(opt)
+        row["opt_awake"] = rat_str(opt)
         if opt > 0:
-            ratio_awake = rat_str(parse_rat(record["awake"]) / opt)
+            row["ratio_awake"] = rat_str(metrics.awake / opt)
     if lb is not None:
-        trt_lb = rat_str(lb)
+        row["trt_lb"] = rat_str(lb)
         if lb > 0:
-            ratio_trt = rat_str(parse_rat(record["trt"]) / lb)
-    ballistic = ""
+            row["ratio_trt_lb"] = rat_str(metrics.trt / lb)
     ratios = [
         (r.exited - r.entered) / (2 * tap.task(r.task_id).sigma)
-        for r in getattr(scheduler, "mode_records", ())
+        for r in getattr(done.scheduler, "mode_records", ())
         if r.mode == "ballistic" and r.exited is not None
     ]
     if ratios:
-        ballistic = rat_str(max(ratios))
-    return [
-        label, name, tap.p, tap.n, record["awake"], record["trt"],
-        opt_awake, trt_lb, ratio_awake, ratio_trt, ballistic,
-        " / ".join(record["violations"]),
-    ]
-
-
-def _sweep_instance(label: str, tap: TAP, args) -> list:
-    """The rows of one instance.  Its bounds are computed once, when the
-    first scheduler run succeeds, so an instance on which every run fails
-    never reaches the oracles."""
-    rows = []
-    bounds = None
-    for name in args.schedulers:
-        try:
-            record, done = _run_record(tap, name, args)
-        except TapError as exc:
-            rows.append([label, name, tap.p, tap.n, "", "", "", "", "", "", "", str(exc)])
-            continue
-        if bounds is None:
-            bounds = _sweep_bounds(tap, args)
-        rows.append(_sweep_row(label, tap, name, record, done.scheduler, bounds))
-    return rows
+        row["max_ballistic_over_2sigma"] = rat_str(max(ratios))
+    return row
 
 
 def cmd_sweep(args) -> int:
+    """The rows of each instance in turn.  An instance's bounds are
+    computed once, when its first scheduler run succeeds, so an instance
+    on which every run fails never reaches the oracles."""
     try:
         instances = list(_sweep_instances(args))
+        out = open(args.output, "w") if args.output else nullcontext(sys.stdout)
     except (TapError, OSError) as exc:
         return _die(str(exc))
-    rows = [
-        row
-        for label, tap in instances
-        for row in _sweep_instance(label, tap, args)
-    ]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS)
-    skipped = [r for r in rows if r[4] == "" and r[11]]
-    for row in rows:
-        writer.writerow(row)
-    for row in skipped:
-        print(f"warning: {row[0]}/{row[1]}: {row[11]}", file=sys.stderr)
-    if args.oracle != "none":
+    with out as fh:
+        writer = csv.DictWriter(fh, SWEEP_COLUMNS, restval="", lineterminator="\n")
+        writer.writeheader()
         for label, tap in instances:
-            if tap.has_deps:
+            bounds = None
+            for name in args.schedulers:
+                try:
+                    done = run(name, tap, args.budget_factor, args.speed)
+                    metrics = done.metrics()
+                except TapError as exc:
+                    writer.writerow({"instance": label, "scheduler": name, "p": tap.p,
+                                     "n": tap.n, "violations": str(exc)})
+                    print(f"warning: {label}/{name}: {exc}", file=sys.stderr)
+                    continue
+                if bounds is None:
+                    bounds = _sweep_bounds(tap, args)
+                writer.writerow(_sweep_row(label, tap, name, done, metrics, bounds))
+            if tap.has_deps and args.oracle != "none":
                 print(f"warning: {label}: dependencies, no oracle columns", file=sys.stderr)
-    text = out.getvalue()
-    if args.output:
-        return _save(args.output, text)
-    sys.stdout.write(text)
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, replace
+from graphlib import CycleError, TopologicalSorter
 
 from .rationals import (
     Rat,
@@ -135,30 +136,10 @@ class TAP:
             self._check_acyclic()
 
     def _check_acyclic(self) -> None:
-        deps = {t.id: set(t.deps) for t in self.tasks}
-        state: dict[int, int] = {}  # 0 = visiting, 1 = done
-
-        def visit(v: int) -> None:
-            stack = [(v, iter(deps[v]))]
-            state[v] = 0
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state.get(nxt) == 0:
-                        raise InvalidInstanceError("cyclic dependencies")
-                    if nxt not in state:
-                        state[nxt] = 0
-                        stack.append((nxt, iter(deps[nxt])))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 1
-                    stack.pop()
-
-        for v in deps:
-            if v not in state:
-                visit(v)
+        try:
+            TopologicalSorter({t.id: t.deps for t in self.tasks}).prepare()
+        except CycleError:
+            raise InvalidInstanceError("cyclic dependencies") from None
 
 
 @dataclass

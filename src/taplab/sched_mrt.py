@@ -11,9 +11,10 @@
   semi-ballistic / emergency machinery for tasks whose mirrored work was
   stolen.
 
-CANC and B spend half the budget on the parallel pool and half on the
-serial pool: p + p on their default budget 2p, p/2 + p/2 inside C's
-nested run on budget p.
+B and C share the lockstep plumbing of a nested run (``_Nested``).  CANC
+and B spend half the budget on the parallel pool and half on the serial
+pool: p + p on their default budget 2p, p/2 + p/2 inside C's nested run
+on a quarter of C's budget (p at its default 4p).
 """
 
 from __future__ import annotations
@@ -278,15 +279,79 @@ class CancScheduler(Scheduler):
         return alloc
 
 
+# --- nested runs ------------------------------------------------------------
+
+class _Nested(Scheduler):
+    """Runs a scheduler in a nested engine, in lockstep with this one: each
+    arrival is fed in with its works times ``scale``, every callback catches
+    the nested run up to the outer clock (``_sync``), and a timer wakes this
+    scheduler at the nested run's next event."""
+
+    scale = ONE  # work scale of the nested run
+
+    def __init__(self):
+        self.inner: Engine | None = None
+        self.last_sync = ZERO
+        self.completions_read = 0
+        self.timer_times: set = set()
+
+    def _nest(self, view, scheduler, budget) -> None:
+        config = EngineConfig(processor_budget=budget, allow_cancel=True)
+        self.inner = Engine(TAP(view.p, ()), scheduler, config)
+
+    def _feed(self, view, task) -> None:
+        scale = self.scale
+        self.inner.inject_task(Task(task.id, task.sigma * scale, task.pi * scale, view.now))
+
+    def _catch_up(self, view) -> Rat:
+        """Advance the nested run to the outer clock; the time since the last call."""
+        self.inner.advance_to(view.now)
+        dt, self.last_sync = view.now - self.last_sync, view.now
+        return dt
+
+    def _new_completions(self) -> list:
+        """Ids the nested run completed since the last call, in completion order."""
+        new = list(self.inner.trace.completions)[self.completions_read:]
+        self.completions_read += len(new)
+        return new
+
+    def _wake_at(self, commands, t, tag) -> None:
+        """A timer at ``t``, unless one was already set for ``t``."""
+        if t not in self.timer_times:
+            self.timer_times.add(t)
+            commands.timers.append((t, tag))
+
+    def on_timer(self, view, tag):
+        return self._sync(view)
+
+
 # --- B ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class _TypeState:
     key: tuple  # (sigma, pi)
     members: list = field(default_factory=list)  # arrival order; head is runner
 
 
-class BScheduler(Scheduler):
+def _unstarted(view, tid, commands) -> bool:
+    return view.decision(tid) is None and tid not in commands.starts
+
+
+def _cancellable(view, tid) -> bool:
+    # a runner whose remaining work is 0 completes in this very batch and
+    # must not be cancelled out from under the engine
+    return (
+        view.decision(tid) is Decision.PARALLEL
+        and view.status(tid) == "running"
+        and view.remaining(tid) > 0
+    )
+
+
+def _movable(view, tid, commands) -> bool:
+    return _unstarted(view, tid, commands) or _cancellable(view, tid)
+
+
+class BScheduler(_Nested):
     """Concentrates CANC's per-type parallel work onto one task per type.
 
     Runs CANC inside a nested simulation fed the same arrivals and, at
@@ -303,164 +368,110 @@ class BScheduler(Scheduler):
     name = "bsched"
 
     def __init__(self):
+        super().__init__()
         self.half = ZERO  # of the budget: the serial pool's
-        self.inner: Engine | None = None
-        self.types: list[_TypeState] = []  # by type index, in order of first arrival
-        self.type_index: dict[tuple, int] = {}  # (sigma, pi) -> type index
-        self.type_of: dict[int, int] = {}  # task id -> type index
-        self.serialized_inner: set[int] = set()
+        self.types: dict[tuple, _TypeState] = {}  # by (sigma, pi), in first-arrival order
+        self.type_of: dict[int, _TypeState] = {}  # task id -> its type
         self.seen_cancels = 0
-        self.seen_completions: set[int] = set()
         self.fakes: list[Rat] = []  # remaining work of each fake serial task
         self.fake_share = ZERO
-        self.last_sync = ZERO
-        self.timer_times: set = set()
 
     def setup(self, view):
         self.half = view.budget / 2
-        self.inner = Engine(
-            TAP(view.p, ()),
-            CancScheduler(),
-            EngineConfig(processor_budget=view.budget, allow_cancel=True),
-        )
+        self._nest(view, CancScheduler(), view.budget)
         return None
 
     # -- nested-simulation bookkeeping --------------------------------------
 
-    def _advance_fakes(self, view):
-        dt = view.now - self.last_sync
-        if dt > 0 and self.fakes:
-            done = self.fake_share * dt
-            self.fakes = [work - done for work in self.fakes if work > done]
-        self.last_sync = view.now
+    def _serialize(self, view, state, tid, commands) -> None:
+        """Evict a member of ``state`` to the serial pool."""
+        state.members.remove(tid)
+        if _cancellable(view, tid):
+            commands.cancels.add(tid)
+        commands.starts[tid] = Decision.SERIAL
 
     def _handle_inner_cancel(self, view, inner_tid, commands):
-        self.serialized_inner.add(inner_tid)
-        state = self.types[self.type_of[inner_tid]]
+        state = self.type_of[inner_tid]
+        members = state.members
         # Prefer the very task whose stand-in was cancelled: this way a
         # runner is cancelled no later than its own pool age sigma, which
         # is what makes every parallel completion finish within sigma of
         # arrival.  Fall back to the most recent never-started member,
         # then the runner, then a fake serial task.
-        def cancellable(m):
-            # a runner whose remaining work is 0 completes in this very
-            # batch and must not be cancelled out from under the engine
-            return (
-                view.decision(m) is Decision.PARALLEL
-                and view.status(m) == "running"
-                and view.remaining(m) > 0
-            )
-
-        def unstarted(m):
-            return view.decision(m) is None and m not in commands.starts
-
-        victim = None
-        if inner_tid in state.members and (
-            unstarted(inner_tid) or cancellable(inner_tid)
-        ):
+        if inner_tid in members and _movable(view, inner_tid, commands):
             victim = inner_tid
         else:
-            candidates = [m for m in state.members if unstarted(m)]
-            if candidates:
-                victim = candidates[-1]
-            else:
-                candidates = [m for m in state.members if cancellable(m)]
-                if candidates:
-                    victim = candidates[0]
+            victim = next(
+                (m for m in reversed(members) if _unstarted(view, m, commands)), None
+            )
+            if victim is None:
+                victim = next((m for m in members if _cancellable(view, m)), None)
         if victim is not None:
-            running = cancellable(victim)
-            state.members.remove(victim)
-            if running:
-                commands.cancels.add(victim)
-            commands.starts[victim] = Decision.SERIAL
+            self._serialize(view, state, victim, commands)
         else:
             # every real task of the type is already done: fake serial task
-            self.fakes.append(Rat(state.key[0]))  # sigma of the type
+            self.fakes.append(state.key[0])  # sigma of the type
 
     def _sync(self, view) -> SchedCommands:
-        self._advance_fakes(view)
-        self.inner.advance_to(view.now)
+        dt = self._catch_up(view)
+        if dt > 0 and self.fakes:
+            done = self.fake_share * dt
+            self.fakes = [work - done for work in self.fakes if work > done]
         commands = SchedCommands()
         cancels = self.inner.trace.cancellations
         while self.seen_cancels < len(cancels):
             inner_tid, _ = cancels[self.seen_cancels]
             self.seen_cancels += 1
             self._handle_inner_cancel(view, inner_tid, commands)
-        for inner_tid, _ in self.inner.trace.completions.items():
-            if inner_tid in self.seen_completions:
-                continue
-            self.seen_completions.add(inner_tid)
-            if inner_tid in self.serialized_inner:
+        for inner_tid in self._new_completions():
+            # CANC starts every task parallel and serializes only by
+            # cancelling it
+            if self.inner.decision[inner_tid] is Decision.SERIAL:
                 continue  # serial completion inside the nested run
-            state = self.types[self.type_of[inner_tid]]
-            if inner_tid in state.members:
+            state = self.type_of[inner_tid]
+            if inner_tid in state.members and _movable(view, inner_tid, commands):
                 # the nested run finished this task's stand-in but the task
                 # itself is still behind (a runner cancellation discarded
                 # concentrated work): evict it to the serial pool so the
                 # parallel slot retires here too
-                if view.decision(inner_tid) is None and inner_tid not in commands.starts:
-                    state.members.remove(inner_tid)
-                    commands.starts[inner_tid] = Decision.SERIAL
-                elif (
-                    view.decision(inner_tid) is Decision.PARALLEL
-                    and view.status(inner_tid) == "running"
-                    and view.remaining(inner_tid) > 0
-                ):
-                    state.members.remove(inner_tid)
-                    commands.cancels.add(inner_tid)
-                    commands.starts[inner_tid] = Decision.SERIAL
-                # a runner with remaining 0 completes in this very batch
+                self._serialize(view, state, inner_tid, commands)
         # make sure each type's runner is started
-        for state in self.types:
-            if state.members:
-                runner = state.members[0]
-                if view.decision(runner) is None and runner not in commands.starts:
-                    commands.starts[runner] = Decision.PARALLEL
+        for state in self.types.values():
+            if state.members and _unstarted(view, state.members[0], commands):
+                commands.starts[state.members[0]] = Decision.PARALLEL
         nxt = self.inner.next_event_time()
-        if nxt is not None and nxt not in self.timer_times:
-            self.timer_times.add(nxt)
-            commands.timers.append((nxt, ("inner",)))
+        if nxt is not None:
+            self._wake_at(commands, nxt, ("inner",))
         if self.fakes and self.fake_share > 0:
             due = view.now + min(self.fakes) / self.fake_share
-            if due not in self.timer_times:
-                self.timer_times.add(due)
-                commands.timers.append((due, ("fake",)))
+            self._wake_at(commands, due, ("fake",))
         return commands
 
     # -- engine callbacks ----------------------------------------------------
 
     def on_arrival(self, view, task):
         key = (task.sigma, task.pi)
-        index = self.type_index.get(key)
-        if index is None:
-            index = self.type_index[key] = len(self.types)
-            self.types.append(_TypeState(key))
-        self.type_of[task.id] = index
-        self.types[index].members.append(task.id)
-        self.inner.inject_task(
-            Task(task.id, task.sigma, task.pi, view.now)
-        )
+        state = self.types.setdefault(key, _TypeState(key))
+        self.type_of[task.id] = state
+        state.members.append(task.id)
+        self._feed(view, task)
         return self._sync(view)
 
     def on_completion(self, view, tid):
-        state = self.types[self.type_of[tid]]
-        if tid in state.members:
-            state.members.remove(tid)
-        return self._sync(view)
-
-    def on_timer(self, view, tag):
+        members = self.type_of[tid].members
+        if tid in members:
+            members.remove(tid)
         return self._sync(view)
 
     def allocate(self, view) -> dict:
         alloc: dict[int, Rat] = {}
         # concentrated parallel rates
-        type_rate: dict[int, Rat] = {}
+        type_rate: dict[_TypeState, Rat] = {}
         for inner_tid, rate in self.inner.alloc.items():
             if self.inner.decision.get(inner_tid) is Decision.PARALLEL:
-                index = self.type_of[inner_tid]
-                type_rate[index] = type_rate.get(index, ZERO) + rate
-        for index, rate in type_rate.items():
-            state = self.types[index]
+                state = self.type_of[inner_tid]
+                type_rate[state] = type_rate.get(state, ZERO) + rate
+        for state, rate in type_rate.items():
             if not state.members:
                 continue  # all real tasks of the type already finished
             runner = state.members[0]
@@ -468,7 +479,7 @@ class BScheduler(Scheduler):
                 view.status(runner) == "running"
                 and view.decision(runner) is Decision.PARALLEL
             ):
-                alloc[runner] = alloc.get(runner, ZERO) + rate
+                alloc[runner] = rate
         # serial pool: real serialized tasks plus fakes, EQUI with cap
         serial = [
             tid
@@ -494,11 +505,12 @@ class _ModeRecord:
     exited: Rat | None = None
 
 
-class CScheduler(Scheduler):
+class CScheduler(_Nested):
     """Non-cancelling MRT scheduler (budget at least 4p, power-of-two works).
 
-    Simulates B on a copy of the input with all works scaled by 3 on p
-    processors, and mirrors B's allocations onto its own tasks.  A task
+    Works in units of a quarter of the budget (p at the default 4p).
+    Simulates B on a copy of the input with all works scaled by 3 on one
+    unit, and mirrors B's allocations onto its own tasks.  A task
     is vested once it receives parallel rate here.  When the nested B
     serializes or parallel-completes a vested task this scheduler has not
     finished, the task goes ballistic: its parallelism class enters
@@ -506,14 +518,15 @@ class CScheduler(Scheduler):
     class's smallest-sigma ballistic task (recorded in the stolen-work
     ledger), the class reserve joins in, and vesting pauses for the class.
     A task the nested B parallel-completes before vesting goes
-    semi-ballistic and runs serially under EQUI on a second p processors.
+    semi-ballistic and runs serially under EQUI on a second unit.
     """
 
     name = "csched"
     scale = Rat(3)  # work scale of the nested B run
 
     def __init__(self):
-        self.inner: Engine | None = None
+        super().__init__()
+        self.unit = ZERO  # a quarter of the budget
         self.task_info: dict[int, Task] = {}
         self.task_class: dict[int, Rat] = {}  # fixed at arrival
         self.vested: set[int] = set()
@@ -522,32 +535,23 @@ class CScheduler(Scheduler):
         self.stolen: dict[int, Rat] = {}
         self.flows: list = []  # (victim tid, rate) active over the last slice
         self.seen_decisions: dict[int, Decision] = {}
-        self.seen_completions: set[int] = set()
-        self.last_sync = ZERO
-        self.timer_times: set = set()
         self.mode_records: list[_ModeRecord] = []
 
     def setup(self, view):
-        # p each for the mirror and the semi-ballistic pool, up to 2p for
-        # the class reserves
+        # a unit each for the mirror and the semi-ballistic pool, up to two
+        # for the class reserves
         _require_budget(view, self.name, 4)
-        self.inner = Engine(
-            TAP(view.p, ()),
-            BScheduler(),
-            EngineConfig(processor_budget=Rat(view.p), allow_cancel=True),
-        )
+        self.unit = view.budget / 4
+        self._nest(view, BScheduler(), self.unit)
         return None
-
-    def _class(self, tid) -> Rat:
-        return self.task_class[tid]
 
     def _emergency_classes(self):
         """Classes with a ballistic task; an empty tuple while none is."""
-        return {self._class(tid) for tid in self.ballistic} if self.ballistic else ()
+        return {self.task_class[tid] for tid in self.ballistic} if self.ballistic else ()
 
     def _smallest_ballistic(self, cls) -> int:
         candidates = [
-            tid for tid in self.ballistic if self._class(tid) == cls
+            tid for tid in self.ballistic if self.task_class[tid] == cls
         ]
         candidates.sort(key=lambda tid: (self.task_info[tid].sigma, tid))
         if len(candidates) >= 2 and (
@@ -561,10 +565,10 @@ class CScheduler(Scheduler):
         return candidates[0]
 
     def _enter_ballistic(self, view, tid, trigger):
-        cls = self._class(tid)
+        cls = self.task_class[tid]
         sigma = self.task_info[tid].sigma
         for other in self.ballistic:
-            if self._class(other) == cls and self.task_info[other].sigma == sigma:
+            if self.task_class[other] == cls and self.task_info[other].sigma == sigma:
                 raise MrtInvariantError(
                     f"tasks {other} and {tid} are concurrently ballistic with "
                     f"equal serial work in class {cls}"
@@ -582,12 +586,10 @@ class CScheduler(Scheduler):
         )
 
     def _sync(self, view) -> SchedCommands:
-        dt = view.now - self.last_sync
+        dt = self._catch_up(view)
         if dt > 0:
             for victim, rate in self.flows:
                 self.stolen[victim] = self.stolen.get(victim, ZERO) + rate * dt
-        self.last_sync = view.now
-        self.inner.advance_to(view.now)
         commands = SchedCommands()
         outer_done = view.trace.completions
         # transitions driven by the nested B run
@@ -603,10 +605,7 @@ class CScheduler(Scheduler):
                 elif view.decision(tid) is None and tid not in self.semibal:
                     commands.starts[tid] = Decision.SERIAL
             # None -> PARALLEL transitions are handled by the vesting scan
-        for tid in self.inner.trace.completions:
-            if tid in self.seen_completions:
-                continue
-            self.seen_completions.add(tid)
+        for tid in self._new_completions():
             if self.seen_decisions.get(tid) is not Decision.PARALLEL:
                 continue  # serial completion inside the nested run
             if tid in outer_done:
@@ -625,7 +624,7 @@ class CScheduler(Scheduler):
                 continue
             if view.decision(tid) is not None:
                 continue
-            if emergency and self._class(tid) in emergency:
+            if emergency and self.task_class[tid] in emergency:
                 continue  # vesting paused for the class
             self.vested.add(tid)
             commands.starts[tid] = Decision.PARALLEL
@@ -634,12 +633,11 @@ class CScheduler(Scheduler):
             (tid, rate)
             for tid, rate in self.inner.alloc.items()
             if self.inner.decision.get(tid) is Decision.PARALLEL
-            and self._class(tid) in emergency
+            and self.task_class[tid] in emergency
         ] if emergency else []
         nxt = self.inner.next_event_time()
-        if nxt is not None and nxt not in self.timer_times:
-            self.timer_times.add(nxt)
-            commands.timers.append((nxt, ("inner",)))
+        if nxt is not None:
+            self._wake_at(commands, nxt, ("inner",))
         return commands
 
     # -- engine callbacks ----------------------------------------------------
@@ -652,14 +650,7 @@ class CScheduler(Scheduler):
             )
         self.task_info[task.id] = task
         self.task_class[task.id] = _task_class(task.sigma, task.pi)
-        self.inner.inject_task(
-            Task(
-                task.id,
-                task.sigma * self.scale,
-                task.pi * self.scale,
-                view.now,
-            )
-        )
+        self._feed(view, task)
         return self._sync(view)
 
     def on_completion(self, view, tid):
@@ -671,9 +662,6 @@ class CScheduler(Scheduler):
         self.semibal.discard(tid)
         return self._sync(view)
 
-    def on_timer(self, view, tag):
-        return self._sync(view)
-
     def allocate(self, view) -> dict:
         alloc: dict[int, Rat] = {}
 
@@ -683,11 +671,11 @@ class CScheduler(Scheduler):
 
         emergency = self._emergency_classes()
         outer_done = view.trace.completions
-        # mirror of the nested B allocation on the first p processors
+        # mirror of the nested B allocation on the first unit
         for tid, rate in self.inner.alloc.items():
             dec = self.inner.decision.get(tid)
             if dec is Decision.PARALLEL:
-                if emergency and (cls := self._class(tid)) in emergency:
+                if emergency and (cls := self.task_class[tid]) in emergency:
                     add(self._smallest_ballistic(cls), rate)
                 elif (
                     tid not in outer_done
@@ -703,17 +691,18 @@ class CScheduler(Scheduler):
                     and view.decision(tid) is Decision.SERIAL
                 ):
                     add(tid, rate)
-        # class reserves for ballistic tasks (class ratio 2^j processors each)
+        # class reserves for ballistic tasks: class ratio 2^j times unit/p
+        # each (2^j processors at the default budget)
         for cls in emergency:
-            add(self._smallest_ballistic(cls), cls)
-        # semi-ballistic pool: EQUI with the serial cap on p processors
+            add(self._smallest_ballistic(cls), cls * self.unit / view.p)
+        # semi-ballistic pool: EQUI with the serial cap on the second unit
         semibal_running = [
             tid
             for tid in self.semibal
             if view.status(tid) == "running"
         ]
         for tid, share in equi_alloc(
-            semibal_running, Rat(view.p), serial_cap=True
+            semibal_running, self.unit, serial_cap=True
         ).items():
             add(tid, share)
         return alloc

@@ -206,6 +206,19 @@ class TestBadInput:
         assert "error: [Errno 2] No such file or directory" in captured.err
         assert captured.out == ""
 
+    def test_unwritable_sweep_output_before_any_run(self, tmp_path, capsys, monkeypatch):
+        import taplab.cli as cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the sweep ran before opening its output")
+
+        monkeypatch.setattr(cli, "run", fail)
+        assert main(["sweep", "--count", "1", "--n", "3",
+                     "-o", str(tmp_path / "missing" / "s.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "error: [Errno 2] No such file or directory" in captured.err
+        assert captured.out == ""
+
     def test_unknown_sweep_scheduler(self, tmp_path, capsys):
         out = tmp_path / "out.csv"
         with pytest.raises(SystemExit) as exc:

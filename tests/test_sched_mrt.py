@@ -1,9 +1,13 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taplab import sched_mrt
 from taplab.core import Decision, TAP, Task, metrics_from_trace, round_pow2
 from taplab.engine import simulate, validate_trace
-from taplab.adversary import gen_c_trigger
+from taplab.adversary import GenParams, gen_c_trigger, gen_random
 from taplab.rationals import Rat, ZERO, ONE
 from taplab.verify import run, run_config
 from taplab.sched_mrt import (
@@ -19,6 +23,7 @@ from taplab.sched_mrt import (
 )
 
 from conftest import small_taps
+from test_engine import _corpus
 
 S, P = Decision.SERIAL, Decision.PARALLEL
 
@@ -245,3 +250,78 @@ class TestC:
         assert validate_trace(trace, tap, cfg).ok
         assert trace.cancellations == []
         assert set(trace.completions) == {t.id for t in tap.tasks}
+
+
+# The nested schedulers read new nested completions through a count cursor
+# and tell B's serial nested completions by the nested decision.  The scans
+# below are the bookkeeping they replaced (a seen set over every completion,
+# a set of the ids B saw the nested CANC cancel); they stay here as the
+# references the cursor and the decision test must agree with exactly.
+
+_real_new_completions = sched_mrt._Nested._new_completions
+
+
+def _run_checked(runs) -> Counter:
+    """Run each (tap, registry name) with a ``_new_completions`` that
+    asserts agreement with the references; the completions checked, by
+    (run, scheduler class), and the serial ones B skipped."""
+    checks = Counter()
+    name = None
+
+    def new_completions(self):
+        new = _real_new_completions(self)
+        seen = self.__dict__.setdefault("_reference_seen", set())
+        reference = []
+        for tid in self.inner.trace.completions:
+            if tid not in seen:
+                seen.add(tid)
+                reference.append(tid)
+        assert new == reference
+        if isinstance(self, BScheduler):
+            cancelled = {tid for tid, _ in self.inner.trace.cancellations}
+            for tid in new:
+                serial = self.inner.decision[tid] is Decision.SERIAL
+                assert serial == (tid in cancelled)
+                checks["serial"] += serial
+        checks[name, type(self).__name__] += len(new)
+        return new
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sched_mrt._Nested, "_new_completions", new_completions)
+        for tap, name in runs:
+            done = run(name, tap)
+            assert done.complete and done.violations == []
+    return checks
+
+
+class TestNestedBookkeeping:
+    def test_cursor_and_serial_test_match_scans_on_corpus(self):
+        checks = _run_checked(
+            (tap, name) for tap, name in _corpus() if name in ("bsched", "csched")
+        )
+        # B on its own, C, and the B nested in C each read completions,
+        # and some nested completions were serial
+        assert checks["bsched", "BScheduler"] > 100
+        assert checks["csched", "CScheduler"] > 100
+        assert checks["csched", "BScheduler"] > 100
+        assert checks["serial"] > 0
+
+    @given(small_taps(max_n=8, pow2=True), st.sampled_from(["bsched", "csched"]))
+    @settings(max_examples=40, deadline=None)
+    def test_cursor_and_serial_test_match_scans(self, tap, name):
+        _run_checked([(tap, name)])
+
+
+class TestCUnit:
+    @pytest.mark.parametrize("factor", [4, 8])
+    def test_unit_is_a_quarter_of_the_budget(self, factor):
+        taps = [gen_c_trigger(8, 4)] + [
+            gen_random(GenParams(p=(4, 8, 16)[i % 3], n=2 + i, ratio_distribution="pow2",
+                                 arrival_pattern=("batch", "poisson", "bursty")[i % 3],
+                                 seed=500 + i))
+            for i in range(9)
+        ]
+        for tap in taps:
+            done = run("csched", tap, factor)
+            assert done.scheduler.unit == done.scheduler.inner.budget == Rat(factor * tap.p, 4)
+            assert done.violations == [] and done.complete
