@@ -1,6 +1,6 @@
 """taplab: a simulation laboratory for the serial-parallel decision problem."""
 
-from .rationals import BACKEND, Rat, rat, parse_rat, rat_str
+from .rationals import BACKEND, Rat, parse_rat, rat_str
 from .core import (
     TAP,
     Task,
@@ -13,7 +13,6 @@ from .core import (
     normalize_task,
     scale_tap,
     round_pow2,
-    task_type,
     metrics_from_trace,
     tap_from_json,
     tap_to_json,
@@ -24,7 +23,6 @@ from .engine import Engine, EngineConfig, Scheduler, Trace, simulate, validate_t
 __all__ = [
     "BACKEND",
     "Rat",
-    "rat",
     "parse_rat",
     "rat_str",
     "TAP",
@@ -38,7 +36,6 @@ __all__ = [
     "normalize_task",
     "scale_tap",
     "round_pow2",
-    "task_type",
     "metrics_from_trace",
     "tap_from_json",
     "tap_to_json",

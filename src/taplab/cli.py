@@ -28,7 +28,9 @@ from .adversary import (
     gen_random_dtap,
     gen_randlb,
 )
-from .core import TAP, Task, TapError, instance_hash, tap_from_json, tap_to_json
+from .core import (
+    TAP, InvalidArgumentError, Task, TapError, instance_hash, tap_from_json, tap_to_json,
+)
 from .oracle import (
     InstanceTooLargeError,
     grid_opt,
@@ -45,9 +47,12 @@ SWEEP_COLUMNS = [
 ]
 
 
-def _die(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _seed(args) -> int:
+    return args.seed if args.seed is not None else default_seed()
+
+
+def _print_record(record: dict) -> None:
+    print(json.dumps(record, separators=(",", ":"), sort_keys=True))
 
 
 def _load_tap(path: str) -> TAP:
@@ -56,24 +61,15 @@ def _load_tap(path: str) -> TAP:
         return tap_from_json(fh.read())
 
 
-def _save(path: str, text: str) -> int:
-    """Write ``text`` to ``path``; 0, or 2 after an ``error:`` line when
-    the path cannot be written."""
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        return _die(str(exc))
-    return 0
+def _save(path: str, text: str) -> None:
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def cmd_run(args) -> int:
-    try:
-        tap = _load_tap(args.instance)
-        done = run(args.scheduler, tap, args.budget_factor, args.speed)
-        metrics = done.metrics()
-    except (TapError, OSError) as exc:
-        return _die(str(exc))
+    tap = _load_tap(args.instance)
+    done = run(args.scheduler, tap, args.budget_factor, args.speed)
+    metrics = done.metrics()
     if args.dump_trace:
         trace = done.trace
         dump = {
@@ -84,9 +80,8 @@ def cmd_run(args) -> int:
             "completions": {str(t): rat_str(f) for t, f in trace.completions.items()},
             "cancellations": [[t, rat_str(at)] for t, at in trace.cancellations],
         }
-        if _save(args.dump_trace, json.dumps(dump, separators=(",", ":"), sort_keys=True)):
-            return 2
-    record = {
+        _save(args.dump_trace, json.dumps(dump, separators=(",", ":"), sort_keys=True))
+    _print_record({
         "scheduler": args.scheduler,
         "p": tap.p,
         "speed": rat_str(done.config.speed),
@@ -98,45 +93,33 @@ def cmd_run(args) -> int:
         "cancellations": len(done.trace.cancellations),
         "violations": done.violations,
         "instance_hash": instance_hash(tap),
-    }
-    print(json.dumps(record, separators=(",", ":"), sort_keys=True))
+    })
     return 0 if not done.violations else 1
 
 
 # --- gen ---------------------------------------------------------------------
 
-def _generate(args) -> TAP:
-    name = args.generator
-    seed = args.seed if args.seed is not None else default_seed()
-    if name == "random":
-        return gen_random(GenParams(
-            p=args.p, n=args.n, seed=seed,
-            ratio_distribution=args.ratio_dist, arrival_pattern=args.arrival,
-        ))
-    if name == "geometric":
-        return gen_geometric(args.p)
-    if name == "randlb":
-        return gen_randlb(args.p, args.blocks, seed)
-    if name == "cheap-expensive":
-        return gen_mrt_cheap_expensive(args.p, seed)
-    if name == "dtap-levels":
-        return gen_dtap_levels(args.p, seed)
-    if name == "dtap-random":
-        return gen_random_dtap(GenParams(p=args.p, n=args.n, seed=seed))
-    if name == "c-trigger":
-        return gen_c_trigger(args.p, args.sigma_t)
-    raise TapError(f"unknown generator {name!r}")
+#: generator name -> instance built from the parsed ``gen`` flags
+GENERATORS = {
+    "random": lambda a: gen_random(GenParams(
+        p=a.p, n=a.n, seed=_seed(a),
+        ratio_distribution=a.ratio_dist, arrival_pattern=a.arrival,
+    )),
+    "geometric": lambda a: gen_geometric(a.p),
+    "randlb": lambda a: gen_randlb(a.p, a.blocks, _seed(a)),
+    "cheap-expensive": lambda a: gen_mrt_cheap_expensive(a.p, _seed(a)),
+    "dtap-levels": lambda a: gen_dtap_levels(a.p, _seed(a)),
+    "dtap-random": lambda a: gen_random_dtap(GenParams(p=a.p, n=a.n, seed=_seed(a))),
+    "c-trigger": lambda a: gen_c_trigger(a.p, a.sigma_t),
+}
 
 
 def cmd_gen(args) -> int:
-    try:
-        tap = _generate(args)
-    except TapError as exc:
-        return _die(str(exc))
-    text = tap_to_json(tap)
+    text = tap_to_json(GENERATORS[args.generator](args))
     if args.output:
-        return _save(args.output, text + "\n")
-    print(text)
+        _save(args.output, text + "\n")
+    else:
+        print(text)
     return 0
 
 
@@ -153,15 +136,14 @@ def _sweep_instances(args):
         for fname in names:
             yield fname, _load_tap(f"{args.dir}/{fname}")
         return
-    seed = args.seed if args.seed is not None else default_seed()
+    seed = _seed(args)
     ps = args.p_list
     for i in range(args.count):
         params = GenParams(
             p=ps[i % len(ps)], n=args.n, seed=seed + i,
             ratio_distribution=args.ratio_dist, arrival_pattern=args.arrival,
         )
-        tap = gen_random(params)
-        yield f"{args.generator}-{seed + i}", tap
+        yield f"random-{seed + i}", gen_random(params)
 
 
 def _sweep_bounds(tap: TAP, args) -> tuple:
@@ -210,11 +192,8 @@ def cmd_sweep(args) -> int:
     """The rows of each instance in turn.  An instance's bounds are
     computed once, when its first scheduler run succeeds, so an instance
     on which every run fails never reaches the oracles."""
-    try:
-        instances = list(_sweep_instances(args))
-        out = open(args.output, "w") if args.output else nullcontext(sys.stdout)
-    except (TapError, OSError) as exc:
-        return _die(str(exc))
+    instances = list(_sweep_instances(args))
+    out = open(args.output, "w") if args.output else nullcontext(sys.stdout)
     with out as fh:
         writer = csv.DictWriter(fh, SWEEP_COLUMNS, restval="", lineterminator="\n")
         writer.writeheader()
@@ -240,101 +219,90 @@ def cmd_sweep(args) -> int:
 # --- duel --------------------------------------------------------------------
 
 def cmd_duel(args) -> int:
-    seed = args.seed if args.seed is not None else default_seed()
-    try:
-        if args.adversary == "golden":
-            base = TAP(args.p, ())
-            adv = GoldenAdversary(args.p)
-        elif args.adversary == "flood":
-            base = (
-                _load_tap(args.probe)
-                if args.probe
-                else TAP(args.p, (Task(0, ONE, Rat(args.p), ZERO),))
-            )
-            base.validate()  # the lower bound assumes a valid TAP
-            adv = NonPreemptiveAdversary(args.R, base, opt_trt_lower(base))
-        else:
-            return _die(f"unknown adversary {args.adversary!r}")
-        done = run(args.scheduler, base, args.budget_factor, args.speed, adversary=adv)
-        metrics = done.metrics()
-        if args.adversary == "golden":
-            opt = opt_awake_given_decisions(done.tap, adv.witness_decisions())
-            report = {
-                "adversary": "golden",
-                "scheduler": args.scheduler,
-                "p": args.p,
-                "injected": adv.injected,
-                "awake": rat_str(metrics.awake),
-                "opt_awake": rat_str(opt),
-                "ratio": rat_str(metrics.awake / opt),
-            }
-        else:
-            lb = opt_trt_lower(done.tap)
-            report = {
-                "adversary": "flood",
-                "scheduler": args.scheduler,
-                "R": args.R,
-                "triggered": adv.triggered,
-                "trt": rat_str(metrics.trt),
-                "trt_lb": rat_str(lb),
-                "ratio": rat_str(metrics.trt / lb),
-            }
-            if not adv.triggered:
-                report["inconclusive"] = True
-    except (TapError, OSError) as exc:
-        return _die(str(exc))
+    seed = _seed(args)
+    if args.adversary == "golden":
+        base = TAP(args.p, ())
+        adv = GoldenAdversary(args.p)
+    else:
+        base = (
+            _load_tap(args.probe)
+            if args.probe
+            else TAP(args.p, (Task(0, ONE, Rat(args.p), ZERO),))
+        )
+        base.validate()  # the lower bound assumes a valid TAP
+        adv = NonPreemptiveAdversary(args.R, base, opt_trt_lower(base))
+    done = run(args.scheduler, base, args.budget_factor, args.speed, adversary=adv)
+    metrics = done.metrics()
+    if args.adversary == "golden":
+        opt = opt_awake_given_decisions(done.tap, adv.witness_decisions())
+        report = {
+            "adversary": "golden",
+            "scheduler": args.scheduler,
+            "p": args.p,
+            "injected": adv.injected,
+            "awake": rat_str(metrics.awake),
+            "opt_awake": rat_str(opt),
+            "ratio": rat_str(metrics.awake / opt),
+        }
+    else:
+        lb = opt_trt_lower(done.tap)
+        report = {
+            "adversary": "flood",
+            "scheduler": args.scheduler,
+            "R": args.R,
+            "triggered": adv.triggered,
+            "trt": rat_str(metrics.trt),
+            "trt_lb": rat_str(lb),
+            "ratio": rat_str(metrics.trt / lb),
+        }
+        if not adv.triggered:
+            report["inconclusive"] = True
     report["seed"] = seed
-    print(json.dumps(report, separators=(",", ":"), sort_keys=True))
+    _print_record(report)
     return 0
 
 
 # --- oracle ------------------------------------------------------------------
 
 def cmd_oracle(args) -> int:
-    try:
-        tap = _load_tap(args.instance)
-        if args.method == "exhaustive":
-            if args.objective != "awake":
-                return _die("exhaustive oracle supports only the awake objective")
-            value, decisions = opt_awake_exhaustive(tap, bound=args.bound)
-            record = {
-                "method": "exhaustive",
-                "objective": "awake",
-                "value": rat_str(value),
-                "decisions": {
-                    str(tid): d.name.lower() for tid, d in sorted(decisions.items())
-                },
-            }
-        elif args.method == "grid":
-            value = grid_opt(tap, args.objective, args.grid)
-            record = {
-                "method": "grid",
-                "objective": args.objective,
-                "grid": rat_str(args.grid),
-                "value": rat_str(value),
-            }
-        elif args.method == "lb":
-            if args.objective != "trt":
-                return _die("the lower-bound oracle supports only the trt objective")
-            record = {
-                "method": "lb",
-                "objective": "trt",
-                "value": rat_str(opt_trt_lower(tap)),
-            }
-        else:
-            return _die(f"unknown method {args.method!r}")
-    except (TapError, OSError) as exc:
-        return _die(str(exc))
+    tap = _load_tap(args.instance)
+    if args.method == "exhaustive":
+        if args.objective != "awake":
+            raise InvalidArgumentError(
+                "exhaustive oracle supports only the awake objective")
+        value, decisions = opt_awake_exhaustive(tap, bound=args.bound)
+        record = {
+            "method": "exhaustive",
+            "objective": "awake",
+            "value": rat_str(value),
+            "decisions": {
+                str(tid): d.name.lower() for tid, d in sorted(decisions.items())
+            },
+        }
+    elif args.method == "grid":
+        value = grid_opt(tap, args.objective, args.grid)
+        record = {
+            "method": "grid",
+            "objective": args.objective,
+            "grid": rat_str(args.grid),
+            "value": rat_str(value),
+        }
+    else:
+        if args.objective != "trt":
+            raise InvalidArgumentError(
+                "the lower-bound oracle supports only the trt objective")
+        record = {
+            "method": "lb",
+            "objective": "trt",
+            "value": rat_str(opt_trt_lower(tap)),
+        }
     record["instance_hash"] = instance_hash(tap)
-    print(json.dumps(record, separators=(",", ":"), sort_keys=True))
+    _print_record(record)
     return 0
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = run_battery(seed=args.seed, only=args.only)
-    except TapError as exc:
-        return _die(str(exc))
+    results = run_battery(seed=args.seed, only=args.only)
     print(format_results(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -390,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_gen = subs.add_parser("gen", help="generate an instance")
-    p_gen.add_argument("generator", help="random|geometric|randlb|cheap-expensive|"
-                       "dtap-levels|dtap-random|c-trigger")
+    p_gen.add_argument("generator", choices=GENERATORS)
     p_gen.add_argument("--p", type=int, default=8)
     p_gen.add_argument("--n", type=_count, default=8)
     p_gen.add_argument("--seed", type=int, default=None)
@@ -406,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = subs.add_parser("sweep", help="scheduler x instance matrix to CSV")
     p_sweep.add_argument("--dir", help="directory of instance JSON files")
-    p_sweep.add_argument("--generator", default="random", choices=["random"])
     p_sweep.add_argument("--count", type=_count, default=100)
     p_sweep.add_argument("--p-list", type=_int_list, default="4,8,16")
     p_sweep.add_argument("--n", type=_count, default=8)
@@ -428,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_duel = subs.add_parser("duel", help="scheduler versus adaptive adversary")
     p_duel.add_argument("scheduler")
-    p_duel.add_argument("adversary", help="golden|flood")
+    p_duel.add_argument("adversary", choices=["golden", "flood"])
     p_duel.add_argument("--p", type=int, default=100)
     p_duel.add_argument("--R", type=_count, default=10)
     p_duel.add_argument("--probe", help="probe instance file for the flood")
@@ -458,8 +424,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command.  Every taplab error and every file error ends in
+    one ``error:`` line and exit status 2, whichever command raised it."""
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (TapError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

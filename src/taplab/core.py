@@ -16,8 +16,6 @@ from graphlib import CycleError, TopologicalSorter
 from .rationals import (
     Rat,
     ZERO,
-    floor_log2,
-    is_power_of_two,
     pow2_ceil,
     rat_str,
     parse_rat,
@@ -60,26 +58,6 @@ class Task:
 
     def work(self, decision: Decision) -> Rat:
         return self.sigma if decision is Decision.SERIAL else self.pi
-
-
-@dataclass(frozen=True)
-class TaskType:
-    """Power-of-two signature: parallelism 2**j, serial work 2**i."""
-
-    j: int
-    i: int
-
-    @property
-    def sigma(self) -> Rat:
-        return Rat(2) ** self.i
-
-    @property
-    def pi(self) -> Rat:
-        return Rat(2) ** (self.i + self.j)
-
-    @property
-    def ratio(self) -> Rat:
-        return Rat(2) ** self.j
 
 
 @dataclass(frozen=True)
@@ -200,17 +178,6 @@ def round_pow2(tap: TAP) -> TAP:
         pi = min(max(pi, sigma), q * sigma)
         out.append(replace(t, sigma=sigma, pi=pi))
     return TAP(tap.p, tuple(out))
-
-
-def task_type(task: Task) -> TaskType:
-    """Type (2**j, 2**i) of a power-of-two-rounded task."""
-    if not (is_power_of_two(task.sigma) and is_power_of_two(task.pi)):
-        raise InvalidArgumentError(
-            f"task {task.id}: works are not powers of two"
-        )
-    i = floor_log2(task.sigma)
-    j = floor_log2(task.pi) - i
-    return TaskType(j=j, i=i)
 
 
 def interval_union_measure(intervals) -> Rat:

@@ -48,6 +48,9 @@ _EVENT_ORDER = itemgetter(0, 1)  # (kind, id or timer sequence number)
 
 _PENDING, _ARRIVED, _RUNNING, _DONE = "pending", "arrived", "running", "done"
 
+#: events one run may dispatch before it is stopped as a runaway
+MAX_EVENTS = 1_000_000
+
 
 class FeasibilityError(TapError):
     """The scheduler returned an infeasible allocation."""
@@ -58,7 +61,7 @@ class ContractError(TapError):
 
 
 class RunawayError(TapError):
-    """Event count exceeded the configured bound, or no progress is possible."""
+    """Event count exceeded ``MAX_EVENTS``, or no progress is possible."""
 
 
 class ObliviousnessError(TapError):
@@ -70,7 +73,6 @@ class EngineConfig:
     speed: Rat = ONE
     processor_budget: Rat | None = None  # defaults to p
     allow_cancel: bool = False
-    max_events: int = 1_000_000
 
     def budget_for(self, p: int) -> Rat:
         budget = Rat(self.processor_budget) if self.processor_budget is not None else Rat(p)
@@ -408,10 +410,8 @@ class Engine:
 
     def _dispatch(self, kind: int, key, tag) -> None:
         self._event_count += 1
-        if self._event_count > self.config.max_events:
-            raise RunawayError(
-                f"event count exceeded bound {self.config.max_events}"
-            )
+        if self._event_count > MAX_EVENTS:
+            raise RunawayError(f"event count exceeded bound {MAX_EVENTS}")
         if kind == _COMPLETION:
             tid = key
             self.status[tid] = _DONE

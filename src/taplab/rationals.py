@@ -310,13 +310,6 @@ SQRT3 = Rat(26, 15)  # error < 1e-3
 EPS = Rat(1, 2**20)
 
 
-def rat(numerator, denominator=1):
-    """Build a rational from ints, a rational, or a ``"a/b"`` string."""
-    if isinstance(numerator, str):
-        return parse_rat(numerator)
-    return Rat(numerator) / Rat(denominator) if denominator != 1 else Rat(numerator)
-
-
 def parse_rat(text: str):
     """Parse ``"a"`` or ``"a/b"`` into a rational."""
     text = text.strip()
@@ -376,13 +369,3 @@ def _pow2_at_least(e: int, num: int, den: int) -> bool:
         return (1 << e) * den >= num
     return den >= num << (-e)
 
-
-def floor_log2(value) -> int:
-    """Exact log2 of a power-of-two rational."""
-    if not is_power_of_two(value):
-        raise ValueError(f"{value} is not a power of two")
-    value = Rat(value)
-    num, den = value.numerator, value.denominator
-    if den == 1:
-        return num.bit_length() - 1
-    return -(den.bit_length() - 1)

@@ -15,13 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Decision, Task, TapError
+from .core import Decision, TAP, Task, TapError
 from .engine import SchedCommands, Scheduler
+from .oracle import opt_awake_exhaustive
 from .rationals import Rat, ZERO, ONE, PHI
-
-
-class SchedulerUnavailableError(TapError):
-    """The scheduler cannot run on this instance (e.g. oracle too slow)."""
 
 
 # --- balance test -----------------------------------------------------------
@@ -193,8 +190,9 @@ class UnkScheduler(_MwfMixin, Scheduler):
 class GoldenAlg(_MwfMixin, Scheduler):
     """Experimental scheduler built around the golden-ratio conjecture.
 
-    New tasks join a parallel pool; at each arrival an oracle recomputes
-    the offline-optimal awake time of the tasks seen so far, and every
+    New tasks join a parallel pool; at each arrival the exhaustive oracle
+    recomputes the offline-optimal awake time of the tasks seen so far
+    (``InstanceTooLargeError`` past ``max_oracle_n`` of them), and every
     not-yet-started pool task whose sigma plus incurred awake time is
     below phi times that optimum migrates to the serial pool.
     """
@@ -202,19 +200,13 @@ class GoldenAlg(_MwfMixin, Scheduler):
     name = "golden"
     max_oracle_n = 15
 
-    def __init__(self, oracle_fn):
-        # oracle_fn(tasks_so_far, p) -> offline-optimal awake time
-        self.oracle_fn = oracle_fn
+    def __init__(self):
         self.seen: list[Task] = []
         self.parallel_pool: list[int] = []  # undecided, arrival order
 
     def _commands(self, view) -> SchedCommands:
         starts: dict[int, Decision] = {}
-        if len(self.seen) > self.max_oracle_n:
-            raise SchedulerUnavailableError(
-                f"oracle limited to {self.max_oracle_n} tasks, saw {len(self.seen)}"
-            )
-        opt = self.oracle_fn(tuple(self.seen), view.p)
+        opt, _ = opt_awake_exhaustive(TAP(view.p, tuple(self.seen)), self.max_oracle_n)
         threshold = PHI * opt
         kept = []
         for tid in self.parallel_pool:

@@ -293,6 +293,7 @@ class _Nested(Scheduler):
         self.inner: Engine | None = None
         self.last_sync = ZERO
         self.completions_read = 0
+        self.cancellations_read = 0
         self.timer_times: set = set()
 
     def _nest(self, view, scheduler, budget) -> None:
@@ -314,6 +315,12 @@ class _Nested(Scheduler):
         new = list(self.inner.trace.completions)[self.completions_read:]
         self.completions_read += len(new)
         return new
+
+    def _new_cancellations(self) -> list:
+        """Ids the nested run cancelled since the last call, in cancellation order."""
+        new = self.inner.trace.cancellations[self.cancellations_read:]
+        self.cancellations_read += len(new)
+        return [tid for tid, _ in new]
 
     def _wake_at(self, commands, t, tag) -> None:
         """A timer at ``t``, unless one was already set for ``t``."""
@@ -362,7 +369,9 @@ class BScheduler(_Nested):
     not-yet-started task of the type is serialized (most recent arrival
     first), else the running one is cancelled, else a fake serial task of
     the type's serial work takes an EQUI share of the serial pool.
-    Requires power-of-two-rounded input.
+    A type is a distinct (sigma, pi), so B runs on any input (C feeds it
+    works scaled by 3); power-of-two rounding only bounds the number of
+    types.
     """
 
     name = "bsched"
@@ -372,7 +381,6 @@ class BScheduler(_Nested):
         self.half = ZERO  # of the budget: the serial pool's
         self.types: dict[tuple, _TypeState] = {}  # by (sigma, pi), in first-arrival order
         self.type_of: dict[int, _TypeState] = {}  # task id -> its type
-        self.seen_cancels = 0
         self.fakes: list[Rat] = []  # remaining work of each fake serial task
         self.fake_share = ZERO
 
@@ -418,16 +426,12 @@ class BScheduler(_Nested):
             done = self.fake_share * dt
             self.fakes = [work - done for work in self.fakes if work > done]
         commands = SchedCommands()
-        cancels = self.inner.trace.cancellations
-        while self.seen_cancels < len(cancels):
-            inner_tid, _ = cancels[self.seen_cancels]
-            self.seen_cancels += 1
+        for inner_tid in self._new_cancellations():
             self._handle_inner_cancel(view, inner_tid, commands)
         for inner_tid in self._new_completions():
-            # CANC starts every task parallel and serializes only by
-            # cancelling it
-            if self.inner.decision[inner_tid] is Decision.SERIAL:
-                continue  # serial completion inside the nested run
+            # CANC serializes a task only by cancelling it, and at that
+            # cancel B evicts the task or it completes, so a serial nested
+            # completion is never a member here
             state = self.type_of[inner_tid]
             if inner_tid in state.members and _movable(view, inner_tid, commands):
                 # the nested run finished this task's stand-in but the task

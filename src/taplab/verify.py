@@ -68,17 +68,13 @@ def default_seed() -> int:
 
 # --- scheduler registry (shared with the CLI) -------------------------------
 
-def _golden_oracle(tasks, p):
-    return opt_awake_exhaustive(TAP(p, tuple(tasks)))[0]
-
-
 #: name -> (factory, default budget factor, needs allow_cancel)
 SCHEDULERS = {
     "bal": (BalScheduler, 1, False),
     "unk": (UnkScheduler, 1, False),
     "mwf-all-serial": (AllSerialScheduler, 1, False),
     "mwf-all-parallel": (AllParallelScheduler, 1, False),
-    "golden": (lambda: GoldenAlg(_golden_oracle), 1, False),
+    "golden": (GoldenAlg, 1, False),
     "equi": (EquiScheduler, 1, False),
     "rigid": (RigidScheduler, 1, False),
     "sss": (SssScheduler, 2, False),

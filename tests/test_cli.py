@@ -10,7 +10,7 @@ import pytest
 
 import taplab
 from taplab.cli import main
-from taplab.core import TAP, Task, metrics_from_trace, tap_from_json, tap_to_json
+from taplab.core import TAP, Task, TapError, metrics_from_trace, tap_from_json, tap_to_json
 from taplab.engine import simulate
 from taplab.rationals import PHI, Rat, ZERO, parse_rat
 from taplab.sched_awake import BalScheduler
@@ -240,6 +240,39 @@ class TestBadInput:
         assert f"error: {message}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("error", [TapError("boom"), OSError("boom")],
+                             ids=["TapError", "OSError"])
+    @pytest.mark.parametrize("argv, callee", [
+        (["run", "{tap}", "bal"], "run"),
+        (["gen", "random"], "gen_random"),
+        (["sweep", "--count", "1", "--n", "3"], "gen_random"),
+        (["duel", "bal", "golden", "--p", "4"], "run"),
+        (["oracle", "{tap}"], "opt_awake_exhaustive"),
+        (["verify", "--only", "A1"], "run_battery"),
+    ], ids=["run", "gen", "sweep", "duel", "oracle", "verify"])
+    def test_one_error_boundary(self, tmp_path, capsys, monkeypatch, argv, callee, error):
+        """Whatever a command calls may raise; ``main`` turns it into one
+        ``error:`` line and exit status 2."""
+        import taplab.cli as cli
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, callee, fail)
+        tap = _write(tmp_path, _golden_tap())
+        assert main([arg.format(tap=tap) for arg in argv]) == 2
+        assert capsys.readouterr() == ("", "error: boom\n")
+
+    @pytest.mark.parametrize("argv", [["gen", "bogus"], ["duel", "bal", "bogus"]],
+                             ids=["gen", "duel"])
+    def test_unknown_name_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid choice: 'bogus'" in captured.err
+        assert captured.out == ""
+
     def test_zero_counts_are_valid(self, tmp_path, capsys):
         assert main(["gen", "random", "--n", "0", "--seed", "1"]) == 0
         assert tap_from_json(capsys.readouterr().out).n == 0
@@ -397,7 +430,7 @@ class TestOracle:
 
 class TestSweep:
     def test_deterministic_and_bounded(self, tmp_path):
-        args = ["sweep", "--generator", "random", "--count", "6",
+        args = ["sweep", "--count", "6",
                 "--p-list", "4,8", "--n", "5", "--seed", "11",
                 "--schedulers", "bal,unk", "--oracle", "both"]
         a = tmp_path / "a.csv"
@@ -431,7 +464,7 @@ class TestSweep:
 
         monkeypatch.setattr(cli, "opt_awake_exhaustive", counted)
         out = tmp_path / "out.csv"
-        assert main(["sweep", "--generator", "random", "--count", "4",
+        assert main(["sweep", "--count", "4",
                      "--p-list", "4,8", "--n", "6", "--seed", "11",
                      "--arrival", "bursty", "--schedulers", "bal,unk",
                      "--oracle", "both", "-o", str(out)]) == 0
@@ -489,15 +522,6 @@ class TestSweep:
         assert main(args + ["--jobs", "1", "-o", str(one)]) == 0
         assert main(args + ["--jobs", "4", "-o", str(four)]) == 0
         assert one.read_bytes() == four.read_bytes()
-
-    def test_only_the_random_generator(self, tmp_path, capsys):
-        out = tmp_path / "out.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--generator", "geometric", "--count", "2",
-                  "--p-list", "8", "--n", "3", "--seed", "1", "-o", str(out)])
-        assert exc.value.code == 2
-        assert "invalid choice: 'geometric'" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_directory_corpus(self, tmp_path):
         corpus = tmp_path / "corpus"

@@ -10,7 +10,6 @@ from taplab.core import (
     InvalidInstanceError,
     TAP,
     Task,
-    TaskType,
     instance_hash,
     interval_union_measure,
     normalize_tap,
@@ -19,7 +18,6 @@ from taplab.core import (
     scale_tap,
     tap_from_json,
     tap_to_json,
-    task_type,
 )
 from taplab.rationals import Rat, ZERO, ONE, PHI, is_power_of_two
 
@@ -87,21 +85,6 @@ class TestRoundPow2:
             assert is_power_of_two(after.sigma)
             assert is_power_of_two(after.pi)
             assert 1 <= after.pi / after.sigma <= tap.p
-
-
-class TestTaskType:
-    def test_examples(self):
-        assert task_type(T(0, 2, 16)) == TaskType(j=3, i=1)
-        assert task_type(T(0, 1, 1)) == TaskType(j=0, i=0)
-        assert task_type(T(0, Rat(1, 2), 4)) == TaskType(j=3, i=-1)
-
-    def test_rejects_non_pow2(self):
-        with pytest.raises(InvalidArgumentError):
-            task_type(T(0, 3, 4))
-
-    def test_reconstruction(self):
-        tt = task_type(T(0, Rat(1, 2), 4))
-        assert (tt.sigma, tt.pi, tt.ratio) == (Rat(1, 2), 4, 8)
 
 
 class TestValidate:

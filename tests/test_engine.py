@@ -14,6 +14,7 @@ from taplab.engine import (
     Engine,
     EngineConfig,
     FeasibilityError,
+    RunawayError,
     SchedCommands,
     Scheduler,
     Trace,
@@ -102,6 +103,15 @@ class TestContracts:
     def test_speed_must_be_positive(self, speed):
         with pytest.raises(ContractError, match="speed must be positive"):
             Engine(TAP(2, (T(0, 1, 2),)), _Fixed(Decision.SERIAL), EngineConfig(speed=speed))
+
+    def test_event_bound(self, monkeypatch):
+        # four arrivals and four completions: eight events
+        tap = TAP(2, tuple(T(i, 1, 2, arrival=i) for i in range(4)))
+        monkeypatch.setattr(engine_mod, "MAX_EVENTS", 8)
+        assert len(simulate(tap, _Fixed(Decision.SERIAL)).completions) == 4
+        monkeypatch.setattr(engine_mod, "MAX_EVENTS", 7)
+        with pytest.raises(RunawayError, match="event count exceeded bound 7"):
+            simulate(tap, _Fixed(Decision.SERIAL))
 
     def test_dependency_gates_arrival(self):
         tap = TAP(2, (T(0, 1, 2), T(1, 1, 2, deps=(0,))))

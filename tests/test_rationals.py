@@ -17,12 +17,10 @@ from taplab.rationals import (
     SQRT3,
     ZERO,
     Rat,
-    floor_log2,
     is_power_of_two,
     parse_rat,
     pow2_ceil,
     pow2_ceil_exponent,
-    rat,
     rat_str,
 )
 
@@ -47,7 +45,6 @@ def test_parse_and_str():
     assert parse_rat("7") == Rat(7)
     assert rat_str(Rat(6, 4)) == "3/2"
     assert rat_str(Rat(8, 4)) == "2"
-    assert rat(2, 6) == Rat(1, 3)
 
 
 @given(rationals(max_value=1000, max_denominator=997))
@@ -81,11 +78,6 @@ def test_pow2_ceil_bounds(x):
     y = pow2_ceil(x)
     assert is_power_of_two(y)
     assert x <= y < 2 * x
-
-
-@given(st.integers(min_value=-20, max_value=20))
-def test_floor_log2_on_powers(e):
-    assert floor_log2(Rat(2) ** e) == e
 
 
 # --- FastFraction against fractions.Fraction ---------------------------------
@@ -211,7 +203,7 @@ def test_fast_fraction_from_float_and_decimal_string():
 
 def test_rat_is_fast_fraction_on_fractions_backend():
     assert Rat is FastFraction
-    for value in (ZERO, ONE, PHI, SQRT3, EPS, rat("3/4"), parse_rat("5")):
+    for value in (ZERO, ONE, PHI, SQRT3, EPS, Rat(3, 4), parse_rat("5")):
         assert type(value) is Rat
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from taplab.adversary import GenParams, gen_random_dtap
 from taplab.core import Decision, TAP, Task, TapError, metrics_from_trace
 from taplab.engine import Engine, ObliviousnessError, simulate, validate_trace
-from taplab.oracle import opt_awake_exhaustive
+from taplab.oracle import InstanceTooLargeError, opt_awake_exhaustive
 from taplab.rationals import Rat, ZERO, ONE
 from taplab.sched_awake import (
     AllParallelScheduler,
@@ -12,7 +12,6 @@ from taplab.sched_awake import (
     BalanceState,
     BalScheduler,
     GoldenAlg,
-    SchedulerUnavailableError,
     UnkScheduler,
     bal_decide,
     is_balanced,
@@ -26,10 +25,6 @@ S, P = Decision.SERIAL, Decision.PARALLEL
 
 def T(tid, sigma, pi, arrival=0):
     return Task(tid, Rat(sigma), Rat(pi), Rat(arrival))
-
-
-def _oracle(tasks, p):
-    return opt_awake_exhaustive(TAP(p, tuple(tasks)))[0]
 
 
 def reference_unk_alloc(view) -> dict:
@@ -253,24 +248,24 @@ class TestBaselines:
 class TestGoldenAlg:
     def test_matches_bal_on_single_parallel_leaning_task(self):
         tap = TAP(4, (T(0, 2, 2),))
-        golden = simulate(tap, GoldenAlg(_oracle))
+        golden = simulate(tap, GoldenAlg())
         bal = simulate(tap, BalScheduler())
         assert golden.decisions[0][0] is bal.decisions[0][0]
 
     def test_migrates_cheap_serial_task(self):
         # sigma well below phi * opt: migrated to the serial pool
         tap = TAP(4, (T(0, 1, 4), T(1, 4, 16)))
-        trace = simulate(tap, GoldenAlg(_oracle))
+        trace = simulate(tap, GoldenAlg())
         assert trace.decisions[0][0] is S
 
     def test_oracle_size_limit(self):
         tap = TAP(4, tuple(T(i, 1, 4) for i in range(16)))
-        with pytest.raises(SchedulerUnavailableError):
-            simulate(tap, GoldenAlg(_oracle))
+        with pytest.raises(InstanceTooLargeError):
+            simulate(tap, GoldenAlg())
 
     def test_single_parallel_task_at_a_time(self):
         tap = TAP(4, tuple(T(i, 1, 2) for i in range(4)))
-        trace = simulate(tap, GoldenAlg(_oracle))
+        trace = simulate(tap, GoldenAlg())
         for t0, t1, rates in trace.slices:
             running_parallel = [
                 tid for tid in rates

@@ -252,19 +252,21 @@ class TestC:
         assert set(trace.completions) == {t.id for t in tap.tasks}
 
 
-# The nested schedulers read new nested completions through a count cursor
-# and tell B's serial nested completions by the nested decision.  The scans
-# below are the bookkeeping they replaced (a seen set over every completion,
-# a set of the ids B saw the nested CANC cancel); they stay here as the
-# references the cursor and the decision test must agree with exactly.
+# The nested schedulers read new nested completions through a count cursor.
+# The scans below are the bookkeeping it replaced (a seen set over every
+# completion, a set of the ids the nested CANC cancelled); they stay here as
+# the references the cursor must agree with exactly.  B needs no test for a
+# serial nested completion: CANC serializes only by cancelling, and such a
+# task has always left its type by the time its nested run completes.
 
 _real_new_completions = sched_mrt._Nested._new_completions
 
 
 def _run_checked(runs) -> Counter:
     """Run each (tap, registry name) with a ``_new_completions`` that
-    asserts agreement with the references; the completions checked, by
-    (run, scheduler class), and the serial ones B skipped."""
+    asserts agreement with the references, and that B's serial nested
+    completions are of tasks no longer in their type; the completions
+    checked, by (run, scheduler class), and the serial ones."""
     checks = Counter()
     name = None
 
@@ -282,6 +284,8 @@ def _run_checked(runs) -> Counter:
             for tid in new:
                 serial = self.inner.decision[tid] is Decision.SERIAL
                 assert serial == (tid in cancelled)
+                if serial:
+                    assert tid not in self.type_of[tid].members
                 checks["serial"] += serial
         checks[name, type(self).__name__] += len(new)
         return new
