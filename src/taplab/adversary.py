@@ -28,11 +28,11 @@ class GenParams:
     seed: int = 0
 
 
-def _rand_rat(rng: random.Random, lo: Rat, hi: Rat, denom: int = 8) -> Rat:
-    """Uniform-ish rational in [lo, hi] on a 1/denom grid."""
+def _rand_rat(rng: random.Random, lo: Rat, hi: Rat) -> Rat:
+    """Uniform-ish rational in [lo, hi] on a 1/8 grid."""
     lo, hi = Rat(lo), Rat(hi)
-    steps = int((hi - lo) * denom)
-    return lo + Rat(rng.randint(0, max(steps, 0)), denom)
+    steps = int((hi - lo) * 8)
+    return lo + Rat(rng.randint(0, max(steps, 0)), 8)
 
 
 def gen_random(params: GenParams) -> TAP:

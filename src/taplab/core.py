@@ -34,6 +34,10 @@ class InvalidArgumentError(TapError):
     """A parameter is out of its documented range."""
 
 
+class InstanceTooLargeError(TapError):
+    """The instance exceeds a size bound (an oracle's, or one a scheduler declares)."""
+
+
 class IncompleteTraceError(TapError):
     """Metrics were requested from a trace with unfinished tasks."""
 

@@ -39,8 +39,8 @@ import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .core import Decision, TAP, Task, TapError
-from .rationals import Rat, ZERO, ONE
+from .core import Decision, InstanceTooLargeError, InvalidInstanceError, TAP, Task, TapError
+from .rationals import Rat, ZERO, ONE, is_power_of_two, rat_str
 
 # Event-kind tie order.
 _COMPLETION, _ARRIVAL, _TIMER, _INJECTION = 0, 1, 2, 3
@@ -74,12 +74,6 @@ class EngineConfig:
     processor_budget: Rat | None = None  # defaults to p
     allow_cancel: bool = False
 
-    def budget_for(self, p: int) -> Rat:
-        budget = Rat(self.processor_budget) if self.processor_budget is not None else Rat(p)
-        if budget < p:
-            raise ContractError(f"processor budget {budget} < p={p}")
-        return budget
-
 
 @dataclass
 class Trace:
@@ -104,10 +98,18 @@ class SchedCommands:
 
 class Scheduler:
     """Callback contract: the engine owns all task state; schedulers read it
-    through the view and issue start/cancel/timer commands plus allocations."""
+    through the view and issue start/cancel/timer commands plus allocations.
+    The class constants declare the registry's run configuration and the
+    input class, which the engine enforces before a run or a task reaches
+    the scheduler."""
 
     name = "scheduler"
     oblivious = False  # True hides pi from the view (parallel-work-oblivious)
+    budget_factor = 1  # default processor budget, as a multiple of p
+    cancels = False  # may cancel a running parallel task
+    min_budget_factor = 1  # input class: least processor budget, as a multiple of p
+    pow2_works = False  # input class: every sigma and pi a power of two
+    max_plain_n: int | None = None  # input class: at most this many tasks, no dependencies
 
     def setup(self, view) -> SchedCommands | None:
         return None
@@ -126,42 +128,23 @@ class Scheduler:
 
 
 class _ObliviousTask:
-    """Task proxy whose parallel work is unreadable."""
+    """Task view whose parallel work is unreadable."""
 
-    __slots__ = ("_task",)
+    __slots__ = ("id", "sigma", "arrival", "deps")
 
     def __init__(self, task: Task):
-        self._task = task
-
-    @property
-    def id(self):
-        return self._task.id
-
-    @property
-    def sigma(self):
-        return self._task.sigma
-
-    @property
-    def arrival(self):
-        return self._task.arrival
-
-    @property
-    def deps(self):
-        return self._task.deps
+        self.id, self.sigma, self.arrival, self.deps = task.id, task.sigma, task.arrival, task.deps
 
     @property
     def pi(self):
-        raise ObliviousnessError(
-            f"scheduler attempted to read pi of task {self._task.id}"
-        )
+        raise ObliviousnessError(f"scheduler attempted to read pi of task {self.id}")
 
 
 class EngineView:
     """Read-only window into the engine state for schedulers and adversaries."""
 
-    def __init__(self, engine: "Engine", hide_pi: bool):
+    def __init__(self, engine: "Engine"):
         self._e = engine
-        self._hide_pi = hide_pi
 
     @property
     def now(self) -> Rat:
@@ -177,7 +160,7 @@ class EngineView:
 
     def task(self, tid: int):
         task = self._e.tasks[tid]
-        return _ObliviousTask(task) if self._hide_pi else task
+        return _ObliviousTask(task) if self._e.scheduler.oblivious else task
 
     def status(self, tid: int) -> str:
         return self._e.status[tid]
@@ -244,8 +227,16 @@ class Engine:
         self.speed = Rat(self.config.speed)
         if self.speed <= 0:
             raise ContractError(f"speed must be positive, got {self.speed}")
+        tap.validate()  # p >= 2 before the budget check divides by it
         self.p = tap.p
-        self.budget = self.config.budget_for(tap.p)
+        budget = self.config.processor_budget
+        self.budget = Rat(tap.p if budget is None else budget)
+        least = scheduler.min_budget_factor
+        if self.budget < least * tap.p:
+            raise ContractError(
+                f"{scheduler.name} needs a processor budget of at least {least}p = "
+                f"{least * tap.p}, got {rat_str(self.budget)} "
+                f"(budget factor {rat_str(self.budget / tap.p)})")
         self.scheduler = scheduler
         self.adversary = adversary
         self.now = ZERO
@@ -268,9 +259,8 @@ class Engine:
         self._finish_stale = False
         self._due: list[int] = []  # ids whose work the last clock step finished
         self._unstamped: set[int] = set()  # started, never given a rate
-        self.view = EngineView(self, hide_pi=getattr(scheduler, "oblivious", False))
+        self.view = EngineView(self)
         self._started = False
-        tap.validate()
         for task in tap.tasks:
             self._add_task(task)
         if adversary is not None:
@@ -280,9 +270,25 @@ class Engine:
 
     # -- task intake --------------------------------------------------------
 
+    def _admit(self, task: Task) -> None:
+        """Refuse a task outside the scheduler's declared input class (the
+        budget is checked once, when the engine is built)."""
+        sched = self.scheduler
+        if sched.pow2_works and not (is_power_of_two(task.sigma) and is_power_of_two(task.pi)):
+            raise InvalidInstanceError(
+                f"{sched.name} needs power-of-two works, task {task.id} has sigma "
+                f"{rat_str(task.sigma)} and pi {rat_str(task.pi)}: apply round_pow2")
+        if sched.max_plain_n is not None:  # the bound of the awake oracle it calls
+            if task.deps:
+                raise TapError("awake oracle requires a plain TAP (no dependencies)")
+            if len(self.tasks) >= sched.max_plain_n:
+                raise InstanceTooLargeError(
+                    f"n={len(self.tasks) + 1} exceeds oracle bound {sched.max_plain_n}")
+
     def _add_task(self, task: Task) -> None:
         if task.id in self.tasks:
             raise ContractError(f"duplicate task id {task.id}")
+        self._admit(task)
         self.tasks[task.id] = task
         self.status[task.id] = _PENDING
         self.remaining[task.id] = ZERO

@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import itertools
 
-from .core import Decision, TAP, TapError
+from .core import Decision, InstanceTooLargeError, TAP, TapError
 from .rationals import Rat, ZERO
 
-
-class InstanceTooLargeError(TapError):
-    """The instance exceeds the oracle's configured size bound."""
+#: the most grid steps (total work over the grid) ``grid_opt`` enumerates
+GRID_MAX_STEPS = 4096
 
 
 # --- most-work-first fluid state ---------------------------------------------
@@ -290,7 +289,7 @@ def _ceil_div(work, grid) -> int:
     return -(-q.numerator // q.denominator)
 
 
-def grid_opt(tap: TAP, objective: str, grid, max_steps: int = 4096) -> Rat:
+def grid_opt(tap: TAP, objective: str, grid) -> Rat:
     """Brute-force optimum over decision vectors and integer processor
     splits at every grid step.
 
@@ -310,8 +309,8 @@ def grid_opt(tap: TAP, objective: str, grid, max_steps: int = 4096) -> Rat:
                 f"task {t.id}: arrival {t.arrival} is not a multiple of grid {grid}"
             )
     total_steps = sum(_ceil_div(t.sigma + t.pi, grid) for t in tap.tasks)
-    if total_steps > max_steps:
-        raise InstanceTooLargeError(f"work/grid total {total_steps} > {max_steps}")
+    if total_steps > GRID_MAX_STEPS:
+        raise InstanceTooLargeError(f"work/grid total {total_steps} > {GRID_MAX_STEPS}")
     p = tap.p
     arr = tuple(int(t.arrival / grid) for t in tap.tasks)
     last_arrival = max(arr, default=0)

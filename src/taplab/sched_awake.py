@@ -192,13 +192,13 @@ class GoldenAlg(_MwfMixin, Scheduler):
 
     New tasks join a parallel pool; at each arrival the exhaustive oracle
     recomputes the offline-optimal awake time of the tasks seen so far
-    (``InstanceTooLargeError`` past ``max_oracle_n`` of them), and every
+    (so it runs on plain TAPs of at most ``max_plain_n`` tasks), and every
     not-yet-started pool task whose sigma plus incurred awake time is
     below phi times that optimum migrates to the serial pool.
     """
 
     name = "golden"
-    max_oracle_n = 15
+    max_plain_n = 15
 
     def __init__(self):
         self.seen: list[Task] = []
@@ -206,7 +206,7 @@ class GoldenAlg(_MwfMixin, Scheduler):
 
     def _commands(self, view) -> SchedCommands:
         starts: dict[int, Decision] = {}
-        opt, _ = opt_awake_exhaustive(TAP(view.p, tuple(self.seen)), self.max_oracle_n)
+        opt, _ = opt_awake_exhaustive(TAP(view.p, tuple(self.seen)))
         threshold = PHI * opt
         kept = []
         for tid in self.parallel_pool:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Decision, InvalidInstanceError, TAP, Task, TapError
-from .engine import ContractError, Engine, EngineConfig, SchedCommands, Scheduler
-from .rationals import Rat, ZERO, ONE, is_power_of_two, rat_str
+from .core import Decision, TAP, Task, TapError
+from .engine import Engine, EngineConfig, SchedCommands, Scheduler
+from .rationals import Rat, ZERO, ONE
 
 
 class MrtInvariantError(TapError):
@@ -65,16 +65,6 @@ def relaxed_rate(job: RelaxedJob, x) -> Rat:
 
 def _task_class(sigma, pi) -> Rat:
     return Rat(pi) / Rat(sigma)
-
-
-def _require_budget(view, name: str, factor: int) -> None:
-    """Refuse a budget below the ``factor`` times p that the rules assume."""
-    if view.budget < factor * view.p:
-        raise ContractError(
-            f"{name} needs a processor budget of at least {factor}p = "
-            f"{factor * view.p}, got {rat_str(view.budget)} "
-            f"(budget factor {rat_str(view.budget / view.p)})"
-        )
 
 
 # --- EQUI baseline ----------------------------------------------------------
@@ -127,6 +117,10 @@ class RigidScheduler(Scheduler):
 class SssScheduler(Scheduler):
     """Two-mode scheduler for serial-only instances (budget at least 2p).
 
+    It runs every task serially, on any input.  Whether it should declare
+    a serial-only input class, and refuse other instances, is an open
+    decision for the repository's owner (ROADMAP item 2).
+
     Silly mode (< p alive jobs): every job gets its own processor.
     Serious mode (>= p alive): the jobs carried over from the silly
     interval keep dedicated processors from the first half of the budget;
@@ -136,6 +130,7 @@ class SssScheduler(Scheduler):
     """
 
     name = "sss"
+    budget_factor = min_budget_factor = 2
 
     def __init__(self):
         self.mode = "silly"
@@ -144,7 +139,6 @@ class SssScheduler(Scheduler):
         self.modes: list = []  # (time, mode entered), per switch
 
     def setup(self, view):
-        _require_budget(view, self.name, 2)
         self.half = view.budget / 2
         return None
 
@@ -201,6 +195,7 @@ class CancScheduler(Scheduler):
     """
 
     name = "canc"
+    budget_factor, cancels = 2, True
 
     def __init__(self):
         self.half = ZERO  # of the budget: the parallel and the serial pool's
@@ -297,7 +292,7 @@ class _Nested(Scheduler):
         self.timer_times: set = set()
 
     def _nest(self, view, scheduler, budget) -> None:
-        config = EngineConfig(processor_budget=budget, allow_cancel=True)
+        config = EngineConfig(processor_budget=budget, allow_cancel=scheduler.cancels)
         self.inner = Engine(TAP(view.p, ()), scheduler, config)
 
     def _feed(self, view, task) -> None:
@@ -375,6 +370,7 @@ class BScheduler(_Nested):
     """
 
     name = "bsched"
+    budget_factor, cancels = 2, True
 
     def __init__(self):
         super().__init__()
@@ -526,6 +522,8 @@ class CScheduler(_Nested):
     """
 
     name = "csched"
+    budget_factor = min_budget_factor = 4
+    pow2_works = True
     scale = Rat(3)  # work scale of the nested B run
 
     def __init__(self):
@@ -544,7 +542,6 @@ class CScheduler(_Nested):
     def setup(self, view):
         # a unit each for the mirror and the semi-ballistic pool, up to two
         # for the class reserves
-        _require_budget(view, self.name, 4)
         self.unit = view.budget / 4
         self._nest(view, BScheduler(), self.unit)
         return None
@@ -647,11 +644,6 @@ class CScheduler(_Nested):
     # -- engine callbacks ----------------------------------------------------
 
     def on_arrival(self, view, task):
-        if not (is_power_of_two(task.sigma) and is_power_of_two(task.pi)):
-            raise InvalidInstanceError(
-                f"csched needs power-of-two works, task {task.id} has sigma "
-                f"{rat_str(task.sigma)} and pi {rat_str(task.pi)}: apply round_pow2"
-            )
         self.task_info[task.id] = task
         self.task_class[task.id] = _task_class(task.sigma, task.pi)
         self._feed(view, task)

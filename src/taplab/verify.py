@@ -63,42 +63,39 @@ from .sched_mrt import (
 
 
 def default_seed() -> int:
-    return int(os.environ.get("TAPLAB_SEED", "0"))
+    """``TAPLAB_SEED``, or 0 when it is not set."""
+    text = os.environ.get("TAPLAB_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidArgumentError(f"TAPLAB_SEED must be an integer, got {text!r}") from None
 
 
 # --- scheduler registry (shared with the CLI) -------------------------------
 
-#: name -> (factory, default budget factor, needs allow_cancel)
-SCHEDULERS = {
-    "bal": (BalScheduler, 1, False),
-    "unk": (UnkScheduler, 1, False),
-    "mwf-all-serial": (AllSerialScheduler, 1, False),
-    "mwf-all-parallel": (AllParallelScheduler, 1, False),
-    "golden": (GoldenAlg, 1, False),
-    "equi": (EquiScheduler, 1, False),
-    "rigid": (RigidScheduler, 1, False),
-    "sss": (SssScheduler, 2, False),
-    "canc": (CancScheduler, 2, True),
-    "bsched": (BScheduler, 2, True),
-    "csched": (CScheduler, 4, False),
-    "turtle": (TurtleScheduler, 1, False),
-}
+#: name -> scheduler class; each class declares its run configuration and
+#: input class (see ``engine.Scheduler``)
+SCHEDULERS = {cls.name: cls for cls in (
+    BalScheduler, UnkScheduler, AllSerialScheduler, AllParallelScheduler, GoldenAlg,
+    EquiScheduler, RigidScheduler, SssScheduler, CancScheduler, BScheduler, CScheduler,
+    TurtleScheduler,
+)}
 
 
 def make_scheduler(name: str) -> Scheduler:
     if name not in SCHEDULERS:
         raise InvalidArgumentError(f"unknown scheduler {name!r}")
-    return SCHEDULERS[name][0]()
+    return SCHEDULERS[name]()
 
 
 def run_config(name: str, p: int, factor=None, speed=ONE) -> EngineConfig:
     """The engine configuration of a registry scheduler on p processors:
-    a budget of ``factor`` (default: the registry's) times p, and
-    cancellation exactly when the scheduler needs it."""
-    _, default_factor, needs_cancel = SCHEDULERS[name]
-    factor = default_factor if factor is None else factor
+    a budget of ``factor`` (default: the class's ``budget_factor``) times
+    p, and cancellation exactly when the class ``cancels``."""
+    cls = SCHEDULERS[name]
+    factor = cls.budget_factor if factor is None else factor
     return EngineConfig(speed=speed, processor_budget=Rat(factor) * p,
-                        allow_cancel=needs_cancel)
+                        allow_cancel=cls.cancels)
 
 
 # --- one run ----------------------------------------------------------------

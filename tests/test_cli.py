@@ -88,8 +88,9 @@ class TestRun:
 
 
 def test_registry_budgets_match_perfbench(monkeypatch):
-    """The benchmark names its own budgets and cancellation; they are the
-    registry's for every scheduler both know."""
+    """The benchmark names its own classes, budgets and cancellation; they
+    are the ones the registry's classes declare, for every scheduler both
+    know."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -99,7 +100,13 @@ def test_registry_budgets_match_perfbench(monkeypatch):
     shared = SCHEDULERS.keys() & workloads.SCHEDULERS.keys()
     assert len(shared) == len(workloads.SCHEDULERS)
     for name in shared:
-        assert workloads.SCHEDULERS[name][2:] == SCHEDULERS[name][1:], name
+        cls = SCHEDULERS[name]
+        assert workloads.SCHEDULERS[name][1:] == (
+            cls.__name__, cls.budget_factor, cls.cancels), name
+
+
+def test_registry_keys_are_class_names():
+    assert all(cls.name == name for name, cls in SCHEDULERS.items())
 
 
 class TestBadInput:
@@ -230,6 +237,19 @@ class TestBadInput:
                 f"from {','.join(sorted(SCHEDULERS))}, got 'bal,bogus'") in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["gen", "random"],
+        ["sweep", "--count", "1"],
+        ["duel", "bal", "golden", "--p", "4"],
+        ["verify", "--only", "A5"],
+    ], ids=["gen", "sweep", "duel", "verify"])
+    def test_unparsable_seed_variable(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("TAPLAB_SEED", "x")
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: TAPLAB_SEED must be an integer, got 'x'\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("only, message", [
         ("A99", "unknown criterion 'A99'"),
         ("A12", "A12 compares two full battery passes"),
@@ -292,7 +312,7 @@ class TestGenRoundtrip:
         path = str(tmp_path / "inst.json")
         assert main(["gen", "random", "--p", "4", "--n", "4",
                      "--seed", "7", "-o", path]) == 0
-        tap = tap_from_json(open(path).read())
+        tap = tap_from_json(Path(path).read_text())
         assert tap.n == 4
         capsys.readouterr()
         assert main(["run", path, "unk"]) == 0
@@ -306,7 +326,7 @@ class TestGenRoundtrip:
         b = str(tmp_path / "b.json")
         main(["gen", "random", "--seed", "3", "-o", a])
         main(["gen", "random", "--seed", "3", "-o", b])
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     def test_gen_stdout(self, capsys):
         assert main(["gen", "geometric", "--p", "4"]) == 0

@@ -1,7 +1,11 @@
 """The one run path, ``taplab.verify.run``, and the registry matrix: every
-scheduler on every generator, at its default budget and at factor 1."""
+scheduler on every generator and on hypothesis-drawn instances, at its
+default budget and at factor 1, finishes or refuses exactly as its
+declared input class predicts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import taplab.verify as verify
 from taplab.adversary import (
@@ -15,10 +19,11 @@ from taplab.adversary import (
     gen_random,
     gen_random_dtap,
 )
-from taplab.core import TAP, Task, InvalidArgumentError, InvalidInstanceError, TapError
+from taplab.core import (TAP, Task, InstanceTooLargeError, InvalidArgumentError,
+                         InvalidInstanceError, TapError)
 from taplab.engine import ContractError, EngineConfig
 from taplab.oracle import opt_trt_lower
-from taplab.rationals import Rat, ZERO, ONE
+from taplab.rationals import Rat, ZERO, ONE, is_power_of_two
 from taplab.sched_awake import BalScheduler
 from taplab.verify import SCHEDULERS, run
 
@@ -36,36 +41,77 @@ INSTANCES = {
     "geometric": gen_geometric(4),
     "cheap-expensive": gen_mrt_cheap_expensive(16),
     "c-trigger": gen_c_trigger(8, 4),
+    "plain-16": gen_random(GenParams(p=4, n=16, ratio_distribution="pow2", seed=1)),
 }
-NOT_POW2 = {f"random-{ratio}-{arrival}"
-            for ratio in ("uniform", "extremes") for arrival in ARRIVALS} | {"dtap-random"}
-DTAPS = {"dtap-random", "dtap-levels"}
 
 
-def _refusal(name, factor, label):
-    """The error a run raises, or None where it finishes."""
-    if name in ("sss", "csched") and factor == 1:
-        return ContractError  # below the 2p and 4p budgets their rules assume
-    if name == "csched" and label in NOT_POW2:
-        return InvalidInstanceError  # power-of-two works only
-    if name == "golden" and label in DTAPS:
-        return TapError  # its awake oracle needs a plain TAP
+def predicted_refusal(cls, factor, tap):
+    """The error the declaration of ``cls`` predicts for a run on ``tap``
+    at budget ``factor`` (None: the class's default), or None."""
+    if (cls.budget_factor if factor is None else factor) < cls.min_budget_factor:
+        return ContractError
+    if cls.pow2_works and not all(
+        is_power_of_two(t.sigma) and is_power_of_two(t.pi) for t in tap.tasks
+    ):
+        return InvalidInstanceError
+    if cls.max_plain_n is not None:
+        if tap.has_deps:
+            return TapError
+        if tap.n > cls.max_plain_n:
+            return InstanceTooLargeError
     return None
+
+
+def outcome(name, tap, factor):
+    """The type of the error a run raises, None for a run that finishes
+    valid and complete, and "invalid or incomplete" for any other run."""
+    try:
+        done = run(name, tap, factor)
+    except TapError as exc:
+        return type(exc)
+    return None if done.violations == [] and done.complete else "invalid or incomplete"
 
 
 @pytest.mark.parametrize("factor", [None, 1], ids=["default", "factor-1"])
 @pytest.mark.parametrize("name", sorted(SCHEDULERS))
 def test_every_scheduler_finishes_or_refuses(name, factor):
-    got = {}
-    for label, tap in INSTANCES.items():
-        try:
-            done = run(name, tap, factor)
-        except TapError as exc:
-            got[label] = type(exc)
-        else:
-            assert done.violations == [] and done.complete, label
-            got[label] = None
-    assert got == {label: _refusal(name, factor, label) for label in INSTANCES}
+    got = {label: outcome(name, tap, factor) for label, tap in INSTANCES.items()}
+    cls = SCHEDULERS[name]
+    assert got == {label: predicted_refusal(cls, factor, tap)
+                   for label, tap in INSTANCES.items()}
+
+
+def test_the_matrix_meets_every_refusal():
+    """Each kind of refusal is predicted somewhere in the matrix, so the
+    matrix checks both directions for all of them."""
+    predicted = {
+        predicted_refusal(cls, factor, tap)
+        for cls in SCHEDULERS.values() for factor in (None, 1) for tap in INSTANCES.values()
+    }
+    assert predicted == {None, ContractError, InvalidInstanceError, TapError,
+                         InstanceTooLargeError}
+
+
+@st.composite
+def drawn_taps(draw):
+    """Plain TAPs and DTAPs with power-of-two or raw works, n <= 8."""
+    params = GenParams(
+        p=draw(st.sampled_from([2, 4, 8])),
+        n=draw(st.integers(min_value=0, max_value=8)),
+        ratio_distribution=draw(st.sampled_from(RATIOS)),
+        arrival_pattern=draw(st.sampled_from(ARRIVALS)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+    )
+    return gen_random_dtap(params) if draw(st.booleans()) else gen_random(params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn_taps())
+def test_declarations_predict_every_refusal(tap):
+    for name, cls in SCHEDULERS.items():
+        for factor in (None, 1):
+            assert outcome(name, tap, factor) == predicted_refusal(cls, factor, tap), (
+                name, factor)
 
 
 @pytest.mark.parametrize("adversary", ["golden", "flood"])
