@@ -45,6 +45,8 @@ SWEEP_COLUMNS = [
     "instance", "scheduler", "p", "n", "awake", "trt", "opt_awake", "trt_lb",
     "ratio_awake", "ratio_trt_lb", "max_ballistic_over_2sigma", "violations",
 ]
+#: largest n on which ``sweep`` runs the exhaustive awake oracle
+SWEEP_ORACLE_BOUND = 14
 
 
 def _seed(args) -> int:
@@ -155,7 +157,7 @@ def _sweep_bounds(tap: TAP, args) -> tuple:
         return opt, lb
     if args.oracle in ("exhaustive", "both"):
         try:
-            opt, _ = opt_awake_exhaustive(tap, bound=args.oracle_bound)
+            opt, _ = opt_awake_exhaustive(tap, bound=SWEEP_ORACLE_BOUND)
         except InstanceTooLargeError:
             pass
     if args.oracle in ("lb", "both"):
@@ -270,7 +272,7 @@ def cmd_oracle(args) -> int:
         if args.objective != "awake":
             raise InvalidArgumentError(
                 "exhaustive oracle supports only the awake objective")
-        value, decisions = opt_awake_exhaustive(tap, bound=args.bound)
+        value, decisions = opt_awake_exhaustive(tap)
         record = {
             "method": "exhaustive",
             "objective": "awake",
@@ -384,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--schedulers", type=_scheduler_list, default="bal,unk")
     p_sweep.add_argument("--oracle", default="both",
                          choices=["exhaustive", "lb", "both", "none"])
-    p_sweep.add_argument("--oracle-bound", type=int, default=14,
-                         help="largest n the exhaustive oracle will attempt")
     p_sweep.add_argument("--jobs", type=int,
                          help="ignored: the sweep runs in one thread")
     p_sweep.add_argument("-o", "--output")
@@ -408,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--method", default="exhaustive",
                           choices=["exhaustive", "grid", "lb"])
     p_oracle.add_argument("--grid", type=_positive_rational, default="1/4")
-    p_oracle.add_argument("--bound", type=int, default=20)
     p_oracle.set_defaults(func=cmd_oracle)
 
     p_verify = subs.add_parser("verify", help="run the acceptance battery")

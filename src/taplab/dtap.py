@@ -35,16 +35,13 @@ class TurtleScheduler(Scheduler):
 
     name = "turtle"
 
-    def _on_available(self, view, task):
+    def on_arrival(self, view, task):
         decision = (
             Decision.PARALLEL
             if turtle_classify(task, view.p) == FAIRLY_PARALLEL
             else Decision.SERIAL
         )
         return SchedCommands(starts={task.id: decision})
-
-    def on_arrival(self, view, task):
-        return self._on_available(view, task)
 
     def allocate(self, view) -> dict:
         fp = []

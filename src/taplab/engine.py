@@ -75,6 +75,12 @@ class EngineConfig:
     allow_cancel: bool = False
 
 
+def _budget(tap: TAP, config: EngineConfig) -> Rat:
+    """The processor budget of a run: the configured one, else p."""
+    budget = config.processor_budget
+    return Rat(tap.p if budget is None else budget)
+
+
 @dataclass
 class Trace:
     """Full execution record of one simulation run."""
@@ -229,8 +235,7 @@ class Engine:
             raise ContractError(f"speed must be positive, got {self.speed}")
         tap.validate()  # p >= 2 before the budget check divides by it
         self.p = tap.p
-        budget = self.config.processor_budget
-        self.budget = Rat(tap.p if budget is None else budget)
+        self.budget = _budget(tap, self.config)
         least = scheduler.min_budget_factor
         if self.budget < least * tap.p:
             raise ContractError(
@@ -563,7 +568,7 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
     over its final run, from its last cancellation to its completion."""
     config = config or EngineConfig()
     report = ValidationReport()
-    budget = Rat(config.processor_budget) if config.processor_budget is not None else Rat(tap.p)
+    budget = _budget(tap, config)
     tasks = {t.id: t for t in tap.tasks}
     # extra tasks may have been injected by an adversary; trust trace arrivals
     cancel_times: dict[int, Rat] = {}

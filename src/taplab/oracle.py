@@ -438,16 +438,11 @@ def _srpt_trt(tap: TAP) -> Rat:
         while idx < len(pending) and pending[idx].arrival <= now:
             remaining[pending[idx].id] = pending[idx].sigma
             idx += 1
-        if not remaining:
-            continue
         tid = min(remaining, key=lambda i: (remaining[i], i))
         finish = now + remaining[tid] / p
         nxt = pending[idx].arrival if idx < len(pending) else None
         if nxt is not None and nxt < finish:
-            remaining[tid] -= p * (nxt - now)
-            if remaining[tid] == 0:
-                trt += nxt - arrival_of[tid]
-                del remaining[tid]
+            remaining[tid] -= p * (nxt - now)  # positive: nxt < finish
             now = nxt
         else:
             trt += finish - arrival_of[tid]

@@ -187,6 +187,10 @@ class UnkScheduler(_MwfMixin, Scheduler):
         return self._try_starts(view)
 
 
+def _parallel_running(view) -> bool:
+    return any(view.decision(tid) is Decision.PARALLEL for tid in view.running_ids())
+
+
 class GoldenAlg(_MwfMixin, Scheduler):
     """Experimental scheduler built around the golden-ratio conjecture.
 
@@ -202,39 +206,28 @@ class GoldenAlg(_MwfMixin, Scheduler):
 
     def __init__(self):
         self.seen: list[Task] = []
-        self.parallel_pool: list[int] = []  # undecided, arrival order
 
     def _commands(self, view) -> SchedCommands:
         starts: dict[int, Decision] = {}
         opt, _ = opt_awake_exhaustive(TAP(view.p, tuple(self.seen)))
         threshold = PHI * opt
-        kept = []
-        for tid in self.parallel_pool:
+        kept = []  # the parallel pool: undecided tasks, arrival order
+        for tid in view.unstarted_ids():
             if view.task(tid).sigma + view.awake_so_far < threshold:
                 starts[tid] = Decision.SERIAL
             else:
                 kept.append(tid)
-        self.parallel_pool = kept
-        # one running parallel task, earliest arrival first
-        parallel_running = any(
-            view.decision(tid) is Decision.PARALLEL for tid in view.running_ids()
-        )
-        if not parallel_running and self.parallel_pool:
-            tid = self.parallel_pool.pop(0)
-            starts[tid] = Decision.PARALLEL
+        if kept and not _parallel_running(view):
+            starts[kept[0]] = Decision.PARALLEL
         return SchedCommands(starts=starts)
 
     def on_arrival(self, view, task):
         self.seen.append(task)
-        self.parallel_pool.append(task.id)
         return self._commands(view)
 
     def on_completion(self, view, tid):
-        if not self.parallel_pool:
+        # one running parallel task, earliest arrival first
+        pool = view.unstarted_ids()
+        if not pool or _parallel_running(view):
             return None
-        parallel_running = any(
-            view.decision(t) is Decision.PARALLEL for t in view.running_ids()
-        )
-        if parallel_running:
-            return None
-        return SchedCommands(starts={self.parallel_pool.pop(0): Decision.PARALLEL})
+        return SchedCommands(starts={pool[0]: Decision.PARALLEL})

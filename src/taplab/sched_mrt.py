@@ -87,29 +87,22 @@ class RigidScheduler(Scheduler):
 
     name = "rigid"
 
-    def __init__(self):
-        self.queue: list[int] = []
-        self.current: int | None = None
-
     def _start_next(self, view):
-        if self.current is not None or not self.queue:
+        # the waiting tasks are in (availability, id) order: arrival order
+        waiting = view.unstarted_ids()
+        if view.running_ids() or not waiting:
             return None
-        self.current = self.queue.pop(0)
-        return SchedCommands(starts={self.current: Decision.PARALLEL})
+        return SchedCommands(starts={waiting[0]: Decision.PARALLEL})
 
     def on_arrival(self, view, task):
-        self.queue.append(task.id)
         return self._start_next(view)
 
     def on_completion(self, view, tid):
-        if tid == self.current:
-            self.current = None
         return self._start_next(view)
 
     def allocate(self, view) -> dict:
-        if self.current is None:
-            return {}
-        return {self.current: Rat(view.p)}
+        running = view.running_ids()
+        return {running[0]: Rat(view.p)} if running else {}
 
 
 # --- SSS --------------------------------------------------------------------
@@ -134,13 +127,8 @@ class SssScheduler(Scheduler):
 
     def __init__(self):
         self.mode = "silly"
-        self.half = ZERO  # of the budget: the scary jobs' share
         self.scary: set[int] = set()
         self.modes: list = []  # (time, mode entered), per switch
-
-    def setup(self, view):
-        self.half = view.budget / 2
-        return None
 
     def _update_mode(self, view, arriving: int | None = None):
         alive = view.alive_ids()
@@ -176,7 +164,8 @@ class SssScheduler(Scheduler):
         alloc = {tid: ONE for tid in running if tid not in self.scary}
         alloc.update(
             equi_alloc(
-                [tid for tid in running if tid in self.scary], self.half, serial_cap=True
+                [tid for tid in running if tid in self.scary], view.budget / 2,
+                serial_cap=True,
             )
         )
         return alloc
@@ -198,22 +187,17 @@ class CancScheduler(Scheduler):
     budget_factor, cancels = 2, True
 
     def __init__(self):
-        self.half = ZERO  # of the budget: the parallel and the serial pool's
         self.relaxed: dict[int, RelaxedJob] = {}
-        self.pool_entry: dict[int, Rat] = {}
-        self.par_shares: dict[int, Rat] = {}
         self.last_sync = ZERO
         self.pool_ages: list = []  # (id, pool age), per cancellation
 
-    def setup(self, view):
-        self.half = view.budget / 2
-        return None
-
     def _sync(self, view):
+        # each job ran at its task's rate since the last callback; a task
+        # completing now has lost its rate, but its job is never checked again
         dt = view.now - self.last_sync
         if dt > 0:
             for tid, job in self.relaxed.items():
-                job.progress += relaxed_rate(job, self.par_shares.get(tid, ZERO)) * dt
+                job.progress += relaxed_rate(job, view.current_rate(tid)) * dt
         self.last_sync = view.now
         for tid, job in self.relaxed.items():
             if (
@@ -231,7 +215,6 @@ class CancScheduler(Scheduler):
         self.relaxed[task.id] = RelaxedJob(
             task.id, 2 * task.sigma, _task_class(task.sigma, task.pi)
         )
-        self.pool_entry[task.id] = view.now
         return SchedCommands(
             starts={task.id: Decision.PARALLEL},
             timers=[(view.now + task.sigma, ("canc", task.id))],
@@ -240,7 +223,6 @@ class CancScheduler(Scheduler):
     def on_completion(self, view, tid):
         self._sync(view)
         self.relaxed.pop(tid, None)
-        self.par_shares.pop(tid, None)
         return None
 
     def on_timer(self, view, tag):
@@ -251,11 +233,10 @@ class CancScheduler(Scheduler):
         # completion is checked first; only strictly-alive tasks cancel
         if view.status(tid) != "running" or view.remaining(tid) == 0:
             return None
-        age = view.now - self.pool_entry[tid]
+        age = view.now - view.avail_time(tid)
         if age != view.task(tid).sigma:  # pragma: no cover
             raise MrtInvariantError(f"cancel timer for {tid} at pool age {age}")
         del self.relaxed[tid]
-        self.par_shares.pop(tid, None)
         self.pool_ages.append((tid, age))
         return SchedCommands(cancels={tid}, starts={tid: Decision.SERIAL})
 
@@ -263,14 +244,14 @@ class CancScheduler(Scheduler):
         parallel = [
             tid for tid in self.relaxed if view.status(tid) == "running"
         ]
-        alloc = equi_alloc(parallel, self.half, serial_cap=False)
-        self.par_shares = dict(alloc)
+        half = view.budget / 2
+        alloc = equi_alloc(parallel, half, serial_cap=False)
         serial = [
             tid
             for tid in view.running_ids()
             if view.decision(tid) is Decision.SERIAL
         ]
-        alloc.update(equi_alloc(serial, self.half, serial_cap=True))
+        alloc.update(equi_alloc(serial, half, serial_cap=True))
         return alloc
 
 
@@ -286,7 +267,6 @@ class _Nested(Scheduler):
 
     def __init__(self):
         self.inner: Engine | None = None
-        self.last_sync = ZERO
         self.completions_read = 0
         self.cancellations_read = 0
         self.timer_times: set = set()
@@ -301,8 +281,8 @@ class _Nested(Scheduler):
 
     def _catch_up(self, view) -> Rat:
         """Advance the nested run to the outer clock; the time since the last call."""
+        dt = view.now - self.inner.now
         self.inner.advance_to(view.now)
-        dt, self.last_sync = view.now - self.last_sync, view.now
         return dt
 
     def _new_completions(self) -> list:
@@ -374,14 +354,12 @@ class BScheduler(_Nested):
 
     def __init__(self):
         super().__init__()
-        self.half = ZERO  # of the budget: the serial pool's
         self.types: dict[tuple, _TypeState] = {}  # by (sigma, pi), in first-arrival order
         self.type_of: dict[int, _TypeState] = {}  # task id -> its type
         self.fakes: list[Rat] = []  # remaining work of each fake serial task
         self.fake_share = ZERO
 
     def setup(self, view):
-        self.half = view.budget / 2
         self._nest(view, CancScheduler(), view.budget)
         return None
 
@@ -487,7 +465,7 @@ class BScheduler(_Nested):
             if view.decision(tid) is Decision.SERIAL
         ]
         k = len(serial) + len(self.fakes)
-        share = min(ONE, self.half / k) if k else ZERO
+        share = min(ONE, view.budget / (2 * k)) if k else ZERO
         for tid in serial:
             alloc[tid] = share
         self.fake_share = share
@@ -511,7 +489,8 @@ class CScheduler(_Nested):
     Works in units of a quarter of the budget (p at the default 4p).
     Simulates B on a copy of the input with all works scaled by 3 on one
     unit, and mirrors B's allocations onto its own tasks.  A task
-    is vested once it receives parallel rate here.  When the nested B
+    is vested once it is started in parallel here (for good: this
+    scheduler never cancels).  When the nested B
     serializes or parallel-completes a vested task this scheduler has not
     finished, the task goes ballistic: its parallelism class enters
     emergency, all the class's mirrored parallel rate is redirected to the
@@ -529,14 +508,11 @@ class CScheduler(_Nested):
     def __init__(self):
         super().__init__()
         self.unit = ZERO  # a quarter of the budget
-        self.task_info: dict[int, Task] = {}
         self.task_class: dict[int, Rat] = {}  # fixed at arrival
-        self.vested: set[int] = set()
         self.ballistic: set[int] = set()
         self.semibal: set[int] = set()
         self.stolen: dict[int, Rat] = {}
         self.flows: list = []  # (victim tid, rate) active over the last slice
-        self.seen_decisions: dict[int, Decision] = {}
         self.mode_records: list[_ModeRecord] = []
 
     def setup(self, view):
@@ -550,26 +526,18 @@ class CScheduler(_Nested):
         """Classes with a ballistic task; an empty tuple while none is."""
         return {self.task_class[tid] for tid in self.ballistic} if self.ballistic else ()
 
-    def _smallest_ballistic(self, cls) -> int:
-        candidates = [
-            tid for tid in self.ballistic if self.task_class[tid] == cls
-        ]
-        candidates.sort(key=lambda tid: (self.task_info[tid].sigma, tid))
-        if len(candidates) >= 2 and (
-            self.task_info[candidates[0]].sigma
-            == self.task_info[candidates[1]].sigma
-        ):
-            raise MrtInvariantError(
-                f"two concurrently-ballistic tasks of class {cls} share "
-                f"serial work {self.task_info[candidates[0]].sigma}"
-            )
-        return candidates[0]
+    def _smallest_ballistic(self, view, cls) -> int:
+        # no two share a sigma: _enter_ballistic checks it
+        return min(
+            (tid for tid in self.ballistic if self.task_class[tid] == cls),
+            key=lambda tid: (view.task(tid).sigma, tid),
+        )
 
     def _enter_ballistic(self, view, tid, trigger):
         cls = self.task_class[tid]
-        sigma = self.task_info[tid].sigma
+        sigma = view.task(tid).sigma
         for other in self.ballistic:
-            if self.task_class[other] == cls and self.task_info[other].sigma == sigma:
+            if self.task_class[other] == cls and view.task(other).sigma == sigma:
                 raise MrtInvariantError(
                     f"tasks {other} and {tid} are concurrently ballistic with "
                     f"equal serial work in class {cls}"
@@ -593,41 +561,38 @@ class CScheduler(_Nested):
                 self.stolen[victim] = self.stolen.get(victim, ZERO) + rate * dt
         commands = SchedCommands()
         outer_done = view.trace.completions
-        # transitions driven by the nested B run
+        # transitions driven by the nested B run: B serialized the task
+        # (cancelled it, or never ran it parallel).  A serial decision there
+        # is final, so handling it again at a later callback changes nothing;
+        # None -> PARALLEL is the vesting scan's
         for tid, (dec, _, _) in self.inner.trace.decisions.items():
-            if self.seen_decisions.get(tid) is dec:
+            if dec is not Decision.SERIAL or tid in outer_done:
                 continue
-            self.seen_decisions[tid] = dec
-            if dec is Decision.SERIAL:
-                # B serialized the task (cancelled it, or never ran it parallel)
-                if tid in self.vested and tid not in outer_done:
-                    if tid not in self.ballistic:
-                        self._enter_ballistic(view, tid, "serialized")
-                elif view.decision(tid) is None and tid not in self.semibal:
-                    commands.starts[tid] = Decision.SERIAL
-            # None -> PARALLEL transitions are handled by the vesting scan
+            decided = view.decision(tid)
+            if decided is None:
+                commands.starts[tid] = Decision.SERIAL
+            elif decided is Decision.PARALLEL and tid not in self.ballistic:
+                self._enter_ballistic(view, tid, "serialized")
         for tid in self._new_completions():
-            if self.seen_decisions.get(tid) is not Decision.PARALLEL:
+            if self.inner.decision[tid] is not Decision.PARALLEL:
                 continue  # serial completion inside the nested run
             if tid in outer_done:
                 continue
-            if tid in self.vested:
+            if view.decision(tid) is Decision.PARALLEL:  # vested
                 if tid not in self.ballistic:
                     self._enter_ballistic(view, tid, "inner-completed")
             elif tid not in self.semibal:
                 self._enter_semibal(view, tid, "inner-completed", commands)
-        # vesting: nested B runs the task in parallel and its class is calm
+        # vesting: nested B runs the task in parallel, it is undecided here
+        # (so neither vested, finished nor semi-ballistic) and its class is calm
         emergency = self._emergency_classes()
         for tid in self.inner.alloc:
             if self.inner.decision.get(tid) is not Decision.PARALLEL:
-                continue
-            if tid in self.vested or tid in outer_done or tid in self.semibal:
                 continue
             if view.decision(tid) is not None:
                 continue
             if emergency and self.task_class[tid] in emergency:
                 continue  # vesting paused for the class
-            self.vested.add(tid)
             commands.starts[tid] = Decision.PARALLEL
         # redirect flows for the next slice
         self.flows = [
@@ -644,7 +609,6 @@ class CScheduler(_Nested):
     # -- engine callbacks ----------------------------------------------------
 
     def on_arrival(self, view, task):
-        self.task_info[task.id] = task
         self.task_class[task.id] = _task_class(task.sigma, task.pi)
         self._feed(view, task)
         return self._sync(view)
@@ -672,7 +636,7 @@ class CScheduler(_Nested):
             dec = self.inner.decision.get(tid)
             if dec is Decision.PARALLEL:
                 if emergency and (cls := self.task_class[tid]) in emergency:
-                    add(self._smallest_ballistic(cls), rate)
+                    add(self._smallest_ballistic(view, cls), rate)
                 elif (
                     tid not in outer_done
                     and view.decision(tid) is Decision.PARALLEL
@@ -690,7 +654,7 @@ class CScheduler(_Nested):
         # class reserves for ballistic tasks: class ratio 2^j times unit/p
         # each (2^j processors at the default budget)
         for cls in emergency:
-            add(self._smallest_ballistic(cls), cls * self.unit / view.p)
+            add(self._smallest_ballistic(view, cls), cls * self.unit / view.p)
         # semi-ballistic pool: EQUI with the serial cap on the second unit
         semibal_running = [
             tid

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.util
 import json
@@ -12,9 +13,10 @@ import taplab
 from taplab.cli import main
 from taplab.core import TAP, Task, TapError, metrics_from_trace, tap_from_json, tap_to_json
 from taplab.engine import simulate
-from taplab.rationals import PHI, Rat, ZERO, parse_rat
+from taplab.oracle import grid_opt
+from taplab.rationals import PHI, Rat, ZERO, parse_rat, rat_str
 from taplab.sched_awake import BalScheduler
-from taplab.verify import SCHEDULERS
+from taplab.verify import SCHEDULERS, run
 
 
 def _write(tmp_path, tap, name="tap.json"):
@@ -447,8 +449,72 @@ class TestOracle:
         assert parse_rat(out["value"]) == 1
         assert out["decisions"] == {"0": "parallel"}
 
+    @pytest.mark.parametrize("objective", ["awake", "trt"])
+    def test_grid_method(self, tmp_path, capsys, objective):
+        tap = TAP(4, (Task(0, Rat(1), Rat(4), ZERO), Task(1, Rat(2), Rat(2), Rat(1))))
+        path = _write(tmp_path, tap)
+        assert main(["oracle", path, "--method", "grid", "--objective", objective]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["method"] == "grid" and out["objective"] == objective
+        assert out["grid"] == "1/4"
+        assert parse_rat(out["value"]) == grid_opt(tap, objective, Rat(1, 4))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--objective", "trt"], "exhaustive oracle supports only the awake objective"),
+        (["--method", "lb"], "the lower-bound oracle supports only the trt objective"),
+    ], ids=["exhaustive-trt", "lb-awake"])
+    def test_objective_refused(self, tmp_path, capsys, argv, message):
+        path = _write(tmp_path, _golden_tap())
+        assert main(["oracle", path, *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["oracle", "{tap}", "--bound", "3"],
+        ["sweep", "--count", "1", "--oracle-bound", "3"],
+    ], ids=["oracle", "sweep"])
+    def test_no_oracle_bound_flags(self, tmp_path, capsys, argv):
+        """The exhaustive oracle's bound is fixed per command: 20 for
+        ``oracle`` (the function's default), 14 for ``sweep``."""
+        tap = _write(tmp_path, _golden_tap())
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(tap=tap) for arg in argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSweep:
+    def test_refused_run_is_a_row(self, tmp_path, capsys):
+        """A scheduler that refuses an instance gets a row carrying the
+        refusal and a warning; the other rows and the exit status stand."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        _write(corpus, TAP(4, (Task(0, Rat(3), Rat(6), ZERO),)), "odd.json")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--dir", str(corpus), "--schedulers", "bal,csched",
+                     "-o", str(out)]) == 0
+        refusal = "csched needs power-of-two works, task 0 has sigma 3 and pi 6: apply round_pow2"
+        _, bal, csched = csv.reader(out.read_text().splitlines())
+        assert bal == ["odd.json", "bal", "4", "1", "3/2", "3/2", "3/2", "3/2", "1", "1", "", ""]
+        assert csched == ["odd.json", "csched", "4", "1"] + [""] * 7 + [refusal]
+        assert capsys.readouterr().err == f"warning: odd.json/csched: {refusal}\n"
+
+    def test_ballistic_column(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        path = corpus / "ct.json"
+        assert main(["gen", "c-trigger", "--p", "8", "--sigma-t", "2", "-o", str(path)]) == 0
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--dir", str(corpus), "--schedulers", "csched",
+                     "-o", str(out)]) == 0
+        header, row = out.read_text().strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        tap = tap_from_json(path.read_text())
+        ratios = [(r.exited - r.entered) / (2 * tap.task(r.task_id).sigma)
+                  for r in run("csched", tap).scheduler.mode_records
+                  if r.mode == "ballistic"]
+        assert cells["max_ballistic_over_2sigma"] == rat_str(max(ratios)) == "5/64"
+        assert cells["violations"] == ""
+
     def test_deterministic_and_bounded(self, tmp_path):
         args = ["sweep", "--count", "6",
                 "--p-list", "4,8", "--n", "5", "--seed", "11",

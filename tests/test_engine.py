@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import is_dataclass
 
 import pytest
@@ -10,6 +11,7 @@ from taplab import engine as engine_mod, sched_mrt
 from taplab.adversary import GenParams, gen_random, gen_random_dtap
 from taplab.core import Decision, TAP, Task, metrics_from_trace, scale_tap
 from taplab.engine import (
+    Adversary,
     ContractError,
     Engine,
     EngineConfig,
@@ -51,6 +53,75 @@ class _Fixed(Scheduler):
             for tid in parallel:
                 alloc[tid] = left / len(parallel)
         return alloc
+
+
+class _Rogue(_Fixed):
+    """``_Fixed`` serially, except that ``arrival(view, task)`` and
+    ``alloc(view)``, when given, replace its arrival commands and its
+    allocation."""
+
+    def __init__(self, arrival=None, alloc=None):
+        super().__init__(Decision.SERIAL)
+        self.arrival, self.alloc = arrival, alloc
+
+    def on_arrival(self, view, task):
+        return self.arrival(view, task) if self.arrival else super().on_arrival(view, task)
+
+    def allocate(self, view):
+        return self.alloc(view) if self.alloc else super().allocate(view)
+
+
+class _Injector(Adversary):
+    """Injects ``tasks`` at every quiet instant after time ``after``."""
+
+    def __init__(self, tasks, after=-1):
+        self.tasks, self.after = tasks, after
+
+    def on_event(self, view):
+        return self.tasks if view.now > self.after else []
+
+
+ONE_TASK = TAP(2, (T(0, 1, 2),))
+LATE_SECOND = TAP(2, (T(0, 1, 2), T(1, 1, 2, arrival=5)))
+#: (id, tap, scheduler, adversary, allow_cancel, error, message): one broken
+#: contract each
+MISBEHAVIOURS = [
+    ("duplicate-injected-id", ONE_TASK, _Rogue(), _Injector([T(0, 1, 2)]), False,
+     ContractError, "duplicate task id 0"),
+    ("injected-in-the-past", ONE_TASK, _Rogue(), _Injector([T(5, 1, 2)], after=0), False,
+     ContractError, "injected task 5 arrives in the past (0 < 1)"),
+    ("cancel-not-running", LATE_SECOND,
+     _Rogue(arrival=lambda view, task: SchedCommands(starts={0: Decision.SERIAL},
+                                                     cancels={1})),
+     None, True, ContractError, "cannot cancel task 1: not running"),
+    ("cancel-serial", TAP(2, (T(0, 1, 2), T(1, 1, 2))),
+     _Rogue(arrival=lambda view, task: SchedCommands(
+         starts={0: Decision.SERIAL}) if task.id == 0 else SchedCommands(cancels={0})),
+     None, True, ContractError, "cannot cancel serial task 0"),
+    ("start-not-arrived", LATE_SECOND,
+     _Rogue(arrival=lambda view, task: SchedCommands(
+         starts={0: Decision.SERIAL, 1: Decision.SERIAL})),
+     None, False, ContractError, "cannot start task 1: status 'pending'"),
+    ("timer-in-the-past", ONE_TASK,
+     _Rogue(arrival=lambda view, task: SchedCommands(timers=[(-1, "late")])),
+     None, False, ContractError, "timer in the past: -1 < 0"),
+    ("negative-rate", ONE_TASK, _Rogue(alloc=lambda view: {0: Rat(-1)}),
+     None, False, FeasibilityError, "negative rate for task 0"),
+    ("rate-not-running", LATE_SECOND, _Rogue(alloc=lambda view: {0: ONE, 1: ONE}),
+     None, False, FeasibilityError, "rate for task 1 which is not started/unfinished"),
+    ("serial-rate-above-1", ONE_TASK, _Rogue(alloc=lambda view: {0: Rat(2)}),
+     None, False, FeasibilityError, "serial task 0 rate 2 > 1"),
+    ("no-progress", ONE_TASK, _Rogue(arrival=lambda view, task: None),
+     None, False, RunawayError, "alive tasks but no future events: scheduler made no progress"),
+]
+
+
+@pytest.mark.parametrize("tap, scheduler, adversary, allow_cancel, error, message",
+                         [pytest.param(*row[1:], id=row[0]) for row in MISBEHAVIOURS])
+def test_engine_refuses_a_broken_contract(tap, scheduler, adversary, allow_cancel, error,
+                                          message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        simulate(tap, scheduler, EngineConfig(allow_cancel=allow_cancel), adversary)
 
 
 class TestSingleTask:
@@ -211,6 +282,10 @@ _LIVE = ("arrived", "running")
 CORPUS_TRACES_SHA256 = "4ce4ec4259f70fe968c9ed256c4fba3544f3395fe6b0a4d69883188fb6af684b"
 #: SHA-256 of the diagnostic records the schedulers keep over the same runs
 CORPUS_RECORDS_SHA256 = "0dedbb3659a5957db827bb81949d8d7dd9e4d350a2ea669511059fd7d5d74956"
+#: the same two digests over ``_wide_corpus()``, recorded before the MRT
+#: schedulers dropped their copies of engine state
+WIDE_TRACES_SHA256 = "f0b11a2492a3105ffa97f2438af758d1bb3530d5eddaa81a5f444b5352cc9490"
+WIDE_RECORDS_SHA256 = "74641d64e33ca0690178327890c85a70a138419f72c3c07b388f1bdb0cdd398e"
 
 
 def _corpus():
@@ -225,6 +300,20 @@ def _corpus():
     for k in range(12):
         runs.append((gen_random_dtap(GenParams(p=(4, 16)[k % 2], n=1 + k % 8,
                                                seed=8000 + k)), "turtle"))
+    return runs
+
+
+def _wide_corpus():
+    """Every MRT scheduler on larger pow2 instances at p=32, where C's
+    emergency classes overlap: an order change there (in the allocation's
+    keys, say) shows on these and not on ``_corpus()``."""
+    runs = []
+    for n, arrivals, seed in ((25, "bursty", 50122), (26, "batch", 50247),
+                              (33, "poisson", 50263), (40, "poisson", 50300),
+                              (36, "bursty", 50301), (30, "batch", 50302)):
+        tap = gen_random(GenParams(p=32, n=n, ratio_distribution="pow2",
+                                   arrival_pattern=arrivals, seed=seed))
+        runs += [(tap, name) for name in MRT]
     return runs
 
 
@@ -420,16 +509,23 @@ def reference_validate(trace: Trace, tap: TAP, config: EngineConfig | None = Non
     return violations
 
 
+def _digests(runs) -> tuple:
+    """SHA-256 of the traces and of the scheduler records of ``runs``."""
+    digest, records = hashlib.sha256(), hashlib.sha256()
+    for tap, name in runs:
+        sched = make_scheduler(name)
+        trace = simulate(tap, sched, run_config(name, tap.p))
+        digest.update(_trace_text(trace).encode())
+        records.update(json.dumps(_plain(_records(name, sched))).encode())
+    return digest.hexdigest(), records.hexdigest()
+
+
 class TestFastPaths:
     def test_corpus_traces_unchanged(self):
-        digest, records = hashlib.sha256(), hashlib.sha256()
-        for tap, name in _corpus():
-            sched = make_scheduler(name)
-            trace = simulate(tap, sched, run_config(name, tap.p))
-            digest.update(_trace_text(trace).encode())
-            records.update(json.dumps(_plain(_records(name, sched))).encode())
-        assert digest.hexdigest() == CORPUS_TRACES_SHA256
-        assert records.hexdigest() == CORPUS_RECORDS_SHA256
+        assert _digests(_corpus()) == (CORPUS_TRACES_SHA256, CORPUS_RECORDS_SHA256)
+
+    def test_wide_corpus_traces_unchanged(self):
+        assert _digests(_wide_corpus()) == (WIDE_TRACES_SHA256, WIDE_RECORDS_SHA256)
 
     def test_cached_times_and_indexes_match_scans(self, monkeypatch):
         # nested engines (bsched inside csched, canc inside bsched) too

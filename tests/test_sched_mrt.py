@@ -241,6 +241,29 @@ class TestC:
             assert trace.decisions[r.task_id][0] is S
         assert trace.cancellations == []
 
+    def test_crafted_inner_completed_ballistic(self):
+        """The nested B parallel-completes a vested task this scheduler has
+        not finished.  Task 8 (class 4, like the target) arrives at 25/4,
+        inside the target's emergency, so its mirrored rate goes to the
+        target until the target finishes at 19/3; task 8 vests then, and
+        the nested B completes its copy at 203/32, before task 8 finishes
+        here."""
+        tap = gen_c_trigger(16, Rat(2), with_candidate=False)
+        tap = TAP(16, tap.tasks + (T(8, Rat(1, 16), Rat(1, 4), Rat(25, 4)),))
+        done = run("csched", tap)
+        assert done.complete and done.violations == []
+        assert done.trace.decisions[8] == (P, Rat(19, 3), Rat(19, 3))
+        assert [(r.task_id, r.mode, r.trigger, r.entered, r.exited)
+                for r in done.scheduler.mode_records] == [
+            (0, "ballistic", "serialized", Rat(6), Rat(19, 3)),
+            (8, "ballistic", "inner-completed", Rat(203, 32), Rat(613, 96)),
+        ]
+        # A8's checks on the episode: stolen work at least 2 pi, and the
+        # episode no longer than 2 sigma
+        assert done.scheduler.stolen == {8: Rat(2, 3)}
+        assert done.scheduler.stolen[8] >= 2 * tap.task(8).pi
+        assert Rat(613, 96) - Rat(203, 32) <= 2 * tap.task(8).sigma
+
     @given(small_taps(max_n=6, pow2=True))
     @settings(max_examples=20, deadline=None)
     def test_never_cancels_and_completes(self, tap):
