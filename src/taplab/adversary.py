@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 from .core import Decision, InvalidArgumentError, TAP, Task, normalize_tap
 from .engine import Adversary
+from .oracle import opt_trt_lower
 from .rationals import Rat, ZERO, ONE, PHI, SQRT3, EPS
 
 
@@ -90,8 +91,6 @@ class GoldenAdversary(Adversary):
     serial work phi - t0 arrive at that very instant; the offline witness
     then runs everything serially.
     """
-
-    name = "golden"
 
     def __init__(self, p: int):
         self.p = p
@@ -309,28 +308,33 @@ def c_trigger_corpus() -> list:
 
 # --- zero-work flood against non-preemptive schedulers ----------------------
 
+def flood_probe(p: int) -> TAP:
+    """The default flood probe: one task (sigma=1, pi=p) at time 0."""
+    return TAP(p, (Task(0, ONE, Rat(p), ZERO),))
+
+
 class NonPreemptiveAdversary(Adversary):
     """Floods a busy non-preemptive scheduler with near-zero-work tasks.
 
     Watches the run of a probe TAP; at the first instant when every
     running task still has remaining work >= 1 and the busy-processor
     count is the largest seen so far, injects ceil(R*h) tasks of work
-    1/1000, where h is a TRT lower bound for the probe.
+    1/1000, where h = opt_trt_lower(probe) > 0.  ``busy`` is read over
+    the slice that just ended: ``on_event`` runs before the instant's
+    allocation, so at the first instant it is 0.
     """
 
-    name = "nonpreemptive-flood"
     tiny = Rat(1, 1000)
 
-    def __init__(self, R: int, probe: TAP, h: Rat):
+    def __init__(self, R: int, probe: TAP):
+        probe.validate()  # the lower bound assumes a valid TAP
+        h = opt_trt_lower(probe)
         if h <= 0:
-            raise InvalidArgumentError("probe lower bound h must be positive")
+            raise InvalidArgumentError("the flood needs a probe with at least one task")
         self.count = math.ceil(Rat(R) * h)
         self.triggered = False
         self.max_busy = ZERO
-        self.base_id = max((t.id for t in probe.tasks), default=-1) + 1
-
-    def initial_tasks(self):
-        return []
+        self.base_id = max(t.id for t in probe.tasks) + 1
 
     def on_event(self, view):
         busy = sum(

@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -20,6 +21,7 @@ from .adversary import (
     GenParams,
     GoldenAdversary,
     NonPreemptiveAdversary,
+    flood_probe,
     gen_c_trigger,
     gen_dtap_levels,
     gen_geometric,
@@ -28,9 +30,7 @@ from .adversary import (
     gen_random_dtap,
     gen_randlb,
 )
-from .core import (
-    TAP, InvalidArgumentError, Task, TapError, instance_hash, tap_from_json, tap_to_json,
-)
+from .core import TAP, InvalidArgumentError, TapError, instance_hash, tap_from_json, tap_to_json
 from .oracle import (
     InstanceTooLargeError,
     grid_opt,
@@ -38,7 +38,7 @@ from .oracle import (
     opt_awake_given_decisions,
     opt_trt_lower,
 )
-from .rationals import Rat, ZERO, ONE, parse_rat, rat_str
+from .rationals import parse_rat, rat_str
 from .verify import SCHEDULERS, default_seed, format_results, run, run_battery
 
 SWEEP_COLUMNS = [
@@ -130,8 +130,6 @@ def cmd_gen(args) -> int:
 def _sweep_instances(args):
     """(label, TAP) pairs in deterministic order."""
     if args.dir:
-        import os
-
         names = sorted(
             f for f in os.listdir(args.dir) if f.endswith(".json")
         )
@@ -226,13 +224,8 @@ def cmd_duel(args) -> int:
         base = TAP(args.p, ())
         adv = GoldenAdversary(args.p)
     else:
-        base = (
-            _load_tap(args.probe)
-            if args.probe
-            else TAP(args.p, (Task(0, ONE, Rat(args.p), ZERO),))
-        )
-        base.validate()  # the lower bound assumes a valid TAP
-        adv = NonPreemptiveAdversary(args.R, base, opt_trt_lower(base))
+        base = _load_tap(args.probe) if args.probe else flood_probe(args.p)
+        adv = NonPreemptiveAdversary(args.R, base)
     done = run(args.scheduler, base, args.budget_factor, args.speed, adversary=adv)
     metrics = done.metrics()
     if args.adversary == "golden":

@@ -210,8 +210,6 @@ class EngineView:
 class Adversary:
     """Adaptive adversary: observes the run and may inject tasks."""
 
-    name = "adversary"
-
     def initial_tasks(self) -> list[Task]:
         return []
 
@@ -392,6 +390,8 @@ class Engine:
                 raise ContractError(f"cannot cancel task {tid}: not running")
             if self.decision[tid] is not Decision.PARALLEL:
                 raise ContractError(f"cannot cancel serial task {tid}")
+            if self.remaining[tid] == 0:  # its completion is due at this instant
+                raise ContractError(f"cannot cancel task {tid}: its work is done")
             self.status[tid] = _ARRIVED
             self._running.discard(tid)
             del self.decision[tid]
@@ -501,9 +501,6 @@ class Engine:
                             continue
                 break
             for kind, key, tag in events:
-                # completions may have been superseded within this batch
-                if kind == _COMPLETION and self.status[key] != _RUNNING:
-                    continue
                 self._dispatch(kind, key, tag)
         self._set_allocation()
 

@@ -217,7 +217,7 @@ class CancScheduler(Scheduler):
         )
         return SchedCommands(
             starts={task.id: Decision.PARALLEL},
-            timers=[(view.now + task.sigma, ("canc", task.id))],
+            timers=[(view.now + task.sigma, task.id)],
         )
 
     def on_completion(self, view, tid):
@@ -225,10 +225,9 @@ class CancScheduler(Scheduler):
         self.relaxed.pop(tid, None)
         return None
 
-    def on_timer(self, view, tag):
+    def on_timer(self, view, tid):
         self._sync(view)
-        kind, tid = tag
-        if kind != "canc" or tid not in self.relaxed:
+        if tid not in self.relaxed:
             return None
         # completion is checked first; only strictly-alive tasks cancel
         if view.status(tid) != "running" or view.remaining(tid) == 0:
@@ -297,11 +296,11 @@ class _Nested(Scheduler):
         self.cancellations_read += len(new)
         return [tid for tid, _ in new]
 
-    def _wake_at(self, commands, t, tag) -> None:
+    def _wake_at(self, commands, t) -> None:
         """A timer at ``t``, unless one was already set for ``t``."""
         if t not in self.timer_times:
             self.timer_times.add(t)
-            commands.timers.append((t, tag))
+            commands.timers.append((t, None))
 
     def on_timer(self, view, tag):
         return self._sync(view)
@@ -419,10 +418,10 @@ class BScheduler(_Nested):
                 commands.starts[state.members[0]] = Decision.PARALLEL
         nxt = self.inner.next_event_time()
         if nxt is not None:
-            self._wake_at(commands, nxt, ("inner",))
+            self._wake_at(commands, nxt)
         if self.fakes and self.fake_share > 0:
             due = view.now + min(self.fakes) / self.fake_share
-            self._wake_at(commands, due, ("fake",))
+            self._wake_at(commands, due)
         return commands
 
     # -- engine callbacks ----------------------------------------------------
@@ -603,7 +602,7 @@ class CScheduler(_Nested):
         ] if emergency else []
         nxt = self.inner.next_event_time()
         if nxt is not None:
-            self._wake_at(commands, nxt, ("inner",))
+            self._wake_at(commands, nxt)
         return commands
 
     # -- engine callbacks ----------------------------------------------------

@@ -16,6 +16,7 @@ all numeric outcomes so that a re-run can be compared byte for byte.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import time
@@ -27,6 +28,7 @@ from .adversary import (
     GoldenAdversary,
     NonPreemptiveAdversary,
     c_trigger_corpus,
+    flood_probe,
     gen_dtap_levels,
     gen_geometric,
     gen_mrt_cheap_expensive,
@@ -36,7 +38,7 @@ from .adversary import (
 from . import engine
 from .core import (Decision, InvalidArgumentError, Metrics, TAP, Task,
                    metrics_from_trace)
-from .dtap import TurtleScheduler, dtap_opt_upper_levels, turtle_parallel_work_bound
+from .dtap import LevelWitness, TurtleScheduler, turtle_parallel_work_bound
 from .engine import EngineConfig, SchedCommands, Scheduler, Trace, validate_trace
 from .oracle import (
     opt_awake_exhaustive,
@@ -179,15 +181,11 @@ class _Ctx:
         """:func:`run`, counted; an invalid trace appends
         ``(*label, "invalid trace")`` to ``bad``."""
         done = run(scheduler, tap, **kw)
-        self.count(done.violations, bad, *label)
-        return done
-
-    def count(self, violations: list, bad: list, *label) -> None:
-        """Count one validated trace and its violations."""
         self.traces += 1
-        self.violations += len(violations)
-        if violations:
+        self.violations += len(done.violations)
+        if done.violations:
             bad.append((*label, "invalid trace"))
+        return done
 
     def digest(self) -> str:
         return self.hasher.hexdigest()
@@ -535,13 +533,12 @@ def crit_a10(ctx: _Ctx) -> list:
     baseline."""
     # large p keeps the injected flood negligible for the lower bound and
     # for any preemptive scheduler, isolating the non-preemption penalty
-    probe = TAP(100, (Task(0, ONE, Rat(100), ZERO),))
-    h = opt_trt_lower(probe)
+    probe = flood_probe(100)
     bad = []
     ratios = {}
     for name in ("rigid", "equi"):
         for R in (10, 100):
-            adv = NonPreemptiveAdversary(R, probe, h)
+            adv = NonPreemptiveAdversary(R, probe)
             done = ctx.run(name, probe, bad, name, R, adversary=adv)
             ratios[(name, R)] = done.metrics().trt / opt_trt_lower(done.tap)
             ctx.note("a10", name, R, rat_str(ratios[(name, R)]))
@@ -559,12 +556,9 @@ def crit_a11(ctx: _Ctx) -> list:
     """Dependency-aware bounds: level witness <= 2 and the square-root
     envelope for the two-bucket scheduler."""
     bad = []
-    import math
-
     for p in (16, 64, 256):
         tap = gen_dtap_levels(p, seed=ctx.seed)
-        wtrace, upper = dtap_opt_upper_levels(tap)
-        ctx.count(validate_trace(wtrace, tap).violations, bad, p, "witness")
+        upper = ctx.run(LevelWitness(tap), tap, bad, p, "witness").metrics().awake
         if upper > 2:
             bad.append((p, "witness awake", rat_str(upper)))
         ratio = ctx.run("turtle", tap, bad, p).metrics().awake / upper

@@ -9,6 +9,7 @@ from taplab.adversary import (
     GoldenAdversary,
     NonPreemptiveAdversary,
     c_trigger_corpus,
+    flood_probe,
     gen_c_trigger,
     gen_dtap_levels,
     gen_geometric,
@@ -25,7 +26,6 @@ from taplab.core import (
     Task,
     metrics_from_trace,
 )
-from taplab.dtap import _level_structure
 from taplab.engine import EngineConfig, SchedCommands, Scheduler, simulate, validate_trace
 from taplab.oracle import opt_awake_exhaustive, opt_awake_given_decisions, opt_trt_lower
 from taplab.rationals import EPS, PHI, Rat, ZERO, ONE, is_power_of_two
@@ -241,17 +241,17 @@ class TestDtapLevels:
 
     def test_tree_depth(self):
         tap = gen_dtap_levels(16, seed=2)
-        _, _, spawners = _level_structure(tap)
-        assert len(spawners) == 3
+        assert not any(tap.task(tid).deps for tid in range(4))
+        # each level i+1 depends on exactly one spawner, in level i
+        spawners = []
+        for level in range(1, 4):
+            deps = {tap.task(tid).deps for tid in range(level * 4, (level + 1) * 4)}
+            assert len(deps) == 1
+            (spawner,) = deps.pop()
+            assert (level - 1) * 4 <= spawner < level * 4
+            spawners.append(spawner)
         # the spawners are exactly the tasks some task depends on
         assert set(spawners) == {d for t in tap.tasks for d in t.deps}
-        # level i+1 depends on exactly its spawner in level i
-        for level in range(1, 4):
-            deps = {
-                next(iter(tap.task(tid).deps))
-                for tid in range(level * 4, (level + 1) * 4)
-            }
-            assert deps == {spawners[level - 1]}
 
     def test_rejects_non_square(self):
         with pytest.raises(InvalidArgumentError):
@@ -281,11 +281,11 @@ class TestCTriggerCorpus:
 
 class TestNonPreemptiveFlood:
     def _probe(self):
-        return TAP(100, (Task(0, ONE, Rat(100), ZERO),))
+        return flood_probe(100)
 
     def test_r0_no_injection(self):
         probe = self._probe()
-        adv = NonPreemptiveAdversary(0, probe, ONE)
+        adv = NonPreemptiveAdversary(0, probe)
         simulate(probe, RigidScheduler(), adversary=adv)
         assert not adv.triggered
 
@@ -293,7 +293,7 @@ class TestNonPreemptiveFlood:
         probe = self._probe()
         ratios = []
         for R in (1, 10, 100):
-            adv = NonPreemptiveAdversary(R, probe, ONE)
+            adv = NonPreemptiveAdversary(R, probe)
             trace = simulate(probe, RigidScheduler(), adversary=adv)
             assert adv.triggered
             ratios.append(sum(trace.completions.values(), ZERO))
@@ -302,7 +302,7 @@ class TestNonPreemptiveFlood:
 
     def test_preemptive_scheduler_shrugs(self):
         probe = self._probe()
-        adv = NonPreemptiveAdversary(100, probe, ONE)
+        adv = NonPreemptiveAdversary(100, probe)
         trace = simulate(probe, EquiScheduler(), adversary=adv)
         if adv.triggered:
             floods = [
@@ -313,8 +313,18 @@ class TestNonPreemptiveFlood:
             assert max(floods) <= Rat(1, 2)
 
     def test_rejects_nonpositive_bound(self):
-        with pytest.raises(InvalidArgumentError):
-            NonPreemptiveAdversary(1, self._probe(), ZERO)
+        # an empty probe has lower bound 0
+        with pytest.raises(InvalidArgumentError, match="at least one task"):
+            NonPreemptiveAdversary(1, TAP(100, ()))
+
+    @pytest.mark.parametrize("sigma, pi, h", [(2, 8, 2), (Rat(3, 2), 6, Rat(3, 2))])
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_count_is_ceil_r_times_the_probe_bound(self, sigma, pi, h, R):
+        probe = TAP(4, (Task(0, Rat(sigma), Rat(pi), ZERO),))
+        assert opt_trt_lower(probe) == h
+        adv = NonPreemptiveAdversary(R, probe)
+        trace = simulate(probe, RigidScheduler(), adversary=adv)
+        assert len(trace.injected) == adv.count == math.ceil(R * h)
 
 
 class TestReplay:
@@ -322,9 +332,9 @@ class TestReplay:
     it played is the base TAP plus those tasks."""
 
     def _flood(self, R):
-        probe = TAP(100, (Task(0, ONE, Rat(100), ZERO),))
+        probe = flood_probe(100)
         h = opt_trt_lower(probe)
-        adv = NonPreemptiveAdversary(R, probe, h)
+        adv = NonPreemptiveAdversary(R, probe)
         return probe, h, simulate(probe, RigidScheduler(), adversary=adv)
 
     def test_flood_emits_ceil_rh_tasks_at_the_trigger(self):

@@ -4,20 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taplab.adversary import GenParams, gen_dtap_levels, gen_random_dtap
-from taplab.core import Decision, TAP, Task, TapError, metrics_from_trace
-from taplab.dtap import (
-    FAIRLY_PARALLEL,
-    NOT_VERY_PARALLEL,
-    TurtleScheduler,
-    _LevelWitnessScheduler,
-    _level_structure,
-    dtap_opt_upper_levels,
-    turtle_classify,
-    turtle_parallel_work_bound,
-)
+from taplab.adversary import GenParams, gen_dtap_levels, gen_random, gen_random_dtap
+from taplab.core import Decision, TAP, Task, metrics_from_trace
+from taplab.dtap import LevelWitness, TurtleScheduler, fairly_parallel, turtle_parallel_work_bound
 from taplab.engine import simulate, validate_trace
 from taplab.rationals import Rat, ONE
+from taplab.verify import run
 
 S, P = Decision.SERIAL, Decision.PARALLEL
 
@@ -60,7 +52,7 @@ class _CheckedTurtle(TurtleScheduler):
         return alloc
 
 
-class _CheckedWitness(_LevelWitnessScheduler):
+class _CheckedWitness(LevelWitness):
     def allocate(self, view) -> dict:
         alloc = super().allocate(view)
         assert alloc == reference_level_witness_alloc(view)
@@ -69,14 +61,14 @@ class _CheckedWitness(_LevelWitnessScheduler):
 
 class TestClassify:
     def test_fairly_parallel(self):
-        assert turtle_classify(T(0, 10, 50), 100) == FAIRLY_PARALLEL
+        assert fairly_parallel(T(0, 10, 50), 100)
 
     def test_not_very_parallel(self):
-        assert turtle_classify(T(0, 10, 200), 100) == NOT_VERY_PARALLEL
+        assert not fairly_parallel(T(0, 10, 200), 100)
 
     def test_boundary_strict(self):
         # pi/p equal to sigma/sqrt(p) is not fairly parallel
-        assert turtle_classify(T(0, 10, 100), 100) == NOT_VERY_PARALLEL
+        assert not fairly_parallel(T(0, 10, 100), 100)
 
 
 class TestTurtle:
@@ -143,24 +135,23 @@ class TestTurtle:
         assert simulate(tap, _CheckedTurtle()) == simulate(tap, TurtleScheduler())
 
 
+def witness_awake(tap) -> Rat:
+    return run(LevelWitness(tap), tap).metrics().awake
+
+
 class TestLevelWitness:
     def test_p16_exact_value(self):
-        tap = gen_dtap_levels(16)
-        _, awake = dtap_opt_upper_levels(tap)
-        assert awake == Rat(7, 4)
+        assert witness_awake(gen_dtap_levels(16)) == Rat(7, 4)
 
     def test_p4_exact_value(self):
-        tap = gen_dtap_levels(4)
-        _, awake = dtap_opt_upper_levels(tap)
-        assert awake == Rat(3, 2)
+        assert witness_awake(gen_dtap_levels(4)) == Rat(3, 2)
 
     @pytest.mark.parametrize("p", [4, 16, 64])
     def test_upper_bound_two(self, p):
         tap = gen_dtap_levels(p, seed=3)
-        trace, awake = dtap_opt_upper_levels(tap)
-        assert awake <= 2
-        assert validate_trace(trace, tap).ok
-        assert set(trace.completions) == {t.id for t in tap.tasks}
+        done = run(LevelWitness(tap), tap)
+        assert done.metrics().awake <= 2
+        assert done.violations == [] and done.complete
 
     @pytest.mark.parametrize("seed", [0, 1, 5])
     @pytest.mark.parametrize("p", [4, 16, 64])
@@ -168,14 +159,31 @@ class TestLevelWitness:
         # most-work-first equals the witness's own rule: it never runs
         # serial and parallel tasks together, nor more than p serial tasks
         tap = gen_dtap_levels(p, seed=seed)
-        _, _, spawners = _level_structure(tap)
-        trace = simulate(tap, _CheckedWitness(set(spawners)))
-        assert trace == dtap_opt_upper_levels(tap)[0]
+        assert simulate(tap, _CheckedWitness(tap)) == simulate(tap, LevelWitness(tap))
 
-    def test_rejects_non_level_instance(self):
-        tap = TAP(4, (T(0, 1, 2), T(1, 1, 2)))
-        with pytest.raises(TapError):
-            dtap_opt_upper_levels(tap)
+    @pytest.mark.parametrize("tap", [
+        # spawners 0, 1 and 2 (two of them at once), then a late joint dependent
+        TAP(4, (T(0, 1, 2), T(1, 1, 2, deps=(0,)), T(2, 2, 4, deps=(0,)),
+                T(3, 1, 4, arrival=1, deps=(1, 2)), T(4, 2, 2, arrival=3))),
+        TAP(4, (T(0, 1, 2), T(1, 1, 2), T(2, 3, 3, arrival=1))),
+    ], ids=["non-level-dtap", "plain-tap"])
+    def test_valid_and_complete_beyond_level_dtaps(self, tap):
+        done = run(LevelWitness(tap), tap)
+        assert done.violations == [] and done.complete
+
+    @given(st.integers(min_value=0, max_value=2**32), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_valid_and_complete_on_random_instances(self, seed, deps):
+        rng = random.Random(seed)
+        params = GenParams(
+            p=rng.choice([4, 16]),
+            n=rng.randrange(1, 10),
+            arrival_pattern=rng.choice(["batch", "poisson", "bursty"]),
+            seed=seed,
+        )
+        tap = gen_random_dtap(params) if deps else gen_random(params)
+        done = run(LevelWitness(tap), tap)
+        assert done.violations == [] and done.complete
 
     @pytest.mark.parametrize("p", [16, 64])
     def test_turtle_gap_on_levels(self, p):
@@ -186,6 +194,6 @@ class TestLevelWitness:
         tap = gen_dtap_levels(p, seed=1)
         trace = simulate(tap, TurtleScheduler())
         awake = metrics_from_trace(trace, tap).awake
-        _, upper = dtap_opt_upper_levels(tap)
+        upper = witness_awake(tap)
         s = math.isqrt(p)
         assert Rat(s, 8) * upper <= awake <= 3 * s * upper

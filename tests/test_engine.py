@@ -56,16 +56,19 @@ class _Fixed(Scheduler):
 
 
 class _Rogue(_Fixed):
-    """``_Fixed`` serially, except that ``arrival(view, task)`` and
-    ``alloc(view)``, when given, replace its arrival commands and its
-    allocation."""
+    """``_Fixed`` serially, except that ``arrival(view, task)``,
+    ``completion(view, tid)`` and ``alloc(view)``, when given, replace its
+    arrival commands, its completion commands and its allocation."""
 
-    def __init__(self, arrival=None, alloc=None):
+    def __init__(self, arrival=None, alloc=None, completion=None):
         super().__init__(Decision.SERIAL)
-        self.arrival, self.alloc = arrival, alloc
+        self.arrival, self.alloc, self.completion = arrival, alloc, completion
 
     def on_arrival(self, view, task):
         return self.arrival(view, task) if self.arrival else super().on_arrival(view, task)
+
+    def on_completion(self, view, tid):
+        return self.completion(view, tid) if self.completion else None
 
     def allocate(self, view):
         return self.alloc(view) if self.alloc else super().allocate(view)
@@ -98,6 +101,13 @@ MISBEHAVIOURS = [
      _Rogue(arrival=lambda view, task: SchedCommands(
          starts={0: Decision.SERIAL}) if task.id == 0 else SchedCommands(cancels={0})),
      None, True, ContractError, "cannot cancel serial task 0"),
+    # both finish at time 1; task 0's completion comes first and must not
+    # restart task 1, whose completion is already due
+    ("cancel-finished", TAP(4, (T(0, 1, 2), T(1, 1, 2))),
+     _Rogue(arrival=lambda view, task: SchedCommands(starts={task.id: Decision.PARALLEL}),
+            completion=lambda view, tid: SchedCommands(
+                cancels={1}, starts={1: Decision.SERIAL}) if tid == 0 else None),
+     None, True, ContractError, "cannot cancel task 1: its work is done"),
     ("start-not-arrived", LATE_SECOND,
      _Rogue(arrival=lambda view, task: SchedCommands(
          starts={0: Decision.SERIAL, 1: Decision.SERIAL})),

@@ -12,6 +12,7 @@ from taplab.adversary import (
     GenParams,
     GoldenAdversary,
     NonPreemptiveAdversary,
+    flood_probe,
     gen_c_trigger,
     gen_dtap_levels,
     gen_geometric,
@@ -22,7 +23,6 @@ from taplab.adversary import (
 from taplab.core import (TAP, Task, InstanceTooLargeError, InvalidArgumentError,
                          InvalidInstanceError, TapError)
 from taplab.engine import ContractError, EngineConfig
-from taplab.oracle import opt_trt_lower
 from taplab.rationals import Rat, ZERO, ONE, is_power_of_two
 from taplab.sched_awake import BalScheduler
 from taplab.verify import SCHEDULERS, run
@@ -119,8 +119,8 @@ def test_run_replays_the_injected_tasks(adversary):
     if adversary == "golden":
         name, base, adv = "bal", TAP(8, ()), GoldenAdversary(8)
     else:
-        name, base = "rigid", TAP(100, (Task(0, ONE, Rat(100), ZERO),))
-        adv = NonPreemptiveAdversary(10, base, opt_trt_lower(base))
+        name, base = "rigid", flood_probe(100)
+        adv = NonPreemptiveAdversary(10, base)
     done = run(name, base, adversary=adv)
     assert done.trace.injected
     assert done.tap.tasks == base.tasks + tuple(done.trace.injected)
