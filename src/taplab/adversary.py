@@ -83,21 +83,23 @@ def gen_random(params: GenParams) -> TAP:
 
 # --- golden-ratio adaptive adversary ----------------------------------------
 
+def golden_probe(p: int) -> TAP:
+    """The golden-ratio probe: one task (sigma=phi, pi=p) at time 0."""
+    return TAP(p, (Task(0, PHI, Rat(p), ZERO),))
+
+
 class GoldenAdversary(Adversary):
     """Forces ratio >= phi - 1/p against any deterministic scheduler.
 
-    Emits one task (sigma=phi, pi=p) at time 0.  If the scheduler starts
-    it in parallel at some t0 < 1/phi, p-1 unparallelizable tasks of
-    serial work phi - t0 arrive at that very instant; the offline witness
-    then runs everything serially.
+    Plays on ``golden_probe(p)``.  If the scheduler starts task 0 in
+    parallel at some t0 < 1/phi, p-1 unparallelizable tasks of serial
+    work phi - t0 arrive at that very instant; the offline witness then
+    runs everything serially.
     """
 
     def __init__(self, p: int):
         self.p = p
         self.injected = False
-
-    def initial_tasks(self):
-        return [Task(0, PHI, Rat(self.p), ZERO)]
 
     def on_event(self, view):
         if self.injected:
@@ -173,22 +175,6 @@ def gen_oblivious_pair(p: int):
     a = TAP(p, tuple(Task(i, ONE, ONE, ZERO) for i in range(k)))
     b = TAP(p, tuple(Task(i, ONE, Rat(p), ZERO) for i in range(k)))
     return a, b
-
-
-def gen_obliv_two_task(p: int, x, unparallelizable_second: bool = False) -> TAP:
-    """Two serial-work-1 tasks parameterized by the threshold x in (0, 1).
-
-    The first task has parallel work p*x + 1 (clamped into range); the
-    second arrives at time x and is either fully scalable or
-    unparallelizable.  Sweeping x probes a scheduler's private
-    wait-before-parallel threshold.
-    """
-    x = Rat(x)
-    if not (0 < x < 1):
-        raise InvalidArgumentError(f"x must be in (0,1), got {x}")
-    pi1 = min(Rat(p), p * x + 1)
-    pi2 = Rat(p) if unparallelizable_second else ONE
-    return TAP(p, (Task(0, ONE, pi1, ZERO), Task(1, ONE, pi2, x)))
 
 
 def gen_mrt_cheap_expensive(p: int, seed: int = 0) -> TAP:
@@ -291,7 +277,9 @@ def gen_c_trigger_mixed(p: int, sigma_t, ratio: int, fill_sigma) -> TAP:
 
 def c_trigger_corpus() -> list:
     """At least 20 crafted instances with nonempty exception-mode logs;
-    the first eight exhibit both ballistic and semi-ballistic entries."""
+    the first eight exhibit both ballistic and semi-ballistic entries,
+    and in the last the nested run completes a vested task first (a
+    ballistic ``inner-completed`` entry)."""
     corpus = []
     for p in (8, 16):
         for st in (2, 4, 8, 16):
@@ -303,6 +291,9 @@ def c_trigger_corpus() -> list:
         for ratio in (4, 8):
             for fill in (2, 4):
                 corpus.append(gen_c_trigger_mixed(8, st, ratio, fill))
+    # a task of the target's class arriving inside its emergency
+    base = gen_c_trigger(16, 2, with_candidate=False)
+    corpus.append(TAP(16, base.tasks + (Task(8, Rat(1, 16), Rat(1, 4), Rat(25, 4)),)))
     return corpus
 
 
@@ -319,12 +310,13 @@ class NonPreemptiveAdversary(Adversary):
     Watches the run of a probe TAP; at the first instant when every
     running task still has remaining work >= 1 and the busy-processor
     count is the largest seen so far, injects ceil(R*h) tasks of work
-    1/1000, where h = opt_trt_lower(probe) > 0.  ``busy`` is read over
-    the slice that just ended: ``on_event`` runs before the instant's
+    1/1024, where h = opt_trt_lower(probe) > 0; the work is a power of
+    two, so csched accepts the flood too.  ``busy`` is read over the
+    slice that just ended: ``on_event`` runs before the instant's
     allocation, so at the first instant it is 0.
     """
 
-    tiny = Rat(1, 1000)
+    tiny = Rat(1, 1024)
 
     def __init__(self, R: int, probe: TAP):
         probe.validate()  # the lower bound assumes a valid TAP

@@ -29,6 +29,7 @@ from .adversary import (
     gen_random,
     gen_random_dtap,
     gen_randlb,
+    golden_probe,
 )
 from .core import TAP, InvalidArgumentError, TapError, instance_hash, tap_from_json, tap_to_json
 from .oracle import (
@@ -221,7 +222,7 @@ def cmd_sweep(args) -> int:
 def cmd_duel(args) -> int:
     seed = _seed(args)
     if args.adversary == "golden":
-        base = TAP(args.p, ())
+        base = golden_probe(args.p)
         adv = GoldenAdversary(args.p)
     else:
         base = _load_tap(args.probe) if args.probe else flood_probe(args.p)

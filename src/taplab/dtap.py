@@ -35,17 +35,11 @@ class TurtleScheduler(Scheduler):
         return SchedCommands(starts={task.id: decision})
 
     def allocate(self, view) -> dict:
-        fp = []
-        nvp = []
-        for tid in view.running_ids():
-            if view.decision(tid) is Decision.PARALLEL:
-                fp.append(tid)
-            else:
-                nvp.append(tid)
+        fp = view.running_ids(Decision.PARALLEL)
         if fp:
-            return {min(fp): Rat(view.p)}
+            return {fp[0]: Rat(view.p)}
         return most_work_first_alloc(
-            {tid: view.remaining(tid) for tid in nvp}, (), view.p
+            {tid: view.remaining(tid) for tid in view.running_ids(Decision.SERIAL)}, (), view.p
         )
 
 

@@ -90,7 +90,7 @@ class Trace:
     completions: dict = field(default_factory=dict)  # id -> time
     cancellations: list = field(default_factory=list)  # (id, time)
     arrivals: dict = field(default_factory=dict)  # id -> availability time
-    injected: list = field(default_factory=list)  # adversary's tasks, in emission order
+    injected: list = field(default_factory=list)  # tasks ``Adversary.on_event`` emitted, in order
 
 
 @dataclass
@@ -168,9 +168,6 @@ class EngineView:
         task = self._e.tasks[tid]
         return _ObliviousTask(task) if self._e.scheduler.oblivious else task
 
-    def status(self, tid: int) -> str:
-        return self._e.status[tid]
-
     def alive_ids(self) -> list[int]:
         """Arrived-or-running task ids, ascending."""
         return sorted(self._e._alive)
@@ -180,8 +177,14 @@ class EngineView:
         avail = self._e.trace.arrivals
         return sorted(self._e._alive - self._e._running, key=lambda t: (avail[t], t))
 
-    def running_ids(self) -> list[int]:
-        return sorted(self._e._running)
+    def running_ids(self, decision: Decision | None = None) -> list[int]:
+        """Running task ids, ascending; only those run as ``decision`` when
+        one is given."""
+        running = self._e._running
+        if decision is not None:
+            decided = self._e.decision
+            running = [tid for tid in running if decided[tid] is decision]
+        return sorted(running)
 
     def completed_ids(self) -> list[int]:
         return sorted(self._e.trace.completions)
@@ -208,10 +211,8 @@ class EngineView:
 
 
 class Adversary:
-    """Adaptive adversary: observes the run and may inject tasks."""
-
-    def initial_tasks(self) -> list[Task]:
-        return []
+    """Adaptive adversary: observes a run of the TAP it plays on and may
+    inject tasks."""
 
     def on_event(self, view: EngineView) -> list[Task]:
         return []
@@ -266,10 +267,6 @@ class Engine:
         self._started = False
         for task in tap.tasks:
             self._add_task(task)
-        if adversary is not None:
-            for task in adversary.initial_tasks():
-                self._add_task(task)
-                self.trace.injected.append(task)
 
     # -- task intake --------------------------------------------------------
 

@@ -86,14 +86,8 @@ class _MwfMixin:
     decide-on-arrival schedulers, UNK and the level-DTAP witness."""
 
     def allocate(self, view) -> dict:
-        serial: dict[int, Rat] = {}
-        parallel: list[int] = []
-        for tid in view.running_ids():
-            if view.decision(tid) is Decision.SERIAL:
-                serial[tid] = view.remaining(tid)
-            else:
-                parallel.append(tid)
-        return most_work_first_alloc(serial, parallel, view.budget)
+        serial = {tid: view.remaining(tid) for tid in view.running_ids(Decision.SERIAL)}
+        return most_work_first_alloc(serial, view.running_ids(Decision.PARALLEL), view.budget)
 
 
 class BalScheduler(_MwfMixin, Scheduler):
@@ -151,15 +145,12 @@ class UnkScheduler(_MwfMixin, Scheduler):
     oblivious = True
 
     def _try_starts(self, view) -> SchedCommands | None:
-        running_serial = 0
-        parallel_running = False
-        for tid in view.running_ids():
-            if view.decision(tid) is Decision.SERIAL:
-                running_serial += 1
-            else:
-                parallel_running = True
-        if parallel_running or running_serial >= view.p:
+        if view.running_ids(Decision.PARALLEL):
             return None
+        running_serial = len(view.running_ids(Decision.SERIAL))
+        if running_serial >= view.p:
+            return None
+        parallel_running = False
         starts: dict[int, Decision] = {}
         for tid in view.unstarted_ids():
             task = view.task(tid)
@@ -185,10 +176,6 @@ class UnkScheduler(_MwfMixin, Scheduler):
 
     def on_timer(self, view, tag):
         return self._try_starts(view)
-
-
-def _parallel_running(view) -> bool:
-    return any(view.decision(tid) is Decision.PARALLEL for tid in view.running_ids())
 
 
 class GoldenAlg(_MwfMixin, Scheduler):
@@ -217,7 +204,7 @@ class GoldenAlg(_MwfMixin, Scheduler):
                 starts[tid] = Decision.SERIAL
             else:
                 kept.append(tid)
-        if kept and not _parallel_running(view):
+        if kept and not view.running_ids(Decision.PARALLEL):
             starts[kept[0]] = Decision.PARALLEL
         return SchedCommands(starts=starts)
 
@@ -228,6 +215,6 @@ class GoldenAlg(_MwfMixin, Scheduler):
     def on_completion(self, view, tid):
         # one running parallel task, earliest arrival first
         pool = view.unstarted_ids()
-        if not pool or _parallel_running(view):
+        if not pool or view.running_ids(Decision.PARALLEL):
             return None
         return SchedCommands(starts={pool[0]: Decision.PARALLEL})

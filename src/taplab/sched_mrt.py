@@ -192,19 +192,17 @@ class CancScheduler(Scheduler):
         self.pool_ages: list = []  # (id, pool age), per cancellation
 
     def _sync(self, view):
-        # each job ran at its task's rate since the last callback; a task
-        # completing now has lost its rate, but its job is never checked again
+        # each job ran at its task's rate since the last callback; every job
+        # belongs to a running task (``on_completion`` drops a finished
+        # task's job first), and one whose task finished at this instant
+        # but is not yet dispatched has remaining work 0
         dt = view.now - self.last_sync
         if dt > 0:
             for tid, job in self.relaxed.items():
                 job.progress += relaxed_rate(job, view.current_rate(tid)) * dt
         self.last_sync = view.now
         for tid, job in self.relaxed.items():
-            if (
-                job.progress >= job.total_work
-                and view.status(tid) == "running"
-                and view.remaining(tid) > 0
-            ):
+            if job.progress >= job.total_work and view.remaining(tid) > 0:
                 raise MrtInvariantError(
                     f"relaxed job {tid} finished ({job.progress} >= "
                     f"{job.total_work}) before the real task"
@@ -221,16 +219,15 @@ class CancScheduler(Scheduler):
         )
 
     def on_completion(self, view, tid):
+        self.relaxed.pop(tid, None)  # a cancelled task's job is gone already
         self._sync(view)
-        self.relaxed.pop(tid, None)
         return None
 
     def on_timer(self, view, tid):
         self._sync(view)
+        # completions are dispatched before timers at an instant, so a
+        # task still in the pool is running with work left
         if tid not in self.relaxed:
-            return None
-        # completion is checked first; only strictly-alive tasks cancel
-        if view.status(tid) != "running" or view.remaining(tid) == 0:
             return None
         age = view.now - view.avail_time(tid)
         if age != view.task(tid).sigma:  # pragma: no cover
@@ -240,17 +237,9 @@ class CancScheduler(Scheduler):
         return SchedCommands(cancels={tid}, starts={tid: Decision.SERIAL})
 
     def allocate(self, view) -> dict:
-        parallel = [
-            tid for tid in self.relaxed if view.status(tid) == "running"
-        ]
         half = view.budget / 2
-        alloc = equi_alloc(parallel, half, serial_cap=False)
-        serial = [
-            tid
-            for tid in view.running_ids()
-            if view.decision(tid) is Decision.SERIAL
-        ]
-        alloc.update(equi_alloc(serial, half, serial_cap=True))
+        alloc = equi_alloc(self.relaxed, half, serial_cap=False)
+        alloc.update(equi_alloc(view.running_ids(Decision.SERIAL), half, serial_cap=True))
         return alloc
 
 
@@ -319,13 +308,10 @@ def _unstarted(view, tid, commands) -> bool:
 
 
 def _cancellable(view, tid) -> bool:
-    # a runner whose remaining work is 0 completes in this very batch and
+    # a cancelled task has no decision and a completed one no work left; a
+    # runner whose remaining work is 0 completes in this very batch and
     # must not be cancelled out from under the engine
-    return (
-        view.decision(tid) is Decision.PARALLEL
-        and view.status(tid) == "running"
-        and view.remaining(tid) > 0
-    )
+    return view.decision(tid) is Decision.PARALLEL and view.remaining(tid) > 0
 
 
 def _movable(view, tid, commands) -> bool:
@@ -451,18 +437,11 @@ class BScheduler(_Nested):
         for state, rate in type_rate.items():
             if not state.members:
                 continue  # all real tasks of the type already finished
-            runner = state.members[0]
-            if (
-                view.status(runner) == "running"
-                and view.decision(runner) is Decision.PARALLEL
-            ):
+            runner = state.members[0]  # finished tasks have left the members
+            if view.decision(runner) is Decision.PARALLEL:
                 alloc[runner] = rate
         # serial pool: real serialized tasks plus fakes, EQUI with cap
-        serial = [
-            tid
-            for tid in view.running_ids()
-            if view.decision(tid) is Decision.SERIAL
-        ]
+        serial = view.running_ids(Decision.SERIAL)
         k = len(serial) + len(self.fakes)
         share = min(ONE, view.budget / (2 * k)) if k else ZERO
         for tid in serial:
@@ -654,14 +633,8 @@ class CScheduler(_Nested):
         # each (2^j processors at the default budget)
         for cls in emergency:
             add(self._smallest_ballistic(view, cls), cls * self.unit / view.p)
-        # semi-ballistic pool: EQUI with the serial cap on the second unit
-        semibal_running = [
-            tid
-            for tid in self.semibal
-            if view.status(tid) == "running"
-        ]
-        for tid, share in equi_alloc(
-            semibal_running, self.unit, serial_cap=True
-        ).items():
+        # semi-ballistic pool: EQUI with the serial cap on the second unit;
+        # each member started serially on entry and leaves on completion
+        for tid, share in equi_alloc(self.semibal, self.unit, serial_cap=True).items():
             add(tid, share)
         return alloc

@@ -34,6 +34,7 @@ from .adversary import (
     gen_mrt_cheap_expensive,
     gen_random,
     gen_random_dtap,
+    golden_probe,
 )
 from . import engine
 from .core import (Decision, InvalidArgumentError, Metrics, TAP, Task,
@@ -321,7 +322,7 @@ def crit_a4(ctx: _Ctx) -> list:
     bad = []
     for name in ("bal", "unk", "mwf-all-serial", "mwf-all-parallel"):
         adv = GoldenAdversary(p)
-        done = ctx.run(name, TAP(p, ()), bad, name, adversary=adv)
+        done = ctx.run(name, golden_probe(p), bad, name, adversary=adv)
         awake = done.metrics().awake
         opt = opt_awake_given_decisions(done.tap, adv.witness_decisions())
         ratio = awake / opt
@@ -466,14 +467,8 @@ class _CheapExpensiveWitness(Scheduler):
         return SchedCommands(starts={task.id: decision})
 
     def allocate(self, view) -> dict:
-        serial = [
-            tid for tid in view.running_ids()
-            if view.decision(tid) is Decision.SERIAL
-        ]
-        parallel = [
-            tid for tid in view.running_ids()
-            if view.decision(tid) is Decision.PARALLEL
-        ]
+        serial = view.running_ids(Decision.SERIAL)
+        parallel = view.running_ids(Decision.PARALLEL)
         alloc = {tid: ONE for tid in serial}
         left = view.budget - len(serial)
         if parallel and left > 0:

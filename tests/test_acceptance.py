@@ -27,11 +27,11 @@ DIGESTS = {
     "A5": "42e17aae1f9ede26180fd2f6b392a5dfc73480b59bcfd5480e0340d16bc94a25",
     "A6": "705c7c838568e9bb531808f82ab2e0c6de49c310c2a54d14fd7a91d2343ae8bd",
     "A7": "705c7c838568e9bb531808f82ab2e0c6de49c310c2a54d14fd7a91d2343ae8bd",
-    "A8": "9bc51037a1f3bd9ea8fa42d0c602dcf97fc538ee3cc2f44866a9cad1b72b6d99",
-    "A9": "5e85868f748c2b53fcb0d2cd94031fa229675f3920f471f60ad8ca6cce5314cc",
-    "A10": "e2cd2c84758cae2a133d601a6a4eafde190493aed19b2802bede741e233e33b6",
-    "A11": "57bf787f0d9a33419f764f53267dbd837c7feb8531262f36756c99fed27ad91e",
-    "A12": "57bf787f0d9a33419f764f53267dbd837c7feb8531262f36756c99fed27ad91e",
+    "A8": "2cbe536fbb603c2d0533049a1a0bad18ea8f7a1ee67edaeffb7f2c8f51f643e5",
+    "A9": "52a1cef7664ed8eab68210ae7308ceb60bc3f7932571001cc59938f7ea5d5bc6",
+    "A10": "2b17d1f986285a2f10a7f3b508d5f523f292906da16615328c78fccdf1c2eed8",
+    "A11": "ab4df15aedf26af50eff37a9dbc8366e3ec3d0aea234458414965e4f52ad9e4f",
+    "A12": "ab4df15aedf26af50eff37a9dbc8366e3ec3d0aea234458414965e4f52ad9e4f",
 }
 
 

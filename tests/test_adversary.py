@@ -14,10 +14,10 @@ from taplab.adversary import (
     gen_dtap_levels,
     gen_geometric,
     gen_mrt_cheap_expensive,
-    gen_obliv_two_task,
     gen_oblivious_pair,
     gen_random,
     gen_randlb,
+    golden_probe,
 )
 from taplab.core import (
     Decision,
@@ -31,7 +31,7 @@ from taplab.oracle import opt_awake_exhaustive, opt_awake_given_decisions, opt_t
 from taplab.rationals import EPS, PHI, Rat, ZERO, ONE, is_power_of_two
 from taplab.sched_awake import AllParallelScheduler, AllSerialScheduler, BalScheduler
 from taplab.sched_mrt import CScheduler, EquiScheduler, RigidScheduler
-from taplab.verify import _CheapExpensiveWitness
+from taplab.verify import _CheapExpensiveWitness, run
 
 S, P = Decision.SERIAL, Decision.PARALLEL
 
@@ -75,7 +75,7 @@ class TestGenRandom:
 class TestGoldenAdversary:
     def test_serial_scheduler_no_injection(self):
         adv = GoldenAdversary(8)
-        trace = simulate(TAP(8, ()), AllSerialScheduler(), adversary=adv)
+        trace = simulate(golden_probe(8), AllSerialScheduler(), adversary=adv)
         assert not adv.injected
         awake = max(trace.completions.values())
         assert awake == PHI  # against witness value 1
@@ -94,24 +94,23 @@ class TestGoldenAdversary:
                 return {tid: Rat(view.p) for tid in view.running_ids()[:1]}
 
         adv = GoldenAdversary(8)
-        simulate(TAP(8, ()), Patient(), adversary=adv)
+        simulate(golden_probe(8), Patient(), adversary=adv)
         assert not adv.injected
 
     def test_eager_parallel_gets_flooded(self):
         adv = GoldenAdversary(8)
-        trace = simulate(TAP(8, ()), AllParallelScheduler(), adversary=adv)
+        trace = simulate(golden_probe(8), AllParallelScheduler(), adversary=adv)
         assert adv.injected
-        # the initial task, then p - 1 tasks of serial work phi - t0 at t0 = 0
-        assert trace.injected == [Task(0, PHI, Rat(8), ZERO)] + [
-            Task(i, PHI, 8 * PHI, ZERO) for i in range(1, 8)
-        ]
+        # p - 1 tasks of serial work phi - t0 at t0 = 0 join the probe's task 0
+        assert trace.injected == [Task(i, PHI, 8 * PHI, ZERO) for i in range(1, 8)]
         assert len(trace.completions) == 8
 
     def test_bal_ratio_large_p(self):
         p = 100
         adv = GoldenAdversary(p)
-        trace = simulate(TAP(p, ()), BalScheduler(), adversary=adv)
-        tap = TAP(p, tuple(trace.injected))
+        probe = golden_probe(p)
+        trace = simulate(probe, BalScheduler(), adversary=adv)
+        tap = TAP(p, probe.tasks + tuple(trace.injected))
         opt = opt_awake_given_decisions(tap, adv.witness_decisions())
         awake = metrics_from_trace(trace, tap).awake
         assert awake / opt >= PHI - Rat(1, p) - Rat(1, 100)
@@ -186,15 +185,37 @@ class TestObliviousFamilies:
                 worst = max(worst, awake / opt)
             assert worst >= Rat(4, 4)  # sqrt(16)/4
 
-    def test_two_task_family(self):
-        x = Rat(1, 2)
-        tap = gen_obliv_two_task(16, x)
-        assert [(t.sigma, t.pi) for t in tap.tasks] == [
-            (ONE, 16 * (x + Rat(1, 16))),
-            (ONE, ONE),
-        ]
-        hard = gen_obliv_two_task(16, x, unparallelizable_second=True)
-        assert hard.tasks[1].pi == 16
+    @pytest.mark.parametrize("p", [16, 64, 256])
+    def test_pair_claim(self, p):
+        """With k = ceil(sqrt(p)) unit-sigma tasks at time 0, instance a
+        (pi = 1) has OPT = k/p and instance b (pi = p) has OPT = 1.  The
+        serial views agree, so an oblivious decide-on-arrival scheduler
+        makes the same decisions on both; the tasks are identical, so only
+        the count s of serial decisions matters.  The best awake time
+        under those decisions is 1 on a for s >= 1 (k/p for s = 0), and
+        k - s + s/p on b for s < k (1 for s = k).  The worse of the two
+        ratios is k at s = 0 and at least p/k at every s >= 1, reached at
+        s = k, so its minimum over s is p/k (as k >= p/k): sqrt(p) here.
+        bal and unk, which see more than the serial view, stay within 3
+        on both."""
+        a, b = gen_oblivious_pair(p)
+        k = a.n
+        assert k * k == p
+        opt_a, opt_b = Rat(k, p), ONE
+        assert opt_awake_exhaustive(a)[0] == opt_a
+        assert opt_awake_exhaustive(b)[0] == opt_b
+        worst = []
+        for s in range(k + 1):
+            decisions = {i: S if i < s else P for i in range(k)}
+            on_a = opt_awake_given_decisions(a, decisions)
+            on_b = opt_awake_given_decisions(b, decisions)
+            assert on_a == (ONE if s else opt_a)
+            assert on_b == (k - s + Rat(s, p) if s < k else ONE)
+            worst.append(max(on_a / opt_a, on_b / opt_b))
+        assert min(worst) == Rat(p, k)
+        for name in ("bal", "unk"):
+            for tap, opt in ((a, opt_a), (b, opt_b)):
+                assert run(name, tap).metrics().awake <= 3 * opt, name
 
 
 class TestCheapExpensive:
@@ -346,13 +367,13 @@ class TestReplay:
         assert trigger == ZERO
         assert [t.id for t in trace.injected] == list(range(1, 11))
         for t in trace.injected:
-            assert (t.sigma, t.pi, t.arrival) == (Rat(1, 1000), Rat(1, 1000), trigger)
+            assert (t.sigma, t.pi, t.arrival) == (Rat(1, 1024), Rat(1, 1024), trigger)
             assert trace.arrivals[t.id] == trigger
 
     @pytest.mark.parametrize("replay", ["golden", "flood"])
     def test_replayed_tap_validates(self, replay):
         if replay == "golden":
-            base = TAP(8, ())
+            base = golden_probe(8)
             trace = simulate(base, AllParallelScheduler(), adversary=GoldenAdversary(8))
         else:
             base, _, trace = self._flood(10)

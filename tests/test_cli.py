@@ -633,11 +633,15 @@ DUEL_OUTPUTS = {
         '{"adversary":"golden","awake":"1292/305","injected":true,'
         '"opt_awake":"987/610","p":32,"ratio":"2584/987","scheduler":"unk","seed":0}',
     "duel rigid flood --R 10":
-        '{"R":10,"adversary":"flood","ratio":"220011/20002","scheduler":"rigid",'
-        '"seed":0,"triggered":true,"trt":"220011/20000","trt_lb":"10001/10000"}',
+        '{"R":10,"adversary":"flood","ratio":"20481/1862","scheduler":"rigid",'
+        '"seed":0,"triggered":true,"trt":"225291/20480","trt_lb":"10241/10240"}',
     "duel equi flood --R 100":
-        '{"R":100,"adversary":"flood","ratio":"1102/1001","scheduler":"equi",'
-        '"seed":0,"triggered":true,"trt":"551/500","trt_lb":"1001/1000"}',
+        '{"R":100,"adversary":"flood","ratio":"1126/1025","scheduler":"equi",'
+        '"seed":0,"triggered":true,"trt":"563/512","trt_lb":"1025/1024"}',
+    # the flood's power-of-two work is in csched's input class
+    "duel csched flood --R 3 --p 8":
+        '{"R":3,"adversary":"flood","ratio":"1494/745","scheduler":"csched",'
+        '"seed":0,"triggered":true,"trt":"8217/4096","trt_lb":"8195/8192"}',
     "duel rigid flood --R 0":
         '{"R":0,"adversary":"flood","inconclusive":true,"ratio":"1",'
         '"scheduler":"rigid","seed":0,"triggered":false,"trt":"1","trt_lb":"1"}',

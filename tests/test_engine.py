@@ -376,13 +376,17 @@ def reference_next_event_time(e):
 
 
 def reference_ids(e) -> tuple:
-    """(alive, unstarted, running, completed, done) by scanning ``status``."""
+    """(alive, unstarted, running, running serially, running in parallel,
+    completed, done) by scanning ``status``."""
     st = e.status
+    running = sorted(tid for tid, s in st.items() if s == "running")
     return (
         sorted(tid for tid, s in st.items() if s in _LIVE),
         sorted((tid for tid, s in st.items() if s == "arrived"),
                key=lambda t: (e.trace.arrivals[t], t)),
-        sorted(tid for tid, s in st.items() if s == "running"),
+        running,
+        [tid for tid in running if e.decision[tid] is Decision.SERIAL],
+        [tid for tid in running if e.decision[tid] is Decision.PARALLEL],
         sorted(tid for tid, s in st.items() if s == "done"),
         not e._ready_at and not any(s in _LIVE for s in st.values()),
     )
@@ -390,7 +394,9 @@ def reference_ids(e) -> tuple:
 
 def _indexed_ids(e) -> tuple:
     v = e.view
-    return (v.alive_ids(), v.unstarted_ids(), v.running_ids(), v.completed_ids(), e.done)
+    return (v.alive_ids(), v.unstarted_ids(), v.running_ids(),
+            v.running_ids(Decision.SERIAL), v.running_ids(Decision.PARALLEL),
+            v.completed_ids(), e.done)
 
 
 def reference_unlocked(e, tid) -> set:

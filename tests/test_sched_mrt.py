@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from taplab import sched_mrt
 from taplab.core import Decision, TAP, Task, metrics_from_trace, round_pow2
 from taplab.engine import simulate, validate_trace
-from taplab.adversary import GenParams, gen_c_trigger, gen_random
+from taplab.adversary import GenParams, c_trigger_corpus, gen_c_trigger, gen_random
 from taplab.rationals import Rat, ZERO, ONE
 from taplab.verify import run, run_config
 from taplab.sched_mrt import (
@@ -247,9 +247,10 @@ class TestC:
         inside the target's emergency, so its mirrored rate goes to the
         target until the target finishes at 19/3; task 8 vests then, and
         the nested B completes its copy at 203/32, before task 8 finishes
-        here."""
-        tap = gen_c_trigger(16, Rat(2), with_candidate=False)
-        tap = TAP(16, tap.tasks + (T(8, Rat(1, 16), Rat(1, 4), Rat(25, 4)),))
+        here.  It is the last instance of A8's crafted corpus."""
+        tap = c_trigger_corpus()[-1]
+        assert tap.tasks[:8] == gen_c_trigger(16, Rat(2), with_candidate=False).tasks
+        assert tap.tasks[8] == T(8, Rat(1, 16), Rat(1, 4), Rat(25, 4))
         done = run("csched", tap)
         assert done.complete and done.violations == []
         assert done.trace.decisions[8] == (P, Rat(19, 3), Rat(19, 3))

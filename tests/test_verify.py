@@ -19,6 +19,7 @@ from taplab.adversary import (
     gen_mrt_cheap_expensive,
     gen_random,
     gen_random_dtap,
+    golden_probe,
 )
 from taplab.core import (TAP, Task, InstanceTooLargeError, InvalidArgumentError,
                          InvalidInstanceError, TapError)
@@ -117,7 +118,7 @@ def test_declarations_predict_every_refusal(tap):
 @pytest.mark.parametrize("adversary", ["golden", "flood"])
 def test_run_replays_the_injected_tasks(adversary):
     if adversary == "golden":
-        name, base, adv = "bal", TAP(8, ()), GoldenAdversary(8)
+        name, base, adv = "bal", golden_probe(8), GoldenAdversary(8)
     else:
         name, base = "rigid", flood_probe(100)
         adv = NonPreemptiveAdversary(10, base)
