@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from .core import Decision, InvalidArgumentError, TAP, Task, normalize_tap
 from .engine import Adversary
 from .oracle import opt_trt_lower
-from .rationals import Rat, ZERO, ONE, PHI, SQRT3, EPS
+from .rationals import Rat, ZERO, ONE, PHI, SQRT3, EPS, is_power_of_two
 
 
 @dataclass(frozen=True)
@@ -249,8 +249,8 @@ def gen_c_trigger(p: int, sigma_t, with_candidate: bool = True) -> TAP:
     if p < 8 or p & (p - 1):
         raise InvalidArgumentError(f"p must be a power of two >= 8, got {p}")
     st = Rat(sigma_t)
-    if st <= 0:
-        raise InvalidArgumentError(f"sigma_t must be positive, got {st}")
+    if not is_power_of_two(st):
+        raise InvalidArgumentError(f"sigma_t must be a power of two, got {st}")
     tasks = [Task(0, st, 4 * st, ZERO)]
     tid = 1
     for _ in range(p // 2 - 1):

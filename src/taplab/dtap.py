@@ -77,7 +77,7 @@ class LevelWitness(_MwfMixin, Scheduler):
         return self._start_serial_phase(view)
 
     def _start_serial_phase(self, view):
-        done = set(view.completed_ids())
+        done = view.trace.completions
         if any(tid not in done for tid in self.spawners):
             return None
         starts = {

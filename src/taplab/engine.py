@@ -7,7 +7,8 @@ simultaneous events are resolved by a fixed tie order
 
 The engine supports incremental advancement (``advance_to``) so that a
 scheduler may drive a nested inner simulation in lockstep with the outer
-clock; the non-cancelling MRT scheduler relies on this.
+clock; the non-cancelling MRT scheduler relies on this.  ``Trace.log``
+lists each start, cancellation and completion as applied: one cursor reads it.
 
 The event loop's fast paths rely on these invariants:
 
@@ -47,6 +48,7 @@ _COMPLETION, _ARRIVAL, _TIMER, _INJECTION = 0, 1, 2, 3
 _EVENT_ORDER = itemgetter(0, 1)  # (kind, id or timer sequence number)
 
 _PENDING, _ARRIVED, _RUNNING, _DONE = "pending", "arrived", "running", "done"
+CANCELLED, COMPLETED = "cancelled", "completed"  # ``Trace.log`` kinds besides a Decision
 
 #: events one run may dispatch before it is stopped as a runaway
 MAX_EVENTS = 1_000_000
@@ -91,6 +93,7 @@ class Trace:
     cancellations: list = field(default_factory=list)  # (id, time)
     arrivals: dict = field(default_factory=dict)  # id -> availability time
     injected: list = field(default_factory=list)  # tasks ``Adversary.on_event`` emitted, in order
+    log: list = field(default_factory=list)  # (Decision | CANCELLED | COMPLETED, id), as applied
 
 
 @dataclass
@@ -185,9 +188,6 @@ class EngineView:
             decided = self._e.decision
             running = [tid for tid in running if decided[tid] is decision]
         return sorted(running)
-
-    def completed_ids(self) -> list[int]:
-        return sorted(self._e.trace.completions)
 
     def decision(self, tid: int) -> Decision | None:
         return self._e.decision.get(tid)
@@ -396,6 +396,7 @@ class Engine:
             self.alloc.pop(tid, None)
             self._finish_stale = True
             self.trace.cancellations.append((tid, self.now))
+            self.trace.log.append((CANCELLED, tid))
         for tid in sorted(commands.starts):
             decision = commands.starts[tid]
             if self.status.get(tid) != _ARRIVED:
@@ -408,6 +409,7 @@ class Engine:
             self.decision[tid] = decision
             self.remaining[tid] = task.work(decision)
             self.trace.decisions[tid] = (decision, self.now, None)
+            self.trace.log.append((decision, tid))
             self._unstamped.add(tid)
         for time_, tag in commands.timers:
             time_ = Rat(time_)
@@ -428,6 +430,7 @@ class Engine:
             self.alloc.pop(tid, None)
             self._finish_stale = True
             self.trace.completions[tid] = self.now
+            self.trace.log.append((COMPLETED, tid))
             for other in self._dependents.pop(tid, ()):
                 missing = self._deps_done[other]
                 missing.discard(tid)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Decision, TAP, Task, TapError
-from .engine import Engine, EngineConfig, SchedCommands, Scheduler
+from .engine import CANCELLED, COMPLETED, Engine, EngineConfig, SchedCommands, Scheduler
 from .rationals import Rat, ZERO, ONE
 
 
@@ -73,6 +73,7 @@ class EquiScheduler(Scheduler):
     """Oblivious baseline: every task runs in parallel under EQUI."""
 
     name = "equi"
+    oblivious = True
 
     def on_arrival(self, view, task):
         return SchedCommands(starts={task.id: Decision.PARALLEL})
@@ -248,15 +249,14 @@ class CancScheduler(Scheduler):
 class _Nested(Scheduler):
     """Runs a scheduler in a nested engine, in lockstep with this one: each
     arrival is fed in with its works times ``scale``, every callback catches
-    the nested run up to the outer clock (``_sync``), and a timer wakes this
-    scheduler at the nested run's next event."""
+    the nested run up to the outer clock and reads its new log entries
+    (``_sync``), and a timer wakes this scheduler at its next event."""
 
     scale = ONE  # work scale of the nested run
 
     def __init__(self):
         self.inner: Engine | None = None
-        self.completions_read = 0
-        self.cancellations_read = 0
+        self.read = 0  # entries of the nested trace's log read so far
         self.timer_times: set = set()
 
     def _nest(self, view, scheduler, budget) -> None:
@@ -273,17 +273,11 @@ class _Nested(Scheduler):
         self.inner.advance_to(view.now)
         return dt
 
-    def _new_completions(self) -> list:
-        """Ids the nested run completed since the last call, in completion order."""
-        new = list(self.inner.trace.completions)[self.completions_read:]
-        self.completions_read += len(new)
+    def _new_events(self) -> list:
+        """The (kind, id) entries the nested run logged since the last call."""
+        new = self.inner.trace.log[self.read:]
+        self.read += len(new)
         return new
-
-    def _new_cancellations(self) -> list:
-        """Ids the nested run cancelled since the last call, in cancellation order."""
-        new = self.inner.trace.cancellations[self.cancellations_read:]
-        self.cancellations_read += len(new)
-        return [tid for tid, _ in new]
 
     def _wake_at(self, commands, t) -> None:
         """A timer at ``t``, unless one was already set for ``t``."""
@@ -385,9 +379,13 @@ class BScheduler(_Nested):
             done = self.fake_share * dt
             self.fakes = [work - done for work in self.fakes if work > done]
         commands = SchedCommands()
-        for inner_tid in self._new_cancellations():
-            self._handle_inner_cancel(view, inner_tid, commands)
-        for inner_tid in self._new_completions():
+        new = self._new_events()
+        for kind, inner_tid in new:
+            if kind == CANCELLED:
+                self._handle_inner_cancel(view, inner_tid, commands)
+        for kind, inner_tid in new:
+            if kind != COMPLETED:
+                continue
             # CANC serializes a task only by cancelling it, and at that
             # cancel B evicts the task or it completes, so a serial nested
             # completion is never a member here
@@ -539,27 +537,26 @@ class CScheduler(_Nested):
                 self.stolen[victim] = self.stolen.get(victim, ZERO) + rate * dt
         commands = SchedCommands()
         outer_done = view.trace.completions
+        new = self._new_events()
         # transitions driven by the nested B run: B serialized the task
-        # (cancelled it, or never ran it parallel).  A serial decision there
-        # is final, so handling it again at a later callback changes nothing;
-        # None -> PARALLEL is the vesting scan's
-        for tid, (dec, _, _) in self.inner.trace.decisions.items():
-            if dec is not Decision.SERIAL or tid in outer_done:
+        # (cancelled it, or never ran it parallel), for good, so each is
+        # read once; None -> PARALLEL is the vesting scan's
+        for kind, tid in new:
+            if kind is not Decision.SERIAL or tid in outer_done:
                 continue
             decided = view.decision(tid)
             if decided is None:
                 commands.starts[tid] = Decision.SERIAL
-            elif decided is Decision.PARALLEL and tid not in self.ballistic:
+            elif decided is Decision.PARALLEL:
                 self._enter_ballistic(view, tid, "serialized")
-        for tid in self._new_completions():
+        for kind, tid in new:
+            if kind != COMPLETED or tid in outer_done:
+                continue
             if self.inner.decision[tid] is not Decision.PARALLEL:
                 continue  # serial completion inside the nested run
-            if tid in outer_done:
-                continue
             if view.decision(tid) is Decision.PARALLEL:  # vested
-                if tid not in self.ballistic:
-                    self._enter_ballistic(view, tid, "inner-completed")
-            elif tid not in self.semibal:
+                self._enter_ballistic(view, tid, "inner-completed")
+            else:
                 self._enter_semibal(view, tid, "inner-completed", commands)
         # vesting: nested B runs the task in parallel, it is undecided here
         # (so neither vested, finished nor semi-ballistic) and its class is calm

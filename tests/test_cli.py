@@ -107,6 +107,20 @@ def test_registry_budgets_match_perfbench(monkeypatch):
             cls.__name__, cls.budget_factor, cls.cancels), name
 
 
+def test_benchmark_selftest_passes():
+    """The benchmark's self-test runs on this checkout's source, so a change
+    that breaks what the benchmark calls (``EngineConfig``, ``simulate``,
+    ``validate_trace``, ``Engine.advance_to``, the scheduler callbacks)
+    fails here too; the self-test removes its own work directory."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ as it is
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "selftest.py")],
+                          cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "selftest passed" in done.stdout
+    assert not list((root / ".perfbench_work").glob("selftest-*"))
+
+
 def test_registry_keys_are_class_names():
     assert all(cls.name == name for name, cls in SCHEDULERS.items())
 
@@ -184,6 +198,22 @@ class TestBadInput:
         captured = capsys.readouterr()
         assert f"error: {message}" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("sigma_t", ["3", "3/2", "6"])
+    def test_c_trigger_sigma_not_a_power_of_two(self, capsys, sigma_t):
+        # csched, the instance's only target, runs on power-of-two works
+        # only, so the generator refuses to write what it would refuse
+        assert main(["gen", "c-trigger", "--p", "8", "--sigma-t", sigma_t]) == 2
+        captured = capsys.readouterr()
+        assert f"error: sigma_t must be a power of two, got {sigma_t}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("sigma_t", ["1/4", "1", "8"])
+    def test_c_trigger_runs_under_csched(self, tmp_path, capsys, sigma_t):
+        path = str(tmp_path / "ct.json")
+        assert main(["gen", "c-trigger", "--p", "8", "--sigma-t", sigma_t, "-o", path]) == 0
+        assert main(["run", path, "csched"]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("gen, run, message", [
         # sss assumes a budget of 2p and csched one of 4p

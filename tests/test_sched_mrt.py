@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from taplab import sched_mrt
 from taplab.core import Decision, TAP, Task, metrics_from_trace, round_pow2
-from taplab.engine import simulate, validate_trace
+from taplab.engine import CANCELLED, COMPLETED, ObliviousnessError, simulate, validate_trace
 from taplab.adversary import GenParams, c_trigger_corpus, gen_c_trigger, gen_random
 from taplab.rationals import Rat, ZERO, ONE
-from taplab.verify import run, run_config
+from taplab.verify import SCHEDULERS, run, run_config
 from taplab.sched_mrt import (
     BScheduler,
     CancScheduler,
@@ -88,6 +88,18 @@ class TestEqui:
         tap = TAP(4, (T(0, 1, 4), T(1, 1, 4)))
         trace = simulate(tap, RigidScheduler())
         assert sorted(trace.completions.values()) == [1, 2]
+
+    def test_oblivious_set(self):
+        assert {name for name, cls in SCHEDULERS.items() if cls.oblivious} == {"unk", "equi"}
+
+    def test_hidden_pi_read_rejected(self):
+        class Peeker(EquiScheduler):
+            def on_arrival(self, view, task):
+                task.pi
+                return super().on_arrival(view, task)
+
+        with pytest.raises(ObliviousnessError):
+            simulate(TAP(2, (T(0, 1, 2),)), Peeker())
 
 
 class TestSss:
@@ -276,36 +288,62 @@ class TestC:
         assert set(trace.completions) == {t.id for t in tap.tasks}
 
 
-# The nested schedulers read new nested completions through a count cursor.
-# The scans below are the bookkeeping it replaced (a seen set over every
-# completion, a set of the ids the nested CANC cancelled); they stay here as
+# The nested schedulers read what their nested run did through one cursor
+# over its trace's log.  The scans below are the bookkeeping it replaced (a
+# seen set over every completion, a second cursor over the cancellations,
+# and C's rescan of every nested decision at every sync); they stay here as
 # the references the cursor must agree with exactly.  B needs no test for a
 # serial nested completion: CANC serializes only by cancelling, and such a
 # task has always left its type by the time its nested run completes.
 
-_real_new_completions = sched_mrt._Nested._new_completions
+_real_new_events = sched_mrt._Nested._new_events
+_real_catch_up = sched_mrt._Nested._catch_up
+
+
+def _acts_on(view, tid) -> bool:
+    """Whether C acts on a nested serial decision of ``tid``: it is not
+    finished here, and undecided or vested here."""
+    return tid not in view.trace.completions and view.decision(tid) in (None, Decision.PARALLEL)
+
+
+def _reference_rescan(c, view) -> list:
+    """The ids C's old rescan of every nested decision acted on: serial
+    there, and acted on but not yet ballistic here."""
+    return [tid for tid, (dec, _, _) in c.inner.trace.decisions.items()
+            if dec is Decision.SERIAL and _acts_on(view, tid) and tid not in c.ballistic]
 
 
 def _run_checked(runs) -> Counter:
-    """Run each (tap, registry name) with a ``_new_completions`` that
-    asserts agreement with the references, and that B's serial nested
-    completions are of tasks no longer in their type; the completions
-    checked, by (run, scheduler class), and the serial ones."""
+    """Run each (tap, registry name) with a ``_new_events`` that asserts
+    agreement with the references, and that B's serial nested completions
+    are of tasks no longer in their type; the entries checked, by (run,
+    scheduler class), and the serial completions."""
     checks = Counter()
     name = None
 
-    def new_completions(self):
-        new = _real_new_completions(self)
-        seen = self.__dict__.setdefault("_reference_seen", set())
-        reference = []
+    def new_events(self):
+        new = _real_new_events(self)
+        ref = self.__dict__.setdefault("_reference", {"seen": set(), "cancellations": 0})
+        completed = []
         for tid in self.inner.trace.completions:
-            if tid not in seen:
-                seen.add(tid)
-                reference.append(tid)
-        assert new == reference
+            if tid not in ref["seen"]:
+                ref["seen"].add(tid)
+                completed.append(tid)
+        assert [tid for kind, tid in new if kind == COMPLETED] == completed
+        cancelled = self.inner.trace.cancellations[ref["cancellations"]:]
+        ref["cancellations"] += len(cancelled)
+        assert [tid for kind, tid in new if kind == CANCELLED] == [tid for tid, _ in cancelled]
+        if isinstance(self, CScheduler):
+            # the cursor acts on each serial decision once, on the ones the
+            # rescan acted on at this sync, and never on a ballistic task
+            acted = [tid for kind, tid in new
+                     if kind is Decision.SERIAL and _acts_on(self.outer_view, tid)]
+            assert sorted(acted) == sorted(_reference_rescan(self, self.outer_view))
+            assert not self.ballistic.intersection(acted)
+            checks["rescan"] += len(acted)
         if isinstance(self, BScheduler):
             cancelled = {tid for tid, _ in self.inner.trace.cancellations}
-            for tid in new:
+            for tid in completed:
                 serial = self.inner.decision[tid] is Decision.SERIAL
                 assert serial == (tid in cancelled)
                 if serial:
@@ -314,8 +352,13 @@ def _run_checked(runs) -> Counter:
         checks[name, type(self).__name__] += len(new)
         return new
 
+    def catch_up(self, view):
+        self.outer_view = view  # the view this sync reads
+        return _real_catch_up(self, view)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sched_mrt._Nested, "_new_completions", new_completions)
+        mp.setattr(sched_mrt._Nested, "_new_events", new_events)
+        mp.setattr(sched_mrt._Nested, "_catch_up", catch_up)
         for tap, name in runs:
             done = run(name, tap)
             assert done.complete and done.violations == []
@@ -327,12 +370,14 @@ class TestNestedBookkeeping:
         checks = _run_checked(
             (tap, name) for tap, name in _corpus() if name in ("bsched", "csched")
         )
-        # B on its own, C, and the B nested in C each read completions,
-        # and some nested completions were serial
+        # B on its own, C, and the B nested in C each read log entries,
+        # some nested completions were serial, and C acted on nested
+        # serial decisions
         assert checks["bsched", "BScheduler"] > 100
         assert checks["csched", "CScheduler"] > 100
         assert checks["csched", "BScheduler"] > 100
         assert checks["serial"] > 0
+        assert checks["rescan"] > 0
 
     @given(small_taps(max_n=8, pow2=True), st.sampled_from(["bsched", "csched"]))
     @settings(max_examples=40, deadline=None)
