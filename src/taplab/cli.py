@@ -220,7 +220,6 @@ def cmd_sweep(args) -> int:
 # --- duel --------------------------------------------------------------------
 
 def cmd_duel(args) -> int:
-    seed = _seed(args)
     if args.adversary == "golden":
         base = golden_probe(args.p)
         adv = GoldenAdversary(args.p)
@@ -253,7 +252,6 @@ def cmd_duel(args) -> int:
         }
         if not adv.triggered:
             report["inconclusive"] = True
-    report["seed"] = seed
     _print_record(report)
     return 0
 
@@ -392,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_duel.add_argument("--p", type=int, default=100)
     p_duel.add_argument("--R", type=_count, default=10)
     p_duel.add_argument("--probe", help="probe instance file for the flood")
-    p_duel.add_argument("--seed", type=int, default=None)
     _add_run_flags(p_duel)
     p_duel.set_defaults(func=cmd_duel)
 

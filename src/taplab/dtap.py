@@ -2,7 +2,7 @@
 witness schedule.
 
 A task is fairly-parallel when pi/p < sigma/sqrt(p); TURTLE runs
-fairly-parallel tasks one at a time on all p processors (preempting
+fairly-parallel tasks one at a time on the whole budget (preempting
 serial work) and everything else serially, most-work-first.  All sqrt(p)
 comparisons are done in squared form, exactly.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .core import Decision, TAP
 from .engine import SchedCommands, Scheduler
-from .rationals import Rat, ZERO
+from .rationals import ZERO
 from .sched_awake import _MwfMixin, most_work_first_alloc
 
 
@@ -23,9 +23,10 @@ def fairly_parallel(task, p: int) -> bool:
 class TurtleScheduler(Scheduler):
     """O(sqrt(p))-competitive DTAP scheduler.
 
-    Whenever a fairly-parallel task is available it gets all p processors
-    (lowest id first); otherwise the min(p, k) available not-very-parallel
-    tasks with the largest remaining serial work get one processor each.
+    Whenever a fairly-parallel task is available it gets the whole budget
+    (lowest id first); otherwise the available not-very-parallel tasks
+    with the largest remaining serial work get one processor each, as many
+    as the budget holds.
     """
 
     name = "turtle"
@@ -37,10 +38,9 @@ class TurtleScheduler(Scheduler):
     def allocate(self, view) -> dict:
         fp = view.running_ids(Decision.PARALLEL)
         if fp:
-            return {fp[0]: Rat(view.p)}
-        return most_work_first_alloc(
-            {tid: view.remaining(tid) for tid in view.running_ids(Decision.SERIAL)}, (), view.p
-        )
+            return {fp[0]: view.budget}
+        serial = {tid: view.remaining(tid) for tid in view.running_ids(Decision.SERIAL)}
+        return most_work_first_alloc(serial, (), view.budget)
 
 
 def turtle_parallel_work_bound(tap: TAP) -> bool:

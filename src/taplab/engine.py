@@ -25,10 +25,10 @@ The event loop's fast paths rely on these invariants:
   collection reads them instead of scanning ``alloc``;
 * ``_dependents`` is the reverse of ``_deps_done``: a completion unlocks
   only the tasks waiting on it;
-* ``_unstamped`` holds the tasks started but never given a rate; only
-  those get a start time when an allocation gives them one;
-* ``_alive`` (arrived or running) and ``_running`` mirror ``status``, so
-  no query scans every task.
+* ``_alive`` (arrived, not finished) and ``_running`` (started, not
+  cancelled or finished) are the task lifecycle: a task in neither has
+  finished if ``trace.completions`` holds it and has not arrived
+  otherwise, so no query scans every task.
 
 Simultaneous events are never merged, and an instant is processed even
 when the allocation does not change: both would change the slice splits.
@@ -47,7 +47,6 @@ from .rationals import Rat, ZERO, ONE, is_power_of_two, rat_str
 _COMPLETION, _ARRIVAL, _TIMER, _INJECTION = 0, 1, 2, 3
 _EVENT_ORDER = itemgetter(0, 1)  # (kind, id or timer sequence number)
 
-_PENDING, _ARRIVED, _RUNNING, _DONE = "pending", "arrived", "running", "done"
 CANCELLED, COMPLETED = "cancelled", "completed"  # ``Trace.log`` kinds besides a Decision
 
 #: events one run may dispatch before it is stopped as a runaway
@@ -85,10 +84,12 @@ def _budget(tap: TAP, config: EngineConfig) -> Rat:
 
 @dataclass
 class Trace:
-    """Full execution record of one simulation run."""
+    """Full execution record of one simulation run.  A start is not
+    stamped: it is the first slice at or after the task's ``decided_at``
+    that gives it a rate."""
 
     slices: list = field(default_factory=list)  # (t0, t1, {id: rate})
-    decisions: dict = field(default_factory=dict)  # id -> (Decision, decided_at, started_at)
+    decisions: dict = field(default_factory=dict)  # id -> (Decision, decided_at) of its last start
     completions: dict = field(default_factory=dict)  # id -> time
     cancellations: list = field(default_factory=list)  # (id, time)
     arrivals: dict = field(default_factory=dict)  # id -> availability time
@@ -245,7 +246,6 @@ class Engine:
         self.adversary = adversary
         self.now = ZERO
         self.tasks: dict[int, Task] = {}
-        self.status: dict[int, str] = {}
         self.remaining: dict[int, Rat] = {}
         self.decision: dict[int, Decision] = {}
         self.alloc: dict[int, Rat] = {}
@@ -262,7 +262,6 @@ class Engine:
         self._finish: Rat | None = None  # next completion under ``alloc``
         self._finish_stale = False
         self._due: list[int] = []  # ids whose work the last clock step finished
-        self._unstamped: set[int] = set()  # started, never given a rate
         self.view = EngineView(self)
         self._started = False
         for task in tap.tasks:
@@ -290,11 +289,8 @@ class Engine:
             raise ContractError(f"duplicate task id {task.id}")
         self._admit(task)
         self.tasks[task.id] = task
-        self.status[task.id] = _PENDING
         self.remaining[task.id] = ZERO
-        missing = {
-            d for d in task.deps if self.status.get(d) != _DONE
-        }
+        missing = {d for d in task.deps if d not in self.trace.completions}
         self._deps_done[task.id] = missing
         for d in missing:
             self._dependents.setdefault(d, []).append(task.id)
@@ -383,13 +379,12 @@ class Engine:
         for tid in sorted(commands.cancels):
             if not self.config.allow_cancel:
                 raise ContractError(f"cancellation of task {tid} with allow_cancel=false")
-            if self.status.get(tid) != _RUNNING:
+            if tid not in self._running:
                 raise ContractError(f"cannot cancel task {tid}: not running")
             if self.decision[tid] is not Decision.PARALLEL:
                 raise ContractError(f"cannot cancel serial task {tid}")
             if self.remaining[tid] == 0:  # its completion is due at this instant
                 raise ContractError(f"cannot cancel task {tid}: its work is done")
-            self.status[tid] = _ARRIVED
             self._running.discard(tid)
             del self.decision[tid]
             self.remaining[tid] = ZERO
@@ -399,18 +394,15 @@ class Engine:
             self.trace.log.append((CANCELLED, tid))
         for tid in sorted(commands.starts):
             decision = commands.starts[tid]
-            if self.status.get(tid) != _ARRIVED:
-                raise ContractError(
-                    f"cannot start task {tid}: status {self.status.get(tid)!r}"
-                )
-            task = self.tasks[tid]
-            self.status[tid] = _RUNNING
+            if tid in self._running or tid not in self._alive:
+                why = ("already running" if tid in self._running else
+                       "finished" if tid in self.trace.completions else "not arrived")
+                raise ContractError(f"cannot start task {tid}: {why}")
             self._running.add(tid)
             self.decision[tid] = decision
-            self.remaining[tid] = task.work(decision)
-            self.trace.decisions[tid] = (decision, self.now, None)
+            self.remaining[tid] = self.tasks[tid].work(decision)
+            self.trace.decisions[tid] = (decision, self.now)
             self.trace.log.append((decision, tid))
-            self._unstamped.add(tid)
         for time_, tag in commands.timers:
             time_ = Rat(time_)
             if time_ < self.now:
@@ -424,7 +416,6 @@ class Engine:
             raise RunawayError(f"event count exceeded bound {MAX_EVENTS}")
         if kind == _COMPLETION:
             tid = key
-            self.status[tid] = _DONE
             self._alive.discard(tid)
             self._running.discard(tid)
             self.alloc.pop(tid, None)
@@ -434,13 +425,12 @@ class Engine:
             for other in self._dependents.pop(tid, ()):
                 missing = self._deps_done[other]
                 missing.discard(tid)
-                if not missing and self.status[other] == _PENDING:
+                if not missing:
                     self._ready_at[other] = max(self.tasks[other].arrival, self.now)
             self._apply_commands(self.scheduler.on_completion(self.view, tid))
         elif kind == _ARRIVAL:
             tid = key
             del self._ready_at[tid]
-            self.status[tid] = _ARRIVED
             self._alive.add(tid)
             self.trace.arrivals[tid] = self.now
             self._apply_commands(
@@ -452,8 +442,8 @@ class Engine:
     def _set_allocation(self) -> None:
         raw = self.scheduler.allocate(self.view)
         if raw == self.alloc:
-            # the rates in force: checked and stamped when they were set,
-            # and the cached finish time still holds
+            # the rates in force: checked when they were set, and the
+            # cached finish time still holds
             return
         alloc: dict[int, Rat] = {}
         total = ZERO
@@ -478,12 +468,6 @@ class Engine:
             )
         self.alloc = alloc
         self._finish_stale = True
-        if self._unstamped:
-            decisions = self.trace.decisions
-            for tid in self._unstamped.intersection(alloc):
-                self._unstamped.discard(tid)
-                dec, t_dec, _ = decisions[tid]
-                decisions[tid] = (dec, t_dec, self.now)
 
     def _process_instant(self) -> None:
         """Process every event at the current clock time, then re-allocate."""

@@ -168,7 +168,7 @@ class UnkScheduler(_MwfMixin, Scheduler):
         if task.id not in commands.starts:
             # the serial option activates right after age sigma
             aged_at = view.avail_time(task.id) + task.sigma
-            commands.timers.append((aged_at, ("aged", task.id)))
+            commands.timers.append((aged_at, None))
         return commands
 
     def on_completion(self, view, tid):
@@ -182,7 +182,7 @@ class GoldenAlg(_MwfMixin, Scheduler):
     """Experimental scheduler built around the golden-ratio conjecture.
 
     New tasks join a parallel pool; at each arrival the exhaustive oracle
-    recomputes the offline-optimal awake time of the tasks seen so far
+    recomputes the offline-optimal awake time of the tasks arrived so far
     (so it runs on plain TAPs of at most ``max_plain_n`` tasks), and every
     not-yet-started pool task whose sigma plus incurred awake time is
     below phi times that optimum migrates to the serial pool.
@@ -191,12 +191,10 @@ class GoldenAlg(_MwfMixin, Scheduler):
     name = "golden"
     max_plain_n = 15
 
-    def __init__(self):
-        self.seen: list[Task] = []
-
-    def _commands(self, view) -> SchedCommands:
+    def on_arrival(self, view, task):
         starts: dict[int, Decision] = {}
-        opt, _ = opt_awake_exhaustive(TAP(view.p, tuple(self.seen)))
+        arrived = tuple(view.task(tid) for tid in view.trace.arrivals)
+        opt, _ = opt_awake_exhaustive(TAP(view.p, arrived))
         threshold = PHI * opt
         kept = []  # the parallel pool: undecided tasks, arrival order
         for tid in view.unstarted_ids():
@@ -207,10 +205,6 @@ class GoldenAlg(_MwfMixin, Scheduler):
         if kept and not view.running_ids(Decision.PARALLEL):
             starts[kept[0]] = Decision.PARALLEL
         return SchedCommands(starts=starts)
-
-    def on_arrival(self, view, task):
-        self.seen.append(task)
-        return self._commands(view)
 
     def on_completion(self, view, tid):
         # one running parallel task, earliest arrival first

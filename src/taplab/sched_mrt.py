@@ -46,7 +46,6 @@ def equi_alloc(ids, budget, serial_cap: bool) -> dict:
 class RelaxedJob:
     """Surrogate job with work 2*sigma and a threshold speedup curve."""
 
-    task_id: int
     total_work: Rat  # 2 sigma
     threshold: Rat  # pi / sigma
     progress: Rat = ZERO
@@ -83,7 +82,7 @@ class EquiScheduler(Scheduler):
 
 
 class RigidScheduler(Scheduler):
-    """Non-preemptive baseline: one task at a time, all p processors,
+    """Non-preemptive baseline: one task at a time on the whole budget,
     FCFS, never preempted."""
 
     name = "rigid"
@@ -103,7 +102,7 @@ class RigidScheduler(Scheduler):
 
     def allocate(self, view) -> dict:
         running = view.running_ids()
-        return {running[0]: Rat(view.p)} if running else {}
+        return {running[0]: view.budget} if running else {}
 
 
 # --- SSS --------------------------------------------------------------------
@@ -211,9 +210,7 @@ class CancScheduler(Scheduler):
 
     def on_arrival(self, view, task):
         self._sync(view)
-        self.relaxed[task.id] = RelaxedJob(
-            task.id, 2 * task.sigma, _task_class(task.sigma, task.pi)
-        )
+        self.relaxed[task.id] = RelaxedJob(2 * task.sigma, _task_class(task.sigma, task.pi))
         return SchedCommands(
             starts={task.id: Decision.PARALLEL},
             timers=[(view.now + task.sigma, task.id)],

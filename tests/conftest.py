@@ -29,3 +29,10 @@ def small_taps(draw, max_n=6, pow2=False):
             seed=seed,
         )
     )
+
+
+def started_at(trace, tid):
+    """When a task's last start began to run: the first slice at or after
+    its decision that gives it a rate."""
+    decided = trace.decisions[tid][1]
+    return next(t0 for t0, _, alloc in trace.slices if t0 >= decided and tid in alloc)

@@ -272,9 +272,8 @@ class TestBadInput:
     @pytest.mark.parametrize("argv", [
         ["gen", "random"],
         ["sweep", "--count", "1"],
-        ["duel", "bal", "golden", "--p", "4"],
         ["verify", "--only", "A5"],
-    ], ids=["gen", "sweep", "duel", "verify"])
+    ], ids=["gen", "sweep", "verify"])
     def test_unparsable_seed_variable(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("TAPLAB_SEED", "x")
         assert main(argv) == 2
@@ -654,34 +653,33 @@ class TestSweep:
 DUEL_OUTPUTS = {
     "duel bal golden --p 8":
         '{"adversary":"golden","awake":"9349/2440","injected":true,'
-        '"opt_awake":"987/610","p":8,"ratio":"9349/3948","scheduler":"bal","seed":0}',
+        '"opt_awake":"987/610","p":8,"ratio":"9349/3948","scheduler":"bal"}',
     "duel mwf-all-parallel golden --p 100":
         '{"adversary":"golden","awake":"98323/610","injected":true,'
         '"opt_awake":"987/610","p":100,"ratio":"98323/987",'
-        '"scheduler":"mwf-all-parallel","seed":0}',
+        '"scheduler":"mwf-all-parallel"}',
     "duel unk golden --p 32":
         '{"adversary":"golden","awake":"1292/305","injected":true,'
-        '"opt_awake":"987/610","p":32,"ratio":"2584/987","scheduler":"unk","seed":0}',
+        '"opt_awake":"987/610","p":32,"ratio":"2584/987","scheduler":"unk"}',
     "duel rigid flood --R 10":
         '{"R":10,"adversary":"flood","ratio":"20481/1862","scheduler":"rigid",'
-        '"seed":0,"triggered":true,"trt":"225291/20480","trt_lb":"10241/10240"}',
+        '"triggered":true,"trt":"225291/20480","trt_lb":"10241/10240"}',
     "duel equi flood --R 100":
         '{"R":100,"adversary":"flood","ratio":"1126/1025","scheduler":"equi",'
-        '"seed":0,"triggered":true,"trt":"563/512","trt_lb":"1025/1024"}',
+        '"triggered":true,"trt":"563/512","trt_lb":"1025/1024"}',
     # the flood's power-of-two work is in csched's input class
     "duel csched flood --R 3 --p 8":
         '{"R":3,"adversary":"flood","ratio":"1494/745","scheduler":"csched",'
-        '"seed":0,"triggered":true,"trt":"8217/4096","trt_lb":"8195/8192"}',
+        '"triggered":true,"trt":"8217/4096","trt_lb":"8195/8192"}',
     "duel rigid flood --R 0":
         '{"R":0,"adversary":"flood","inconclusive":true,"ratio":"1",'
-        '"scheduler":"rigid","seed":0,"triggered":false,"trt":"1","trt_lb":"1"}',
+        '"scheduler":"rigid","triggered":false,"trt":"1","trt_lb":"1"}',
 }
 
 
 class TestDuel:
     @pytest.mark.parametrize("command", sorted(DUEL_OUTPUTS))
-    def test_exact_output(self, command, capsys, monkeypatch):
-        monkeypatch.delenv("TAPLAB_SEED", raising=False)
+    def test_exact_output(self, command, capsys):
         assert main(command.split()) == 0
         assert capsys.readouterr().out == DUEL_OUTPUTS[command] + "\n"
 

@@ -113,7 +113,15 @@ MISBEHAVIOURS = [
     ("start-not-arrived", LATE_SECOND,
      _Rogue(arrival=lambda view, task: SchedCommands(
          starts={0: Decision.SERIAL, 1: Decision.SERIAL})),
-     None, False, ContractError, "cannot start task 1: status 'pending'"),
+     None, False, ContractError, "cannot start task 1: not arrived"),
+    ("start-running", TAP(2, (T(0, 1, 2), T(1, 1, 2))),
+     _Rogue(arrival=lambda view, task: SchedCommands(
+         starts={0: Decision.SERIAL, task.id: Decision.SERIAL})),
+     None, False, ContractError, "cannot start task 0: already running"),
+    ("start-finished", LATE_SECOND,
+     _Rogue(arrival=lambda view, task: SchedCommands(
+         starts={0: Decision.SERIAL, task.id: Decision.SERIAL})),
+     None, False, ContractError, "cannot start task 0: finished"),
     ("timer-in-the-past", ONE_TASK,
      _Rogue(arrival=lambda view, task: SchedCommands(timers=[(-1, "late")])),
      None, False, ContractError, "timer in the past: -1 < 0"),
@@ -217,7 +225,7 @@ class TestValidate:
         tap = self._base()
         trace = Trace(
             slices=[(ZERO, Rat(1, 2), {0: Rat(2)})],
-            decisions={0: (Decision.SERIAL, ZERO, ZERO)},
+            decisions={0: (Decision.SERIAL, ZERO)},
             completions={0: Rat(1, 2)},
             arrivals={0: ZERO},
         )
@@ -228,7 +236,7 @@ class TestValidate:
         tap = self._base()
         trace = Trace(
             slices=[(ZERO, Rat(4, 5), {0: Rat(5)})],
-            decisions={0: (Decision.PARALLEL, ZERO, ZERO)},
+            decisions={0: (Decision.PARALLEL, ZERO)},
             completions={0: Rat(4, 5)},
             arrivals={0: ZERO},
         )
@@ -239,7 +247,7 @@ class TestValidate:
         tap = self._base()
         trace = Trace(
             slices=[(ZERO, ONE, {0: ONE})],
-            decisions={0: (Decision.PARALLEL, ZERO, ZERO)},
+            decisions={0: (Decision.PARALLEL, ZERO)},
             completions={0: ONE},
             arrivals={0: ZERO},
         )
@@ -283,23 +291,27 @@ class TestProperties:
 # The engine caches the next completion time per allocation, keeps live
 # alive/running index sets, collects completions in the clock step, unlocks
 # dependents through a reverse index and validates a trace in one pass.  The
-# scanning versions below are the code those fast paths replaced; they stay
-# here as the references the fast paths must agree with exactly.
+# scanning versions below are the references the fast paths must agree with
+# exactly; the lifecycle references derive each task's state from the trace
+# alone, independently of the index sets they check.
 
 MRT = ("equi", "rigid", "sss", "canc", "bsched", "csched")
-_LIVE = ("arrived", "running")
 
 #: SHA-256 of the exact traces of ``_corpus()``, recorded with the scanning
-#: engine; a fast path that changes any trace changes it
-CORPUS_TRACES_SHA256 = "4ce4ec4259f70fe968c9ed256c4fba3544f3395fe6b0a4d69883188fb6af684b"
+#: engine; a fast path that changes any trace changes it.  Re-pinned when
+#: each decision dropped its start time (the first slice that rates the
+#: task holds it): the old digest recomputed with every decision cut to
+#: (decision, decided_at)
+CORPUS_TRACES_SHA256 = "6f4b543059adca4af00a58288c0e90f7a8563d04a47b3636b78c7837cbbc65ac"
 #: SHA-256 of the diagnostic records the schedulers keep over the same runs;
 #: re-pinned when C came to read nested serial decisions in the order the
 #: nested engine applied them (same records, reordered within an instant)
 CORPUS_RECORDS_SHA256 = "80439c8cea704940871b3be6691d2b4b99777410f335f9fd952481afbbcacb57"
 #: the same two digests over ``_wide_corpus()``; the traces were recorded
 #: before the MRT schedulers dropped their copies of engine state, the
-#: records re-pinned with ``CORPUS_RECORDS_SHA256``
-WIDE_TRACES_SHA256 = "f0b11a2492a3105ffa97f2438af758d1bb3530d5eddaa81a5f444b5352cc9490"
+#: records re-pinned with ``CORPUS_RECORDS_SHA256`` and the traces with
+#: ``CORPUS_TRACES_SHA256``
+WIDE_TRACES_SHA256 = "58a186b4f36183e65cea920e2608c67c7455d63cb22674d2c620f75a030164c8"
 WIDE_RECORDS_SHA256 = "a253aca6e91841333b105cbe88762ec8a5a20a1f97b100a200de772d746fa369"
 
 
@@ -361,10 +373,17 @@ def _trace_text(trace) -> str:
                               trace.cancellations, trace.arrivals]))
 
 
+def reference_running(e) -> list:
+    """Running task ids, ascending: those whose last log entry is a start."""
+    last = {tid: kind for kind, tid in e.trace.log}
+    return sorted(tid for tid, kind in last.items() if isinstance(kind, Decision))
+
+
 def reference_next_event_time(e):
     best = None
+    running = reference_running(e)
     for tid, rate in e.alloc.items():
-        if rate <= 0 or e.status[tid] != "running":
+        if rate <= 0 or tid not in running:
             continue
         eff = min(rate, ONE) if e.decision[tid] is Decision.SERIAL else rate
         if eff <= 0:
@@ -382,17 +401,19 @@ def reference_next_event_time(e):
 
 def reference_ids(e) -> tuple:
     """(alive, unstarted, running, running serially, running in parallel,
-    done) by scanning ``status``."""
-    st = e.status
-    running = sorted(tid for tid, s in st.items() if s == "running")
+    done) from the trace alone: a task is alive from its arrival to its
+    completion, and running while its last log entry is a start."""
+    trace = e.trace
+    alive = sorted(tid for tid in trace.arrivals if tid not in trace.completions)
+    running = reference_running(e)
     return (
-        sorted(tid for tid, s in st.items() if s in _LIVE),
-        sorted((tid for tid, s in st.items() if s == "arrived"),
-               key=lambda t: (e.trace.arrivals[t], t)),
+        alive,
+        sorted((tid for tid in alive if tid not in running),
+               key=lambda t: (trace.arrivals[t], t)),
         running,
-        [tid for tid in running if e.decision[tid] is Decision.SERIAL],
-        [tid for tid in running if e.decision[tid] is Decision.PARALLEL],
-        not e._ready_at and not any(s in _LIVE for s in st.values()),
+        [tid for tid in running if trace.decisions[tid][0] is Decision.SERIAL],
+        [tid for tid in running if trace.decisions[tid][0] is Decision.PARALLEL],
+        not e._ready_at and not alive,
     )
 
 
@@ -404,10 +425,10 @@ def _indexed_ids(e) -> tuple:
 
 
 def reference_unlocked(e, tid) -> set:
-    """Pending tasks whose last unfinished dependency is ``tid``, by
-    scanning every task's ``_deps_done`` set."""
+    """Tasks not yet arrived whose last unfinished dependency is ``tid``,
+    by scanning every task's ``_deps_done`` set."""
     return {other for other, missing in e._deps_done.items()
-            if missing == {tid} and e.status[other] == "pending"}
+            if missing == {tid} and other not in e.trace.arrivals}
 
 
 class _CheckedEngine(Engine):
@@ -428,7 +449,7 @@ class _CheckedEngine(Engine):
         assert [tid for kind, tid in trace.log if kind == CANCELLED] == [
             tid for tid, _ in trace.cancellations]
         last_start = {tid: kind for kind, tid in trace.log if isinstance(kind, Decision)}
-        assert last_start == {tid: dec for tid, (dec, _, _) in trace.decisions.items()}
+        assert last_start == {tid: dec for tid, (dec, _) in trace.decisions.items()}
         _CheckedEngine.checks += 1
 
     def next_event_time(self):
@@ -510,7 +531,7 @@ def reference_validate(trace: Trace, tap: TAP, config: EngineConfig | None = Non
         if tid not in trace.decisions:
             violations.append(f"task {tid} completed without a decision")
             continue
-        decision, _, _ = trace.decisions[tid]
+        decision, _ = trace.decisions[tid]
         start_after = cancel_times.get(tid, ZERO)
         work = ZERO
         serial_cap_violated = False

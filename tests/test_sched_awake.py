@@ -18,7 +18,7 @@ from taplab.sched_awake import (
     most_work_first_alloc,
 )
 
-from conftest import small_taps
+from conftest import small_taps, started_at
 
 S, P = Decision.SERIAL, Decision.PARALLEL
 
@@ -133,17 +133,15 @@ class TestUnk:
         # task 1 waits behind the parallel task past its own sigma
         tap = TAP(2, (T(0, 3, 3), T(1, 1, 2)))
         trace = simulate(tap, UnkScheduler())
-        decision, _, started = trace.decisions[1]
-        assert decision is S
-        assert started == Rat(3, 2)
+        assert trace.decisions[1][0] is S
+        assert started_at(trace, 1) == Rat(3, 2)
 
     def test_age_boundary_still_parallel(self):
         # at age exactly sigma the parallel option is still taken
         tap = TAP(2, (T(0, 1, 1), T(1, Rat(1, 2), 1)))
         trace = simulate(tap, UnkScheduler())
-        decision, _, started = trace.decisions[1]
-        assert decision is P
-        assert started == Rat(1, 2)
+        assert trace.decisions[1][0] is P
+        assert started_at(trace, 1) == Rat(1, 2)
 
     def test_dependency_instances_age_from_availability(self):
         # a task that becomes available after its arrival ages from then;

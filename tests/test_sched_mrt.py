@@ -22,7 +22,7 @@ from taplab.sched_mrt import (
     relaxed_rate,
 )
 
-from conftest import small_taps
+from conftest import small_taps, started_at
 from test_engine import _corpus
 
 S, P = Decision.SERIAL, Decision.PARALLEL
@@ -62,19 +62,19 @@ class TestEquiAlloc:
 
 class TestRelaxedRate:
     def test_below_threshold(self):
-        job = RelaxedJob(0, Rat(2), Rat(4), ZERO)
+        job = RelaxedJob(Rat(2), Rat(4), ZERO)
         assert relaxed_rate(job, Rat(2)) == 1
 
     def test_at_threshold(self):
-        job = RelaxedJob(0, Rat(2), Rat(4), ZERO)
+        job = RelaxedJob(Rat(2), Rat(4), ZERO)
         assert relaxed_rate(job, Rat(4)) == 1
 
     def test_above_threshold(self):
-        job = RelaxedJob(0, Rat(2), Rat(4), ZERO)
+        job = RelaxedJob(Rat(2), Rat(4), ZERO)
         assert relaxed_rate(job, Rat(8)) == 2
 
     def test_zero(self):
-        job = RelaxedJob(0, Rat(2), Rat(4), ZERO)
+        job = RelaxedJob(Rat(2), Rat(4), ZERO)
         assert relaxed_rate(job, ZERO) == 0
 
 
@@ -265,7 +265,8 @@ class TestC:
         assert tap.tasks[8] == T(8, Rat(1, 16), Rat(1, 4), Rat(25, 4))
         done = run("csched", tap)
         assert done.complete and done.violations == []
-        assert done.trace.decisions[8] == (P, Rat(19, 3), Rat(19, 3))
+        assert done.trace.decisions[8] == (P, Rat(19, 3))
+        assert started_at(done.trace, 8) == Rat(19, 3)
         assert [(r.task_id, r.mode, r.trigger, r.entered, r.exited)
                 for r in done.scheduler.mode_records] == [
             (0, "ballistic", "serialized", Rat(6), Rat(19, 3)),
@@ -309,7 +310,7 @@ def _acts_on(view, tid) -> bool:
 def _reference_rescan(c, view) -> list:
     """The ids C's old rescan of every nested decision acted on: serial
     there, and acted on but not yet ballistic here."""
-    return [tid for tid, (dec, _, _) in c.inner.trace.decisions.items()
+    return [tid for tid, (dec, _) in c.inner.trace.decisions.items()
             if dec is Decision.SERIAL and _acts_on(view, tid) and tid not in c.ballistic]
 
 

@@ -142,6 +142,17 @@ def test_run_scheduler_instance_on_default_config():
     assert done.metrics().awake == 1
 
 
+@pytest.mark.parametrize("factor", [1, 2])
+@pytest.mark.parametrize("name", ["bal", "unk", "mwf-all-parallel", "golden", "equi",
+                                  "rigid", "turtle"])
+def test_lone_task_runs_on_the_whole_budget(name, factor):
+    """sigma = pi = 1 on p = 4: the task runs in parallel on all f*p
+    processors, so ``--budget-factor`` f divides its finish time by f."""
+    done = run(name, TAP(4, (Task(0, ONE, ONE, ZERO),)), factor)
+    assert done.violations == []
+    assert done.trace.completions == {0: Rat(1, 4 * factor)}
+
+
 def test_run_validates_when_read(monkeypatch):
     calls = []
     real = verify.validate_trace
