@@ -2,13 +2,15 @@
 
 Between events the allocation is piecewise constant; remaining works
 decrease at exact rational rates, so completion instants are exact and
-simultaneous events are resolved by a fixed tie order
-(Completion < Arrival < Timer < AdversaryInjection, then ascending id).
+simultaneous events are resolved by a fixed tie order: completions, then
+arrivals (each by ascending id), then timers (in the order set), each kind
+collected already in this order; an adversary injects at a quiet instant.
 
 The engine supports incremental advancement (``advance_to``) so that a
 scheduler may drive a nested inner simulation in lockstep with the outer
 clock; the non-cancelling MRT scheduler relies on this.  ``Trace.log``
 lists each start, cancellation and completion as applied: one cursor reads it.
+A task's decision is kept once, in ``Trace.decisions`` (its last start).
 
 The event loop's fast paths rely on these invariants:
 
@@ -22,7 +24,7 @@ The event loop's fast paths rely on these invariants:
   the cached time);
 * a task's remaining work reaches 0 only in the clock step, so the clock
   step collects the ids that reach it (``_due``) and the instant's event
-  collection reads them instead of scanning ``alloc``;
+  batch reads them instead of scanning ``alloc``;
 * ``_dependents`` is the reverse of ``_deps_done``: a completion unlocks
   only the tasks waiting on it;
 * ``_alive`` (arrived, not finished) and ``_running`` (started, not
@@ -38,14 +40,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 from .core import Decision, InstanceTooLargeError, InvalidInstanceError, TAP, Task, TapError
 from .rationals import Rat, ZERO, ONE, is_power_of_two, rat_str
-
-# Event-kind tie order.
-_COMPLETION, _ARRIVAL, _TIMER, _INJECTION = 0, 1, 2, 3
-_EVENT_ORDER = itemgetter(0, 1)  # (kind, id or timer sequence number)
 
 CANCELLED, COMPLETED = "cancelled", "completed"  # ``Trace.log`` kinds besides a Decision
 
@@ -186,12 +183,17 @@ class EngineView:
         one is given."""
         running = self._e._running
         if decision is not None:
-            decided = self._e.decision
-            running = [tid for tid in running if decided[tid] is decision]
+            decided = self._e.trace.decisions
+            running = [tid for tid in running if decided[tid][0] is decision]
         return sorted(running)
 
     def decision(self, tid: int) -> Decision | None:
-        return self._e.decision.get(tid)
+        """The decision of a running or finished task; None otherwise
+        (also between a cancellation and a restart)."""
+        e = self._e
+        if tid in e._running or tid in e.trace.completions:
+            return e.trace.decisions[tid][0]
+        return None
 
     def remaining(self, tid: int) -> Rat:
         return self._e.remaining[tid]
@@ -247,7 +249,6 @@ class Engine:
         self.now = ZERO
         self.tasks: dict[int, Task] = {}
         self.remaining: dict[int, Rat] = {}
-        self.decision: dict[int, Decision] = {}
         self.alloc: dict[int, Rat] = {}
         self.trace = Trace()
         self.awake_so_far = ZERO
@@ -360,19 +361,6 @@ class Engine:
 
     # -- event processing ----------------------------------------------------
 
-    def _events_at(self, t: Rat) -> list:
-        events = [(_COMPLETION, tid, None) for tid in self._due]
-        self._due = []
-        for tid, rt in self._ready_at.items():
-            if rt == t:
-                events.append((_ARRIVAL, tid, None))
-        while self._timers and self._timers[0][0] == t:
-            time_, seq, tag = heapq.heappop(self._timers)
-            events.append((_TIMER, seq, tag))
-        if len(events) > 1:
-            events.sort(key=_EVENT_ORDER)
-        return events
-
     def _apply_commands(self, commands: SchedCommands | None) -> None:
         if commands is None:
             return
@@ -381,12 +369,11 @@ class Engine:
                 raise ContractError(f"cancellation of task {tid} with allow_cancel=false")
             if tid not in self._running:
                 raise ContractError(f"cannot cancel task {tid}: not running")
-            if self.decision[tid] is not Decision.PARALLEL:
+            if self.trace.decisions[tid][0] is not Decision.PARALLEL:
                 raise ContractError(f"cannot cancel serial task {tid}")
             if self.remaining[tid] == 0:  # its completion is due at this instant
                 raise ContractError(f"cannot cancel task {tid}: its work is done")
             self._running.discard(tid)
-            del self.decision[tid]
             self.remaining[tid] = ZERO
             self.alloc.pop(tid, None)
             self._finish_stale = True
@@ -399,7 +386,6 @@ class Engine:
                        "finished" if tid in self.trace.completions else "not arrived")
                 raise ContractError(f"cannot start task {tid}: {why}")
             self._running.add(tid)
-            self.decision[tid] = decision
             self.remaining[tid] = self.tasks[tid].work(decision)
             self.trace.decisions[tid] = (decision, self.now)
             self.trace.log.append((decision, tid))
@@ -410,34 +396,25 @@ class Engine:
             heapq.heappush(self._timers, (time_, self._timer_seq, tag))
             self._timer_seq += 1
 
-    def _dispatch(self, kind: int, key, tag) -> None:
-        self._event_count += 1
-        if self._event_count > MAX_EVENTS:
-            raise RunawayError(f"event count exceeded bound {MAX_EVENTS}")
-        if kind == _COMPLETION:
-            tid = key
-            self._alive.discard(tid)
-            self._running.discard(tid)
-            self.alloc.pop(tid, None)
-            self._finish_stale = True
-            self.trace.completions[tid] = self.now
-            self.trace.log.append((COMPLETED, tid))
-            for other in self._dependents.pop(tid, ()):
-                missing = self._deps_done[other]
-                missing.discard(tid)
-                if not missing:
-                    self._ready_at[other] = max(self.tasks[other].arrival, self.now)
-            self._apply_commands(self.scheduler.on_completion(self.view, tid))
-        elif kind == _ARRIVAL:
-            tid = key
-            del self._ready_at[tid]
-            self._alive.add(tid)
-            self.trace.arrivals[tid] = self.now
-            self._apply_commands(
-                self.scheduler.on_arrival(self.view, self.view.task(tid))
-            )
-        elif kind == _TIMER:
-            self._apply_commands(self.scheduler.on_timer(self.view, tag))
+    def _complete(self, tid: int) -> None:
+        self._alive.discard(tid)
+        self._running.discard(tid)
+        self.alloc.pop(tid, None)
+        self._finish_stale = True
+        self.trace.completions[tid] = self.now
+        self.trace.log.append((COMPLETED, tid))
+        for other in self._dependents.pop(tid, ()):
+            missing = self._deps_done[other]
+            missing.discard(tid)
+            if not missing:
+                self._ready_at[other] = max(self.tasks[other].arrival, self.now)
+        self._apply_commands(self.scheduler.on_completion(self.view, tid))
+
+    def _arrive(self, tid: int) -> None:
+        del self._ready_at[tid]
+        self._alive.add(tid)
+        self.trace.arrivals[tid] = self.now
+        self._apply_commands(self.scheduler.on_arrival(self.view, self.view.task(tid)))
 
     def _set_allocation(self) -> None:
         raw = self.scheduler.allocate(self.view)
@@ -458,7 +435,7 @@ class Engine:
                 raise FeasibilityError(
                     f"rate for task {tid} which is not started/unfinished"
                 )
-            if self.decision[tid] is Decision.SERIAL and rate > 1:
+            if self.trace.decisions[tid][0] is Decision.SERIAL and rate > 1:
                 raise FeasibilityError(f"serial task {tid} rate {rate} > 1")
             alloc[tid] = rate
             total += rate
@@ -470,10 +447,19 @@ class Engine:
         self._finish_stale = True
 
     def _process_instant(self) -> None:
-        """Process every event at the current clock time, then re-allocate."""
+        """Process every event at the current clock time, batch by batch (what
+        a batch unlocks or sets is in the next), then re-allocate."""
+        now = self.now
         while True:
-            events = self._events_at(self.now)
-            if not events:
+            due, self._due = sorted(self._due), []
+            arriving = sorted(tid for tid, t in self._ready_at.items() if t == now)
+            tags = []
+            while self._timers and self._timers[0][0] == now:
+                tags.append(heapq.heappop(self._timers)[2])
+            self._event_count += len(due) + len(arriving) + len(tags)
+            if self._event_count > MAX_EVENTS:
+                raise RunawayError(f"event count exceeded bound {MAX_EVENTS}")
+            if not (due or arriving or tags):
                 if self.adversary is not None:
                     injected = self.adversary.on_event(self.view)
                     if injected:
@@ -484,8 +470,12 @@ class Engine:
                             self._event_count += 1  # injection counts as an event
                             continue
                 break
-            for kind, key, tag in events:
-                self._dispatch(kind, key, tag)
+            for tid in due:
+                self._complete(tid)
+            for tid in arriving:
+                self._arrive(tid)
+            for tag in tags:
+                self._apply_commands(self.scheduler.on_timer(self.view, tag))
         self._set_allocation()
 
     # -- driving -------------------------------------------------------------

@@ -425,8 +425,9 @@ class BScheduler(_Nested):
         alloc: dict[int, Rat] = {}
         # concentrated parallel rates
         type_rate: dict[_TypeState, Rat] = {}
+        nested = self.inner.view
         for inner_tid, rate in self.inner.alloc.items():
-            if self.inner.decision.get(inner_tid) is Decision.PARALLEL:
+            if nested.decision(inner_tid) is Decision.PARALLEL:
                 state = self.type_of[inner_tid]
                 type_rate[state] = type_rate.get(state, ZERO) + rate
         for state, rate in type_rate.items():
@@ -485,7 +486,7 @@ class CScheduler(_Nested):
         self.ballistic: set[int] = set()
         self.semibal: set[int] = set()
         self.stolen: dict[int, Rat] = {}
-        self.flows: list = []  # (victim tid, rate) active over the last slice
+        self.flows: list = []  # (victim tid, rate) the last allocation redirected
         self.mode_records: list[_ModeRecord] = []
 
     def setup(self, view):
@@ -534,6 +535,7 @@ class CScheduler(_Nested):
                 self.stolen[victim] = self.stolen.get(victim, ZERO) + rate * dt
         commands = SchedCommands()
         outer_done = view.trace.completions
+        nested = self.inner.view
         new = self._new_events()
         # transitions driven by the nested B run: B serialized the task
         # (cancelled it, or never ran it parallel), for good, so each is
@@ -549,7 +551,7 @@ class CScheduler(_Nested):
         for kind, tid in new:
             if kind != COMPLETED or tid in outer_done:
                 continue
-            if self.inner.decision[tid] is not Decision.PARALLEL:
+            if nested.decision(tid) is not Decision.PARALLEL:
                 continue  # serial completion inside the nested run
             if view.decision(tid) is Decision.PARALLEL:  # vested
                 self._enter_ballistic(view, tid, "inner-completed")
@@ -559,20 +561,13 @@ class CScheduler(_Nested):
         # (so neither vested, finished nor semi-ballistic) and its class is calm
         emergency = self._emergency_classes()
         for tid in self.inner.alloc:
-            if self.inner.decision.get(tid) is not Decision.PARALLEL:
+            if nested.decision(tid) is not Decision.PARALLEL:
                 continue
             if view.decision(tid) is not None:
                 continue
             if emergency and self.task_class[tid] in emergency:
                 continue  # vesting paused for the class
             commands.starts[tid] = Decision.PARALLEL
-        # redirect flows for the next slice
-        self.flows = [
-            (tid, rate)
-            for tid, rate in self.inner.alloc.items()
-            if self.inner.decision.get(tid) is Decision.PARALLEL
-            and self.task_class[tid] in emergency
-        ] if emergency else []
         nxt = self.inner.next_event_time()
         if nxt is not None:
             self._wake_at(commands, nxt)
@@ -603,12 +598,14 @@ class CScheduler(_Nested):
 
         emergency = self._emergency_classes()
         outer_done = view.trace.completions
+        nested = self.inner.view
+        self.flows = []
         # mirror of the nested B allocation on the first unit
         for tid, rate in self.inner.alloc.items():
-            dec = self.inner.decision.get(tid)
-            if dec is Decision.PARALLEL:
+            if nested.decision(tid) is Decision.PARALLEL:
                 if emergency and (cls := self.task_class[tid]) in emergency:
                     add(self._smallest_ballistic(view, cls), rate)
+                    self.flows.append((tid, rate))  # stolen until the next sync
                 elif (
                     tid not in outer_done
                     and view.decision(tid) is Decision.PARALLEL

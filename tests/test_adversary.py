@@ -310,6 +310,15 @@ class TestNonPreemptiveFlood:
         simulate(probe, RigidScheduler(), adversary=adv)
         assert not adv.triggered
 
+    def test_never_fires_below_unit_work(self):
+        # rigid gives the probe the whole budget: its remaining work (pi =
+        # 1/2) is below 1 at every instant, so nothing is injected
+        probe = TAP(8, (Task(0, Rat(1, 4), Rat(1, 2), ZERO),))
+        adv = NonPreemptiveAdversary(10, probe)
+        trace = simulate(probe, RigidScheduler(), adversary=adv)
+        assert adv.count > 0 and not adv.triggered
+        assert trace.injected == [] and list(trace.completions) == [0]
+
     def test_ratio_grows_with_r(self):
         probe = self._probe()
         ratios = []

@@ -156,6 +156,25 @@ class TestBadInput:
         assert "error: malformed TAP:" in captured.err and "must be an integer" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("version, tasks, message", [
+        (1, '{"id":0,"sigma":"1","pi":"2","arrival":"0"},'
+            '{"id":0,"sigma":"1","pi":"2","arrival":"0"}', "duplicate task ids"),
+        (1, '{"id":0,"sigma":"0","pi":"2","arrival":"0"}', "task 0: non-positive work"),
+        (1, '{"id":0,"sigma":"2","pi":"1","arrival":"0"}', "task 0: pi < sigma"),
+        (1, '{"id":0,"sigma":"1","pi":"5","arrival":"0"}', "task 0: pi > p*sigma"),
+        (1, '{"id":0,"sigma":"1","pi":"2","arrival":"-1"}', "task 0: negative arrival"),
+        (1, '{"id":0,"sigma":"1","pi":"2","arrival":"0","deps":[7]}', "task 0: unknown dep 7"),
+        (1, '{"id":0,"sigma":"1","pi":"2","arrival":"0","deps":[0]}',
+         "task 0: self-dependency"),
+        (2, "", "unsupported TAP version 2"),
+    ], ids=["duplicate", "non-positive", "pi-below-sigma", "pi-above-p-sigma",
+            "negative-arrival", "unknown-dep", "self-dep", "version"])
+    def test_invalid_instance(self, tmp_path, capsys, version, tasks, message):
+        path = tmp_path / "tap.json"
+        path.write_text(f'{{"version":{version},"p":4,"tasks":[{tasks}]}}')
+        assert main(["run", str(path), "bal"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("argv, flag", [
         # not a number
         (["sweep", "--count", "1", "--p-list", "x"], "--p-list"),
@@ -377,15 +396,23 @@ class TestParser:
 
 
 class TestModule:
-    def test_python_m_taplab(self):
+    @staticmethod
+    def _python_m(*argv):
+        """``python -m taplab argv`` in a subprocess; its stdout."""
         src = os.path.dirname(os.path.dirname(taplab.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
-            [sys.executable, "-m", "taplab", "verify", "--only", "A5", "--seed", "0"],
+            [sys.executable, "-m", "taplab", *argv],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        assert "A5   PASS" in done.stdout
+        return done.stdout
+
+    def test_python_m_taplab(self):
+        assert "A5   PASS" in self._python_m("verify", "--only", "A5", "--seed", "0")
+
+    def test_python_m_taplab_gen(self):
+        assert tap_from_json(self._python_m("gen", "geometric", "--p", "4")).p == 4
 
 
 # exact output of ``run`` and ``oracle``, one line each, on a pow2 instance
@@ -487,6 +514,12 @@ class TestOracle:
         assert out["method"] == "grid" and out["objective"] == objective
         assert out["grid"] == "1/4"
         assert parse_rat(out["value"]) == grid_opt(tap, objective, Rat(1, 4))
+
+    def test_grid_method_refuses_n5(self, tmp_path, capsys):
+        tap = TAP(4, tuple(Task(i, Rat(1), Rat(2), ZERO) for i in range(5)))
+        path = _write(tmp_path, tap)
+        assert main(["oracle", path, "--method", "grid"]) == 2
+        assert capsys.readouterr() == ("", "error: grid_opt requires n <= 4, got 5\n")
 
     @pytest.mark.parametrize("argv, message", [
         (["--objective", "trt"], "exhaustive oracle supports only the awake objective"),
@@ -615,6 +648,23 @@ class TestSweep:
         assert cells["opt_awake"] == cells["trt_lb"] == cells["violations"] == ""
         assert "warning: dtap.json: dependencies" in capsys.readouterr().err
 
+    def test_instance_above_the_oracle_bound(self, tmp_path, capsys):
+        """Above the sweep's exhaustive bound the awake columns stay blank
+        and the TRT lower bound is still filled."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        assert main(["gen", "random", "--p", "4", "--n", "15", "--seed", "1",
+                     "-o", str(corpus / "big.json")]) == 0
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--dir", str(corpus), "--schedulers", "bal",
+                     "--oracle", "both", "-o", str(out)]) == 0
+        header, *rows = out.read_text().strip().splitlines()
+        assert len(rows) == 1
+        cells = dict(zip(header.split(","), rows[0].split(",")))
+        assert cells["n"] == "15"
+        assert cells["opt_awake"] == cells["ratio_awake"] == ""
+        assert cells["trt_lb"] != "" and cells["ratio_trt_lb"] != ""
+
     def test_unk_on_dependency_instance(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -696,6 +746,16 @@ class TestDuel:
         out = json.loads(capsys.readouterr().out)
         assert not out.get("inconclusive", False)
         assert parse_rat(out["ratio"]) > 5
+
+    def test_flood_that_never_fires(self, tmp_path, capsys):
+        """rigid runs the probe on the whole budget, so its remaining work is
+        below 1 from the start and the flood never fires."""
+        probe = TAP(8, (Task(0, Rat(1, 4), Rat(1, 2), ZERO),))
+        path = _write(tmp_path, probe)
+        assert main(["duel", "rigid", "flood", "--R", "10", "--probe", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["inconclusive"] is True and out["triggered"] is False
+        assert out["ratio"] == "1"
 
 
 class TestVerify:

@@ -204,6 +204,17 @@ class TestContracts:
         with pytest.raises(RunawayError, match="event count exceeded bound 7"):
             simulate(tap, _Fixed(Decision.SERIAL))
 
+    def test_allocation_is_normalised(self):
+        # an int rate becomes a Rat and a zero rate is dropped
+        def first_only(view):
+            running = view.running_ids()
+            return {tid: int(tid == running[0]) for tid in running}
+
+        tap = TAP(2, (T(0, 1, 2), T(1, 1, 2)))
+        trace = simulate(tap, _Rogue(alloc=first_only))
+        assert [alloc for _, _, alloc in trace.slices] == [{0: ONE}, {1: ONE}]
+        assert all(type(rate) is Rat for _, _, alloc in trace.slices for rate in alloc.values())
+
     def test_dependency_gates_arrival(self):
         tap = TAP(2, (T(0, 1, 2), T(1, 1, 2, deps=(0,))))
         trace = simulate(tap, _Fixed(Decision.SERIAL))
@@ -242,6 +253,27 @@ class TestValidate:
         )
         report = validate_trace(trace, tap)
         assert any("budget" in v for v in report.violations)
+
+    def test_rate_before_arrival(self):
+        tap = TAP(4, (T(0, 1, 1, arrival=1),))
+        trace = Trace(
+            slices=[(ZERO, ONE, {0: ONE})],
+            decisions={0: (Decision.PARALLEL, ZERO)},
+            completions={0: ONE},
+            arrivals={0: ONE},
+        )
+        violations = validate_trace(trace, tap).violations
+        assert violations == reference_validate(trace, tap) == ["task 0 runs before arrival at 0"]
+
+    def test_unfinished_task_has_no_work_check(self):
+        # task 0 gets half its serial work and never completes
+        tap = TAP(4, (T(0, 2, 4),))
+        trace = Trace(
+            slices=[(ZERO, ONE, {0: ONE})],
+            decisions={0: (Decision.SERIAL, ZERO)},
+            arrivals={0: ZERO},
+        )
+        assert validate_trace(trace, tap).violations == reference_validate(trace, tap) == []
 
     def test_work_conservation_violation(self):
         tap = self._base()
@@ -385,7 +417,7 @@ def reference_next_event_time(e):
     for tid, rate in e.alloc.items():
         if rate <= 0 or tid not in running:
             continue
-        eff = min(rate, ONE) if e.decision[tid] is Decision.SERIAL else rate
+        eff = min(rate, ONE) if e.trace.decisions[tid][0] is Decision.SERIAL else rate
         if eff <= 0:
             continue
         t = e.now + e.remaining[tid] / (e.config.speed * eff)
@@ -432,9 +464,9 @@ def reference_unlocked(e, tid) -> set:
 
 
 class _CheckedEngine(Engine):
-    """Asserts after every event, at every event-time query and at every
-    instant's event collection that the fast paths agree with the
-    references."""
+    """Asserts after every callback's commands, at every event-time query,
+    around every instant's processing and at every completion that the fast
+    paths agree with the references."""
 
     checks = 0
     unlocks = 0
@@ -456,28 +488,34 @@ class _CheckedEngine(Engine):
         self._check()
         return super().next_event_time()
 
-    def _events_at(self, t):
+    def _due_matches_scan(self):
         # the completions the clock step collected, against a scan of alloc
-        assert self._due == [tid for tid in self.alloc if self.remaining[tid] == 0]
-        return super()._events_at(t)
+        return self._due == [tid for tid in self.alloc if self.remaining[tid] == 0]
 
-    def _dispatch(self, kind, key, tag):
-        if kind != engine_mod._COMPLETION:
-            super()._dispatch(kind, key, tag)
-            self._check()
-            return
-        unlocked = reference_unlocked(self, key)
+    def _process_instant(self):
+        assert self._due_matches_scan()
+        super()._process_instant()
+        assert self._due == [] and self._due_matches_scan()
+
+    def _complete(self, tid):
+        unlocked = reference_unlocked(self, tid)
         before = set(self._ready_at)
-        super()._dispatch(kind, key, tag)
-        assert not any(key in missing for missing in self._deps_done.values())
+        super()._complete(tid)
+        assert not any(tid in missing for missing in self._deps_done.values())
         assert set(self._ready_at) - before == unlocked
         _CheckedEngine.unlocks += len(unlocked)
+
+    def _apply_commands(self, commands):
+        super()._apply_commands(commands)
         self._check()
 
 
 class _CancelIdleRestart(_Fixed):
     """Runs both tasks in parallel, cancels task 0 at 1/2 and leaves it
-    unstarted until 1, then restarts it serially."""
+    unstarted until 1, then restarts it serially; ``idle`` is task 0's
+    decision as the view reads it at the restart, before it applies."""
+
+    idle = Decision.PARALLEL
 
     def on_arrival(self, view, task):
         cmds = super().on_arrival(view, task)
@@ -488,6 +526,7 @@ class _CancelIdleRestart(_Fixed):
     def on_timer(self, view, tag):
         if tag == "cancel":
             return SchedCommands(cancels={0})
+        self.idle = view.decision(0)
         return SchedCommands(starts={0: Decision.SERIAL})
 
 
@@ -592,7 +631,10 @@ class TestFastPaths:
         monkeypatch.setattr(engine_mod, "Engine", _CheckedEngine)
         tap = TAP(4, (T(0, 2, 8), T(1, 2, 8)))
         config = EngineConfig(allow_cancel=True)
-        trace = simulate(tap, _CancelIdleRestart(Decision.PARALLEL), config)
+        sched = _CancelIdleRestart(Decision.PARALLEL)
+        trace = simulate(tap, sched, config)
+        assert sched.idle is None  # cancelled, not yet restarted: undecided
+        assert trace.decisions[0] == (Decision.SERIAL, ONE)
         assert trace.cancellations == [(0, Rat(1, 2))]
         assert trace.completions == {1: Rat(8, 3), 0: Rat(3)}
         assert validate_trace(trace, tap, config).violations == reference_validate(trace, tap, config) == []

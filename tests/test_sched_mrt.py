@@ -345,7 +345,7 @@ def _run_checked(runs) -> Counter:
         if isinstance(self, BScheduler):
             cancelled = {tid for tid, _ in self.inner.trace.cancellations}
             for tid in completed:
-                serial = self.inner.decision[tid] is Decision.SERIAL
+                serial = self.inner.trace.decisions[tid][0] is Decision.SERIAL
                 assert serial == (tid in cancelled)
                 if serial:
                     assert tid not in self.type_of[tid].members
