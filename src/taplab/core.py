@@ -201,19 +201,27 @@ def interval_union_measure(intervals) -> Rat:
     return total
 
 
-def metrics_from_trace(trace, tap: TAP) -> Metrics:
-    """Awake time, TRT and MRT of a completed trace."""
+def awake_time(trace, now=None) -> Rat:
+    """Awake time of a run up to ``now`` (default: its end): the measure of
+    the union of [availability, completion or ``now``) over the arrived
+    tasks.  Availability is ``trace.arrivals``: on a DTAP, when the release
+    time has passed and the last dependency finished."""
     completions = trace.completions
-    missing = [t.id for t in tap.tasks if t.id not in completions]
+    return interval_union_measure(
+        (at, completions.get(tid, now)) for tid, at in trace.arrivals.items())
+
+
+def metrics_from_trace(trace, tap: TAP) -> Metrics:
+    """Awake time (:func:`awake_time`), TRT and MRT of a completed trace;
+    TRT counts from the release times, ``Task.arrival``."""
+    completions = trace.completions
+    missing = {t.id for t in tap.tasks}.union(trace.arrivals).difference(completions)
     if missing:
         raise IncompleteTraceError(f"unfinished tasks: {sorted(missing)}")
     trt = sum((completions[t.id] - t.arrival for t in tap.tasks), ZERO)
     n = len(tap.tasks)
-    awake = interval_union_measure(
-        (t.arrival, completions[t.id]) for t in tap.tasks
-    )
     return Metrics(
-        awake=awake,
+        awake=awake_time(trace),
         trt=trt,
         mrt=trt / n if n else ZERO,
     )

@@ -11,6 +11,8 @@ scheduler may drive a nested inner simulation in lockstep with the outer
 clock; the non-cancelling MRT scheduler relies on this.  ``Trace.log``
 lists each start, cancellation and completion as applied: one cursor reads it.
 A task's decision is kept once, in ``Trace.decisions`` (its last start).
+There is no awake-time accumulator: ``core.awake_time`` reads awake time
+off ``Trace.arrivals`` (availability times) and ``Trace.completions``.
 
 The event loop's fast paths rely on these invariants:
 
@@ -198,15 +200,8 @@ class EngineView:
     def remaining(self, tid: int) -> Rat:
         return self._e.remaining[tid]
 
-    def avail_time(self, tid: int) -> Rat:
-        return self._e.trace.arrivals[tid]
-
     def current_rate(self, tid: int) -> Rat:
         return self._e.alloc.get(tid, ZERO)
-
-    @property
-    def awake_so_far(self) -> Rat:
-        return self._e.awake_so_far
 
     @property
     def trace(self) -> Trace:
@@ -251,7 +246,6 @@ class Engine:
         self.remaining: dict[int, Rat] = {}
         self.alloc: dict[int, Rat] = {}
         self.trace = Trace()
-        self.awake_so_far = ZERO
         self._timers: list = []  # heap of (time, seq, tag)
         self._timer_seq = 0
         self._event_count = 0
@@ -344,8 +338,7 @@ class Engine:
             if t < self.now:
                 raise ContractError(f"time going backwards: {t} < {self.now}")
             return
-        dt = t - self.now
-        work = dt * self.speed
+        work = (t - self.now) * self.speed
         remaining = self.remaining
         for tid, rate in self.alloc.items():
             left = remaining[tid] - rate * work
@@ -355,8 +348,6 @@ class Engine:
                 self._due.append(tid)
             remaining[tid] = left
         self.trace.slices.append((self.now, t, dict(self.alloc)))
-        if self._alive:
-            self.awake_so_far += dt
         self.now = t
 
     # -- event processing ----------------------------------------------------

@@ -6,7 +6,7 @@
   make the system jagged);
 * UNK: parallel-work-oblivious; a task that has waited longer than its
   serial work runs serially, otherwise it may run as the single parallel
-  task;
+  task; it acts only at arrivals and completions;
 * two uniform baselines (always-serial / always-parallel);
 * GoldenAlg: experimental oracle-driven pool migration.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Decision, TAP, Task, TapError
+from .core import Decision, TAP, Task, TapError, awake_time
 from .engine import SchedCommands, Scheduler
 from .oracle import opt_awake_exhaustive
 from .rationals import Rat, ZERO, ONE, PHI
@@ -138,7 +138,9 @@ class UnkScheduler(_MwfMixin, Scheduler):
     it may start as the single parallel task.  Starts happen only when no
     parallel task is running and fewer than p serial tasks are running;
     a running parallel task absorbs every leftover processor, so there is
-    never idle capacity next to it.
+    never idle capacity next to it.  After each ``_try_starts`` no task
+    waits, a parallel task runs, or p serial tasks run; only an arrival or
+    a completion changes that, so UNK acts only then and sets no timer.
     """
 
     name = "unk"
@@ -154,7 +156,7 @@ class UnkScheduler(_MwfMixin, Scheduler):
         starts: dict[int, Decision] = {}
         for tid in view.unstarted_ids():
             task = view.task(tid)
-            if view.now - view.avail_time(tid) > task.sigma:
+            if view.now - view.trace.arrivals[tid] > task.sigma:
                 if running_serial < view.p:
                     starts[tid] = Decision.SERIAL
                     running_serial += 1
@@ -164,17 +166,9 @@ class UnkScheduler(_MwfMixin, Scheduler):
         return SchedCommands(starts=starts) if starts else None
 
     def on_arrival(self, view, task):
-        commands = self._try_starts(view) or SchedCommands()
-        if task.id not in commands.starts:
-            # the serial option activates right after age sigma
-            aged_at = view.avail_time(task.id) + task.sigma
-            commands.timers.append((aged_at, None))
-        return commands
-
-    def on_completion(self, view, tid):
         return self._try_starts(view)
 
-    def on_timer(self, view, tag):
+    def on_completion(self, view, tid):
         return self._try_starts(view)
 
 
@@ -195,10 +189,10 @@ class GoldenAlg(_MwfMixin, Scheduler):
         starts: dict[int, Decision] = {}
         arrived = tuple(view.task(tid) for tid in view.trace.arrivals)
         opt, _ = opt_awake_exhaustive(TAP(view.p, arrived))
-        threshold = PHI * opt
+        threshold = PHI * opt - awake_time(view.trace, view.now)
         kept = []  # the parallel pool: undecided tasks, arrival order
         for tid in view.unstarted_ids():
-            if view.task(tid).sigma + view.awake_so_far < threshold:
+            if view.task(tid).sigma < threshold:
                 starts[tid] = Decision.SERIAL
             else:
                 kept.append(tid)

@@ -135,9 +135,7 @@ class SssScheduler(Scheduler):
         if self.mode == "silly" and len(alive) >= view.p:
             self.mode = "serious"
             # everything arriving at the switch instant counts as scary
-            self.scary = {
-                tid for tid in alive if view.avail_time(tid) == view.now
-            }
+            self.scary = {tid for tid in alive if view.trace.arrivals[tid] == view.now}
             self.modes.append((view.now, "serious"))
         elif self.mode == "serious":
             if arriving is not None:
@@ -227,7 +225,7 @@ class CancScheduler(Scheduler):
         # task still in the pool is running with work left
         if tid not in self.relaxed:
             return None
-        age = view.now - view.avail_time(tid)
+        age = view.now - view.trace.arrivals[tid]
         if age != view.task(tid).sigma:  # pragma: no cover
             raise MrtInvariantError(f"cancel timer for {tid} at pool age {age}")
         del self.relaxed[tid]

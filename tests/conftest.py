@@ -2,7 +2,7 @@ import random
 
 from hypothesis import strategies as st
 
-from taplab.adversary import GenParams, gen_random
+from taplab.adversary import GenParams, gen_random, gen_random_dtap
 from taplab.rationals import Rat
 
 
@@ -29,6 +29,15 @@ def small_taps(draw, max_n=6, pow2=False):
             seed=seed,
         )
     )
+
+
+@st.composite
+def small_dtaps(draw, max_n=8):
+    return gen_random_dtap(GenParams(
+        p=draw(st.sampled_from([4, 8, 16])),
+        n=draw(st.integers(min_value=1, max_value=max_n)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+    ))
 
 
 def started_at(trace, tid):

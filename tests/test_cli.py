@@ -81,6 +81,17 @@ class TestRun:
         assert main(["run", path, "bal"]) == 2
         assert "cyclic" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheduler", ["turtle", "bal", "unk", "equi"])
+    def test_awake_from_availability(self, tmp_path, capsys, scheduler):
+        """Task 0 depends on task 1, released at 5: nothing is available
+        before 5, so the run is awake 1/2, while TRT counts task 0 from its
+        release at 0."""
+        tap = TAP(4, (Task(0, Rat(1), Rat(1), ZERO, frozenset({1})),
+                      Task(1, Rat(1), Rat(1), Rat(5))))
+        assert main(["run", _write(tmp_path, tap), scheduler]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["awake"], record["trt"]) == ("1/2", "23/4")
+
     def test_dump_trace(self, tmp_path, capsys):
         path = _write(tmp_path, _golden_tap())
         out = tmp_path / "trace.json"

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 
 from taplab.core import (
     Decision,
+    IncompleteTraceError,
     InvalidArgumentError,
     InvalidInstanceError,
     TAP,
     Task,
+    awake_time,
     instance_hash,
     interval_union_measure,
+    metrics_from_trace,
     normalize_tap,
     normalize_task,
     round_pow2,
@@ -19,7 +22,9 @@ from taplab.core import (
     tap_from_json,
     tap_to_json,
 )
+from taplab.engine import Engine
 from taplab.rationals import Rat, ZERO, ONE, PHI, is_power_of_two
+from taplab.sched_awake import BalScheduler
 
 from conftest import small_taps
 
@@ -111,6 +116,28 @@ def test_interval_union_measure():
     assert interval_union_measure([(ZERO, ONE), (Rat(2), Rat(3))]) == 2
     assert interval_union_measure([(ZERO, Rat(2)), (ONE, Rat(3))]) == 3
     assert interval_union_measure([]) == 0
+
+
+class TestAwakeTime:
+    def test_from_availability_to_now(self):
+        # task 0 waits on task 1, released at 5 and done at 21/4
+        tap = TAP(4, (T(0, 1, 1, deps=(1,)), T(1, 1, 1, arrival=5)))
+        engine = Engine(tap, BalScheduler())
+        engine.advance_to(Rat(43, 8))
+        assert awake_time(engine.trace, engine.now) == Rat(3, 8)
+        with pytest.raises(IncompleteTraceError, match=r"\[0\]"):
+            metrics_from_trace(engine.trace, tap)
+        engine.run()
+        assert awake_time(engine.trace) == metrics_from_trace(engine.trace, tap).awake == Rat(1, 2)
+
+    def test_unfinished_injected_task(self):
+        # every task of the TAP finished, but an injected one has not
+        tap = TAP(4, (T(0, 1, 4),))
+        engine = Engine(tap, BalScheduler())
+        engine.inject_task(T(1, 1, 4, arrival=1))
+        engine.advance_to(Rat(3, 2))
+        with pytest.raises(IncompleteTraceError, match=r"\[1\]"):
+            metrics_from_trace(engine.trace, tap)
 
 
 class TestJson:

@@ -27,9 +27,9 @@ from taplab.engine import (
 )
 from taplab.rationals import Rat, ZERO, ONE, rat_str
 from taplab.sched_awake import BalScheduler
-from taplab.verify import make_scheduler, run_config
+from taplab.verify import _awake_corpus, make_scheduler, run_config
 
-from conftest import small_taps
+from conftest import small_dtaps, small_taps
 
 
 def T(tid, sigma, pi, arrival=0, deps=()):
@@ -345,6 +345,12 @@ CORPUS_RECORDS_SHA256 = "80439c8cea704940871b3be6691d2b4b99777410f335f9fd952481a
 #: ``CORPUS_TRACES_SHA256``
 WIDE_TRACES_SHA256 = "58a186b4f36183e65cea920e2608c67c7455d63cb22674d2c620f75a030164c8"
 WIDE_RECORDS_SHA256 = "a253aca6e91841333b105cbe88762ec8a5a20a1f97b100a200de772d746fa369"
+#: SHA-256 of the schedules of the awake schedulers on ``_awake_corpus(0,
+#: 200)``: slices with adjacent equal rates merged (an instant at which
+#: nothing happens does not show), decisions, completions and arrivals;
+#: recorded while UNK still set aging timers that split its slices
+AWAKE_SCHEDULES_SHA256 = "844e28e8e911d931afcf959cf562804753eb7470c861398a7ae8fa9b2e5655e5"
+AWAKE = ("bal", "unk", "golden", "mwf-all-serial", "mwf-all-parallel")
 
 
 def _corpus():
@@ -608,12 +614,36 @@ def _digests(runs) -> tuple:
     return digest.hexdigest(), records.hexdigest()
 
 
+def _merged_slices(slices) -> list:
+    """``slices`` with each run of adjacent slices at equal rates merged."""
+    merged = []
+    for t0, t1, alloc in slices:
+        if merged and merged[-1][2] == alloc:
+            t0, _, alloc = merged.pop()
+        merged.append((t0, t1, alloc))
+    return merged
+
+
+def _schedules_digest(runs) -> str:
+    """SHA-256 of the schedules of ``runs``, blind to null slice boundaries."""
+    digest = hashlib.sha256()
+    for tap, name in runs:
+        trace = simulate(tap, make_scheduler(name), run_config(name, tap.p))
+        digest.update(json.dumps(_plain([_merged_slices(trace.slices), trace.decisions,
+                                         trace.completions, trace.arrivals])).encode())
+    return digest.hexdigest()
+
+
 class TestFastPaths:
     def test_corpus_traces_unchanged(self):
         assert _digests(_corpus()) == (CORPUS_TRACES_SHA256, CORPUS_RECORDS_SHA256)
 
     def test_wide_corpus_traces_unchanged(self):
         assert _digests(_wide_corpus()) == (WIDE_TRACES_SHA256, WIDE_RECORDS_SHA256)
+
+    def test_awake_schedules_unchanged(self):
+        runs = [(tap, name) for tap in _awake_corpus(0, 200) for name in AWAKE]
+        assert _schedules_digest(runs) == AWAKE_SCHEDULES_SHA256
 
     def test_cached_times_and_indexes_match_scans(self, monkeypatch):
         # nested engines (bsched inside csched, canc inside bsched) too
@@ -646,6 +676,36 @@ class TestFastPaths:
         trace = simulate(tap, make_scheduler(name), config)
         trace = _corrupt(trace, data)
         assert validate_trace(trace, tap, config).violations == reference_validate(trace, tap, config)
+
+
+def reference_awake(trace) -> Rat:
+    """Awake time slice by slice: the total length of the slices during
+    which some task has arrived (``trace.arrivals``) and not finished."""
+    alive = [(at, trace.completions[tid]) for tid, at in trace.arrivals.items()]
+    return sum((t1 - t0 for t0, t1, _ in trace.slices
+                if any(at <= t0 and t1 <= done for at, done in alive)), ZERO)
+
+
+def _assert_awake_matches_reference(tap, name, factor=None):
+    trace = simulate(tap, make_scheduler(name), run_config(name, tap.p, factor))
+    assert metrics_from_trace(trace, tap).awake == reference_awake(trace)
+
+
+class TestAwakeTime:
+    def test_corpus(self):
+        for tap, name in _corpus():
+            _assert_awake_matches_reference(tap, name)
+
+    @given(small_dtaps(), st.sampled_from(["turtle", "bal", "unk", "equi"]))
+    @settings(max_examples=60, deadline=None)
+    def test_random_dtaps(self, tap, name):
+        _assert_awake_matches_reference(tap, name)
+
+    @given(small_taps(), st.sampled_from(["bal", "unk", "mwf-all-parallel", "equi", "sss"]),
+           st.sampled_from([None, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_small_taps(self, tap, name, factor):
+        _assert_awake_matches_reference(tap, name, factor)
 
 
 CORRUPTIONS = ("scale", "negate", "zero", "shift", "reverse", "drop",

@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taplab.adversary import GenParams, gen_random_dtap
 from taplab.core import Decision, TAP, Task, TapError, metrics_from_trace
@@ -17,8 +18,9 @@ from taplab.sched_awake import (
     is_balanced,
     most_work_first_alloc,
 )
+from taplab.verify import run_config
 
-from conftest import small_taps, started_at
+from conftest import small_dtaps, small_taps, started_at
 
 S, P = Decision.SERIAL, Decision.PARALLEL
 
@@ -69,13 +71,19 @@ class _CheckedUnk(UnkScheduler):
     def on_completion(self, view, tid):
         return super().on_completion(_ParallelWorkHidden(view), tid)
 
-    def on_timer(self, view, tag):
-        return super().on_timer(_ParallelWorkHidden(view), tag)
-
     def allocate(self, view) -> dict:
         alloc = super().allocate(_ParallelWorkHidden(view))
         assert alloc == reference_unk_alloc(view)
         return alloc
+
+
+def null_boundaries(trace) -> list:
+    """Slice boundaries that mark no arrival, completion, decision or rate
+    change."""
+    events = {*trace.arrivals.values(), *trace.completions.values(),
+              *(at for _, at in trace.decisions.values())}
+    return [t for (_, t, before), (_, _, after) in zip(trace.slices, trace.slices[1:])
+            if before == after and t not in events]
 
 
 class TestBalanceTest:
@@ -144,13 +152,21 @@ class TestUnk:
         assert started_at(trace, 1) == Rat(1, 2)
 
     def test_dependency_instances_age_from_availability(self):
-        # a task that becomes available after its arrival ages from then;
-        # timed from its arrival, the aging timer lay in the past
+        # a task that becomes available after its arrival ages from then
+        # (``trace.arrivals``), not from its release time
         for seed in range(20):
             tap = gen_random_dtap(GenParams(p=4, n=8, seed=seed))
             trace = simulate(tap, UnkScheduler())
             assert validate_trace(trace, tap).ok
             assert set(trace.completions) == {t.id for t in tap.tasks}
+
+    @given(st.one_of(small_taps(), small_dtaps()), st.sampled_from([1, 2]))
+    @settings(max_examples=100, deadline=None)
+    def test_acts_only_at_arrivals_and_completions(self, tap, factor):
+        trace = simulate(tap, UnkScheduler(), run_config("unk", tap.p, factor))
+        events = {*trace.arrivals.values(), *trace.completions.values()}
+        assert {at for _, at in trace.decisions.values()} <= events
+        assert null_boundaries(trace) == []
 
     def test_parallel_remaining_hidden_by_guard(self):
         engine = Engine(TAP(2, (T(0, 1, 2),)), UnkScheduler())
