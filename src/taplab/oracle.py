@@ -3,28 +3,17 @@
 * ``opt_awake_given_decisions``: exact awake time of the greedy
   most-work-first schedule for a fixed serial/parallel decision vector
   (which is offline-optimal for those decisions);
-* ``opt_awake_exhaustive``: exact optimal awake time and a minimizing
-  decision vector, by a depth-first search over the decisions in arrival
-  order.  Vectors that agree up to an arrival time share the
-  most-work-first run up to that time.  After the last arrival every
-  leaf is closed in O(1) by McNaughton's wrap-around rule: once all work
-  is present, the optimal remaining awake time is max(largest serial
-  remaining, total remaining / p).  A branch is pruned only when its
-  admissible lower bound is strictly greater than the best value found,
-  so every optimal vector is reached and the tie-break (the
-  lexicographically first vector in ``tap.tasks`` order, Serial <
-  Parallel) is exact.
-  The best value starts at an incumbent: every task on the shorter of
-  sigma and pi/p, ties Serial.  It is a real vector with its exact value
-  and key, so seeding with it changes which nodes are pruned but not the
-  answer.
-  At each arrival boundary a prefix is dropped when an earlier prefix
-  reached a state that dominates it there: no more awake time, no more
-  parallel work, serial works pointwise no larger (sorted, missing ones
-  0), and a smaller key over the decided tasks.  The dominating state can
-  follow the dropped one's schedule job for job, so under every common
-  suffix its value is no greater and its key smaller: the dropped prefix
-  holds no vector the search could return;
+* ``opt_awake_exhaustive``: exact optimal awake time and the
+  lexicographically first minimizing decision vector (``tap.tasks``
+  order, Serial < Parallel), by a depth-first search over the decisions
+  in arrival order.  Vectors that agree up to an arrival time share the
+  most-work-first run up to that time, and after the last arrival every
+  leaf is closed in O(1) by McNaughton's wrap-around rule.  A node is
+  dropped only when no vector below it has a smaller (value, key) pair
+  than the best found so far: by a work bound in which a task whose
+  serial work exceeds the remaining slack must run parallel, by key
+  among ties, or by a dominating prefix.  Its docstring gives each
+  argument; no rule can drop the vector that is returned;
 * ``grid_opt``: a discretized exhaustive cross-check oracle for tiny
   instances;
 * ``opt_trt_lower``: an admissible lower bound on optimal total response
@@ -33,6 +22,7 @@
 
 from __future__ import annotations
 
+import bisect
 import itertools
 
 from .core import Decision, InstanceTooLargeError, TAP, TapError
@@ -187,16 +177,33 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
     first.  Between consecutive arrival times the most-work-first state
     is advanced once per decided prefix.  Inside the last arrival group
     a leaf is awake + max(largest serial work, total work / p), which is
-    exactly what most-work-first achieves once all work is present.  A
-    node is pruned when awake + max(largest serial work, (present work +
-    the least work of the undecided tasks) / p) is strictly greater than
-    the best value found.  Ties go to the lexicographically first vector
-    in ``tap.tasks`` order with Serial < Parallel.
+    exactly what most-work-first achieves once all work is present.  Of
+    the optimal vectors the result is the lexicographically first in
+    ``tap.tasks`` order with Serial < Parallel: the search keeps the
+    least (value, key) pair met so far and drops a node, a group
+    boundary or a leaf only when no vector below it has a smaller pair.
 
-    The best value starts at an incumbent, the vector in which every task
-    takes the shorter of sigma and pi/p (a tie goes to Serial).  It is a
-    real vector scored exactly, and pruning stays strict, so every
-    optimal vector is still reached and compared with it by key.
+    The pair starts at an incumbent, the vector in which every task
+    takes the shorter of sigma and pi/p (a tie goes to Serial), scored
+    exactly.  At a node with room = best - awake:
+
+    - serial cap: an undecided task left serial with sigma > room keeps
+      the machine awake more than room after its arrival, which is no
+      earlier than now, so below this node it runs parallel.  The node
+      is dropped when its largest serial work exceeds room, or when its
+      present work plus pi of every undecided task, less pi - sigma of
+      those with sigma <= room, exceeds p * room.  Every vector below it
+      is then worse than best.  In the last arrival group the test is
+      exact: it keeps the node iff the group's best completion is no
+      worse than best;
+    - ties by key: when the largest serial work equals room, or the same
+      sum over sigma < room reaches p * room, no vector below the node
+      is better than best, so only a tie with a smaller key can win.
+      The node is dropped unless its least key, every undecided task
+      Serial, is smaller than the best key.
+
+    A leaf that passes both tests is a strictly smaller pair, and is
+    recorded.
 
     A prefix advanced to the next arrival is dropped when a state that an
     earlier prefix reached at the same arrival dominates it: awake time,
@@ -206,7 +213,8 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
     for job and finish every job no later, and most-work-first is optimal
     for fixed decisions, so under any common suffix its value is no
     greater and its key is smaller: the dropped prefix holds no vector
-    that could be returned.
+    that could be returned.  The best pair only decreases, so no node
+    dropped against it holds the vector that is returned.
     """
     if tap.n > bound:
         raise InstanceTooLargeError(f"n={tap.n} exceeds oracle bound {bound}")
@@ -220,10 +228,17 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
     n = len(order)
     # ends[k]: search position one past arrival group k
     ends = list(itertools.accumulate(len(tasks) for _, tasks in batches))
-    # least[i]: least work the tasks at positions i.. can bring
-    least = [ZERO] * (n + 1)
+    # tail[i]: the parallel work of the tasks at positions i..; sigmas[i]:
+    # the sigmas of those with sigma < pi, ascending; saves[i][j]: the work
+    # the first j of them save by running serial
+    tail = [ZERO] * (n + 1)
+    sigmas = [[] for _ in range(n + 1)]
+    saves = [[ZERO] for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        least[i] = least[i + 1] + min(order[i].sigma, order[i].pi)
+        tail[i] = tail[i + 1] + order[i].pi
+        cuts = sorted((t.sigma, t.pi - t.sigma) for t in order[i:] if t.sigma < t.pi)
+        sigmas[i] = [sigma for sigma, _ in cuts]
+        saves[i].extend(itertools.accumulate(cut for _, cut in cuts))
     position = {task.id: i for i, task in enumerate(order)}
     slots = [position[task.id] for task in tap.tasks]
     # decided[k]: the search positions of groups 0..k, in tap.tasks order
@@ -240,14 +255,26 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
         state at the group's arrival, ``serial`` the group's serial works
         decided so far, and smax and work include them."""
         nonlocal best, best_key
+        # serial cap: an undecided task left serial with sigma > room stays
+        # awake past best on its own, so it brings pi; the rest bring at
+        # least min(sigma, pi)
+        room = best - awake
+        if smax > room:
+            return
+        cap = p * room
+        need = work + tail[i]
+        if need - saves[i][bisect.bisect_right(sigmas[i], room)] > cap:
+            return
+        if smax == room or need - saves[i][bisect.bisect_left(sigmas[i], room)] >= cap:
+            # no completion beats best, so only a smaller key can win; the
+            # smallest key below this node leaves every undecided task Serial
+            if tuple(choice[s] if s < i else 0 for s in slots) >= best_key:
+                return
         if i == ends[k]:
             if k + 1 == len(batches):
                 # all work is present: McNaughton's closed form
-                value = awake + max(smax, work / p)
-                if value <= best:
-                    key = tuple(choice[s] for s in slots)
-                    if value < best or key < best_key:
-                        best, best_key = value, key
+                best = awake + max(smax, work / p)
+                best_key = tuple(choice[s] for s in slots)
                 return
             horizon = batches[k + 1][0] - batches[k][0]
             groups, par, busy = _mwf_run(_with_serial(groups, serial), par, p, horizon)
@@ -262,8 +289,6 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
             smax = groups[0][0] if groups else ZERO
             work = sum((w * c for w, c in groups), par)
             branch(k + 1, i, groups, par, [], awake, smax, work)
-            return
-        if awake + max(smax, (work + least[i]) / p) > best:
             return
         task = order[i]
         choice[i] = 0

@@ -188,7 +188,7 @@ class GoldenAlg(_MwfMixin, Scheduler):
     def on_arrival(self, view, task):
         starts: dict[int, Decision] = {}
         arrived = tuple(view.task(tid) for tid in view.trace.arrivals)
-        opt, _ = opt_awake_exhaustive(TAP(view.p, arrived))
+        opt, _ = opt_awake_exhaustive(TAP(view.p, arrived), bound=self.max_plain_n)
         threshold = PHI * opt - awake_time(view.trace, view.now)
         kept = []  # the parallel pool: undecided tasks, arrival order
         for tid in view.unstarted_ids():

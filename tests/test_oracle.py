@@ -197,9 +197,39 @@ class TestSearchMatchesReference:
         assert opt_awake_exhaustive(tap) == (2, {2: S, 1: P, 0: P})
 
 
+    def test_tied_batch_incumbent_with_larger_key(self):
+        # value 8 with task 5 Serial whatever the other seven do: 128
+        # vectors tie, among them the incumbent (the seven on pi/p, with a
+        # larger key); only the all-Serial key may be returned
+        ids = [5, 2, 7, 0, 3, 6, 1, 4]
+        tap = TAP(4, tuple(T(i, 8, 32) if i == 5 else T(i, 1, 1) for i in ids))
+        assert_matches_reference(tap)
+        assert opt_awake_exhaustive(tap) == (8, dict.fromkeys(ids, S))
+
+    def test_later_group_task_over_the_serial_cap(self):
+        # the incumbent, all Parallel, scores 23/4, so at time 1 the room
+        # is 19/4 and task 2 (sigma 6) can only run parallel
+        tap = TAP(4, (T(0, 4, 8), T(2, 6, 12, 1), T(1, 3, 3, 2)))
+        assert_matches_reference(tap)
+        assert opt_awake_exhaustive(tap) == (Rat(11, 2), {0: S, 2: P, 1: S})
+
+
 class TestClosedForm:
     """All work present at once: most-work-first takes
     max(largest serial work, total work / p) (McNaughton's rule)."""
+
+    @given(st.one_of(small_taps(max_n=8), tie_heavy_taps(max_n=8)))
+    @settings(max_examples=150, deadline=None)
+    def test_batch_optimum(self, tap):
+        # the optimum of a batch: with serial works capped at M, serial
+        # whatever is shorter that way; M ranges over 0 and every sigma
+        tasks = tuple(Task(t.id, t.sigma, t.pi, Rat(3)) for t in tap.tasks)
+        tap = TAP(tap.p, tasks)
+        caps = [ZERO] + [t.sigma for t in tasks]
+        assert opt_awake_exhaustive(tap)[0] == min(
+            max(cap, sum((min(t.sigma, t.pi) if t.sigma <= cap else t.pi
+                          for t in tasks), ZERO) / tap.p)
+            for cap in caps)
 
     @given(st.one_of(small_taps(max_n=8), tie_heavy_taps(max_n=8)),
            st.randoms(use_true_random=False))
