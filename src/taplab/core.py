@@ -252,26 +252,55 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_rat(value, what: str) -> Rat:
+    """``value`` if it is ``"a"`` or ``"a/b"`` (a JSON integer reads as
+    ``"a"``); a float, ``"1e5"``, ``"inf"`` or ``"nan"`` is an error."""
+    if type(value) is int or type(value) is str:
+        try:
+            return parse_rat(str(value))
+        except ValueError:
+            pass
+    raise InvalidInstanceError(
+        f"malformed TAP: {what} must be \"a\" or \"a/b\" (integers, b > 0), got {value!r}")
+
+
+def _json_list(value, what: str) -> list:
+    if type(value) is not list:
+        raise InvalidInstanceError(
+            f"malformed TAP: {what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _task_from_dict(rec, index: int) -> Task:
+    if not isinstance(rec, dict):
+        raise InvalidInstanceError(
+            f"malformed TAP: tasks[{index}] must be a JSON object, got {type(rec).__name__}")
+    for key in ("id", "sigma", "pi", "arrival"):
+        if key not in rec:
+            raise InvalidInstanceError(f"malformed TAP: tasks[{index}] has no {key!r}")
+    tid = _json_int(rec["id"], f"tasks[{index}]: id")
+    return Task(
+        id=tid,
+        sigma=_json_rat(rec["sigma"], f"task {tid}: sigma"),
+        pi=_json_rat(rec["pi"], f"task {tid}: pi"),
+        arrival=_json_rat(rec["arrival"], f"task {tid}: arrival"),
+        deps=frozenset(_json_int(d, f"task {tid}: dependency")
+                       for d in _json_list(rec.get("deps", []), f"task {tid}: deps")),
+    )
+
+
 def tap_from_dict(data: dict) -> TAP:
     if not isinstance(data, dict):
         raise InvalidInstanceError(
             f"malformed TAP: expected a JSON object, got {type(data).__name__}")
-    if data.get("version") != 1:
+    if type(data.get("version")) is not int or data["version"] != 1:  # not true or 1.0
         raise InvalidInstanceError(f"unsupported TAP version {data.get('version')!r}")
     try:
-        tasks = tuple(
-            Task(
-                id=_json_int(rec["id"], "id"),
-                sigma=parse_rat(str(rec["sigma"])),
-                pi=parse_rat(str(rec["pi"])),
-                arrival=parse_rat(str(rec["arrival"])),
-                deps=frozenset(_json_int(d, "dependency") for d in rec.get("deps", ())),
-            )
-            for rec in data["tasks"]
-        )
+        tasks = tuple(_task_from_dict(rec, i)
+                      for i, rec in enumerate(_json_list(data["tasks"], "tasks")))
         tap = TAP(_json_int(data["p"], "p"), tasks)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InvalidInstanceError(f"malformed TAP: {exc}") from exc
+    except KeyError as exc:
+        raise InvalidInstanceError(f"malformed TAP: the TAP has no {exc}") from exc
     tap.validate()
     return tap
 

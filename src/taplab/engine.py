@@ -7,8 +7,11 @@ arrivals (each by ascending id), then timers (in the order set), each kind
 collected already in this order; an adversary injects at a quiet instant.
 
 The engine supports incremental advancement (``advance_to``) so that a
-scheduler may drive a nested inner simulation in lockstep with the outer
-clock; the non-cancelling MRT scheduler relies on this.  ``Trace.log``
+scheduler may drive a nested inner simulation from its own callbacks; the
+MRT schedulers B and C rely on this.  A nested engine is advanced only when
+its next event is due, so between its events its clock may lag the outer
+one: its allocation, decisions and next event time do not change in
+between.  ``Trace.log``
 lists each start, cancellation and completion as applied: one cursor reads it.
 A task's decision is kept once, in ``Trace.decisions`` (its last start).
 There is no awake-time accumulator: ``core.awake_time`` reads awake time
@@ -23,7 +26,13 @@ The event loop's fast paths rely on these invariants:
   while the allocation holds, so it is computed once per allocation and
   cached until the allocation changes (a completion, a cancellation, or
   an allocation with other rates: one equal to the rates in force keeps
-  the cached time);
+  the cached time); the least ``remaining/rate`` is found on integer
+  cross-products, with one division;
+* each pending task (not arrived, every dependency finished) is in the
+  heap ``_pending`` exactly once, keyed by (availability, id): the next
+  arrival is its top, and an instant's arrivals are popped in ascending
+  id order when the instant's batch is collected, before its completions
+  are processed;
 * a task's remaining work reaches 0 only in the clock step, so the clock
   step collects the ids that reach it (``_due``) and the instant's event
   batch reads them instead of scanning ``alloc``;
@@ -251,7 +260,7 @@ class Engine:
         self._event_count = 0
         self._deps_done: dict[int, set] = {}  # id -> unfinished dependencies
         self._dependents: dict[int, list] = {}  # id -> ids waiting on it
-        self._ready_at: dict[int, Rat] = {}  # pending id -> availability time
+        self._pending: list = []  # heap of (availability, id) of tasks not yet arrived
         self._alive: set[int] = set()
         self._running: set[int] = set()
         self._finish: Rat | None = None  # next completion under ``alloc``
@@ -290,10 +299,10 @@ class Engine:
         for d in missing:
             self._dependents.setdefault(d, []).append(task.id)
         if not missing:
-            self._ready_at[task.id] = max(task.arrival, self.now)
+            heapq.heappush(self._pending, (max(task.arrival, self.now), task.id))
 
     def inject_task(self, task: Task) -> None:
-        """Add a task during the run (adversaries, lockstep feeding)."""
+        """Add a task during the run (adversaries, nested feeding)."""
         if task.arrival < self.now:
             raise ContractError(
                 f"injected task {task.id} arrives in the past ({task.arrival} < {self.now})"
@@ -305,20 +314,29 @@ class Engine:
     def _next_completion(self) -> Rat | None:
         if self._finish_stale:
             self._finish_stale = False
+            # the least remaining/rate as an integer pair n/d, compared by
+            # cross-multiplication (every denominator is positive), then
+            # one division
             remaining = self.remaining
-            first = min(
-                (remaining[tid] / rate for tid, rate in self.alloc.items()), default=None
-            )
-            speed = self.speed
-            if first is not None:
+            n = d = None
+            for tid, rate in self.alloc.items():
+                left = remaining[tid]
+                ln = left.numerator * rate.denominator
+                ld = left.denominator * rate.numerator
+                if n is None or ln * d < n * ld:
+                    n, d = ln, ld
+            first = None
+            if n is not None:
+                first = Rat(n, d)
+                speed = self.speed
                 first = self.now + (first if speed == 1 else first / speed)
             self._finish = first
         return self._finish
 
     def next_event_time(self) -> Rat | None:
         best = self._next_completion()
-        if self._ready_at:
-            t = min(self._ready_at.values())
+        if self._pending:
+            t = self._pending[0][0]
             if best is None or t < best:
                 best = t
         if self._timers:
@@ -329,7 +347,7 @@ class Engine:
 
     @property
     def done(self) -> bool:
-        return not self._ready_at and not self._alive
+        return not self._pending and not self._alive
 
     # -- time advancement ----------------------------------------------------
 
@@ -398,11 +416,10 @@ class Engine:
             missing = self._deps_done[other]
             missing.discard(tid)
             if not missing:
-                self._ready_at[other] = max(self.tasks[other].arrival, self.now)
+                heapq.heappush(self._pending, (max(self.tasks[other].arrival, self.now), other))
         self._apply_commands(self.scheduler.on_completion(self.view, tid))
 
     def _arrive(self, tid: int) -> None:
-        del self._ready_at[tid]
         self._alive.add(tid)
         self.trace.arrivals[tid] = self.now
         self._apply_commands(self.scheduler.on_arrival(self.view, self.view.task(tid)))
@@ -443,7 +460,9 @@ class Engine:
         now = self.now
         while True:
             due, self._due = sorted(self._due), []
-            arriving = sorted(tid for tid, t in self._ready_at.items() if t == now)
+            pending, arriving = self._pending, []
+            while pending and pending[0][0] == now:
+                arriving.append(heapq.heappop(pending)[1])
             tags = []
             while self._timers and self._timers[0][0] == now:
                 tags.append(heapq.heappop(self._timers)[2])
@@ -457,7 +476,7 @@ class Engine:
                         for task in injected:
                             self.inject_task(task)
                         self.trace.injected.extend(injected)
-                        if any(self._ready_at.get(t.id) == self.now for t in injected):
+                        if pending and pending[0][0] == now:
                             self._event_count += 1  # injection counts as an event
                             continue
                 break

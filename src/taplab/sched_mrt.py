@@ -11,7 +11,7 @@
   semi-ballistic / emergency machinery for tasks whose mirrored work was
   stolen.
 
-B and C share the lockstep plumbing of a nested run (``_Nested``).  CANC
+B and C share the plumbing of a nested run (``_Nested``).  CANC
 and B spend half the budget on the parallel pool and half on the serial
 pool: p + p on their default budget 2p, p/2 + p/2 inside C's nested run
 on a quarter of C's budget (p at its default 4p).
@@ -242,16 +242,20 @@ class CancScheduler(Scheduler):
 # --- nested runs ------------------------------------------------------------
 
 class _Nested(Scheduler):
-    """Runs a scheduler in a nested engine, in lockstep with this one: each
-    arrival is fed in with its works times ``scale``, every callback catches
-    the nested run up to the outer clock and reads its new log entries
-    (``_sync``), and a timer wakes this scheduler at its next event."""
+    """Runs a scheduler in a nested engine driven by this one: each arrival
+    is fed in with its works times ``scale``, every callback runs the
+    nested events due by the outer clock and reads the new log entries
+    (``_sync``), and a timer wakes this scheduler at the next nested event.
+    Between its events the nested run's allocation, decisions and next
+    event time stay as they are, so its clock may lag the outer one until
+    then; ``synced`` keeps the outer time of the last callback."""
 
     scale = ONE  # work scale of the nested run
 
     def __init__(self):
         self.inner: Engine | None = None
         self.read = 0  # entries of the nested trace's log read so far
+        self.synced = ZERO  # outer time of the last ``_catch_up``
         self.timer_times: set = set()
 
     def _nest(self, view, scheduler, budget) -> None:
@@ -263,9 +267,14 @@ class _Nested(Scheduler):
         self.inner.inject_task(Task(task.id, task.sigma * scale, task.pi * scale, view.now))
 
     def _catch_up(self, view) -> Rat:
-        """Advance the nested run to the outer clock; the time since the last call."""
-        dt = view.now - self.inner.now
-        self.inner.advance_to(view.now)
+        """Run the nested events due by the outer clock; the time since the
+        last call.  A fed arrival is due, so the first call starts the
+        nested run."""
+        now = view.now
+        dt, self.synced = now - self.synced, now
+        nxt = self.inner.next_event_time()
+        if nxt is not None and nxt <= now:
+            self.inner.advance_to(now)
         return dt
 
     def _new_events(self) -> list:

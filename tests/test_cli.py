@@ -11,7 +11,15 @@ import pytest
 
 import taplab
 from taplab.cli import main
-from taplab.core import TAP, Task, TapError, metrics_from_trace, tap_from_json, tap_to_json
+from taplab.core import (
+    TAP,
+    InvalidInstanceError,
+    Task,
+    TapError,
+    metrics_from_trace,
+    tap_from_json,
+    tap_to_json,
+)
 from taplab.engine import simulate
 from taplab.oracle import grid_opt
 from taplab.rationals import PHI, Rat, ZERO, parse_rat, rat_str
@@ -167,6 +175,38 @@ class TestBadInput:
         assert "error: malformed TAP:" in captured.err and "must be an integer" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("text, message", [
+        ('{"version":1,"p":4,"tasks":{"id":0,"sigma":"1","pi":"2","arrival":"0"}}',
+         "tasks must be a JSON list, got dict"),
+        ('{"version":1,"p":4,"tasks":[7]}', "tasks[0] must be a JSON object, got int"),
+        ('{"version":1,"p":4,"tasks":[{"id":0,"sigma":"1","pi":"2"}]}',
+         "tasks[0] has no 'arrival'"),
+        ('{"version":1,"tasks":[]}', "the TAP has no 'p'"),
+        ('{"version":1,"p":4,"tasks":[{"id":0,"sigma":"1","pi":"2","arrival":"0","deps":3}]}',
+         "task 0: deps must be a JSON list, got int"),
+        ('{"version":1,"p":4,"tasks":[{"id":3,"sigma":"1","pi":"2","arrival":"1e5"}]}',
+         'task 3: arrival must be "a" or "a/b" (integers, b > 0), got \'1e5\''),
+        ('{"version":1,"p":4,"tasks":[{"id":3,"sigma":"1","pi":"2","arrival":"inf"}]}',
+         'task 3: arrival must be "a" or "a/b" (integers, b > 0), got \'inf\''),
+        ('{"version":1,"p":4,"tasks":[{"id":3,"sigma":"1","pi":"2","arrival":"nan"}]}',
+         'task 3: arrival must be "a" or "a/b" (integers, b > 0), got \'nan\''),
+        ('{"version":1,"p":4,"tasks":[{"id":3,"sigma":1.5,"pi":"2","arrival":"0"}]}',
+         'task 3: sigma must be "a" or "a/b" (integers, b > 0), got 1.5'),
+        ('{"version":1,"p":4,"tasks":[{"id":3,"sigma":"1","pi":"2/0","arrival":"0"}]}',
+         'task 3: pi must be "a" or "a/b" (integers, b > 0), got \'2/0\''),
+    ], ids=["tasks-object", "task-not-object", "missing-arrival", "missing-p", "deps-int",
+            "arrival-exponent", "arrival-inf", "arrival-nan", "sigma-float", "pi-zero-den"])
+    @pytest.mark.parametrize("command", [["run", "{}", "turtle"], ["oracle", "{}"]],
+                             ids=["run", "oracle"])
+    def test_malformed_fields_are_named(self, tmp_path, capsys, text, message, command):
+        """The message names the task, the field and the expected form."""
+        path = tmp_path / "tap.json"
+        path.write_text(text)
+        assert main([arg.format(path) for arg in command]) == 2
+        assert capsys.readouterr() == ("", f"error: malformed TAP: {message}\n")
+        with pytest.raises(InvalidInstanceError):
+            tap_from_json(text)
+
     @pytest.mark.parametrize("version, tasks, message", [
         (1, '{"id":0,"sigma":"1","pi":"2","arrival":"0"},'
             '{"id":0,"sigma":"1","pi":"2","arrival":"0"}', "duplicate task ids"),
@@ -178,8 +218,11 @@ class TestBadInput:
         (1, '{"id":0,"sigma":"1","pi":"2","arrival":"0","deps":[0]}',
          "task 0: self-dependency"),
         (2, "", "unsupported TAP version 2"),
+        ("true", "", "unsupported TAP version True"),
+        ("1.0", "", "unsupported TAP version 1.0"),
     ], ids=["duplicate", "non-positive", "pi-below-sigma", "pi-above-p-sigma",
-            "negative-arrival", "unknown-dep", "self-dep", "version"])
+            "negative-arrival", "unknown-dep", "self-dep", "version", "version-true",
+            "version-float"])
     def test_invalid_instance(self, tmp_path, capsys, version, tasks, message):
         path = tmp_path / "tap.json"
         path.write_text(f'{{"version":{version},"p":4,"tasks":[{tasks}]}}')

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from taplab import engine as engine_mod, sched_mrt
-from taplab.adversary import GenParams, gen_random, gen_random_dtap
+from taplab.adversary import (
+    GenParams,
+    GoldenAdversary,
+    NonPreemptiveAdversary,
+    flood_probe,
+    gen_random,
+    gen_random_dtap,
+    golden_probe,
+)
 from taplab.core import Decision, TAP, Task, metrics_from_trace, scale_tap
 from taplab.engine import (
     CANCELLED,
@@ -27,7 +35,7 @@ from taplab.engine import (
 )
 from taplab.rationals import Rat, ZERO, ONE, rat_str
 from taplab.sched_awake import BalScheduler
-from taplab.verify import _awake_corpus, make_scheduler, run_config
+from taplab.verify import _awake_corpus, make_scheduler, run, run_config
 
 from conftest import small_dtaps, small_taps
 
@@ -417,6 +425,16 @@ def reference_running(e) -> list:
     return sorted(tid for tid, kind in last.items() if isinstance(kind, Decision))
 
 
+def reference_pending(e) -> dict:
+    """Tasks not yet arrived and with no unfinished dependency, each with
+    its availability (its arrival or its last dependency's completion,
+    whichever is later), by scanning every task."""
+    done = e.trace.completions
+    return {tid: max([task.arrival] + [done[d] for d in task.deps])
+            for tid, task in e.tasks.items()
+            if tid not in e.trace.arrivals and all(d in done for d in task.deps)}
+
+
 def reference_next_event_time(e):
     best = None
     running = reference_running(e)
@@ -430,16 +448,15 @@ def reference_next_event_time(e):
         if best is None or t < best:
             best = t
     candidates = [] if best is None else [best]
-    if e._ready_at:
-        candidates.append(min(e._ready_at.values()))
+    candidates += reference_pending(e).values()
     if e._timers:
         candidates.append(e._timers[0][0])
     return min(candidates) if candidates else None
 
 
 def reference_ids(e) -> tuple:
-    """(alive, unstarted, running, running serially, running in parallel,
-    done) from the trace alone: a task is alive from its arrival to its
+    """(alive, unstarted, running, running serially, running in parallel)
+    from the trace alone: a task is alive from its arrival to its
     completion, and running while its last log entry is a start."""
     trace = e.trace
     alive = sorted(tid for tid in trace.arrivals if tid not in trace.completions)
@@ -451,15 +468,13 @@ def reference_ids(e) -> tuple:
         running,
         [tid for tid in running if trace.decisions[tid][0] is Decision.SERIAL],
         [tid for tid in running if trace.decisions[tid][0] is Decision.PARALLEL],
-        not e._ready_at and not alive,
     )
 
 
 def _indexed_ids(e) -> tuple:
     v = e.view
     return (v.alive_ids(), v.unstarted_ids(), v.running_ids(),
-            v.running_ids(Decision.SERIAL), v.running_ids(Decision.PARALLEL),
-            e.done)
+            v.running_ids(Decision.SERIAL), v.running_ids(Decision.PARALLEL))
 
 
 def reference_unlocked(e, tid) -> set:
@@ -472,14 +487,16 @@ def reference_unlocked(e, tid) -> set:
 class _CheckedEngine(Engine):
     """Asserts after every callback's commands, at every event-time query,
     around every instant's processing and at every completion that the fast
-    paths agree with the references."""
+    paths agree with the references.  The pending heap, ``done`` and the
+    next event time are checked at the event-time queries, which come
+    between instants: an instant's arrivals leave the heap before its
+    completions are processed."""
 
     checks = 0
     unlocks = 0
 
     def _check(self):
         assert _indexed_ids(self) == reference_ids(self)
-        assert Engine.next_event_time(self) == reference_next_event_time(self)
         # the log holds the completions and cancellations in their order,
         # and each decided task's last start is its recorded decision
         trace = self.trace
@@ -492,7 +509,13 @@ class _CheckedEngine(Engine):
 
     def next_event_time(self):
         self._check()
-        return super().next_event_time()
+        # the heap holds each pending task once, at its availability
+        pending = reference_pending(self)
+        assert sorted(self._pending) == sorted((t, tid) for tid, t in pending.items())
+        assert self.done == (not pending and not reference_ids(self)[0])
+        nxt = super().next_event_time()
+        assert nxt == reference_next_event_time(self)
+        return nxt
 
     def _due_matches_scan(self):
         # the completions the clock step collected, against a scan of alloc
@@ -505,10 +528,10 @@ class _CheckedEngine(Engine):
 
     def _complete(self, tid):
         unlocked = reference_unlocked(self, tid)
-        before = set(self._ready_at)
+        before = {other for _, other in self._pending}
         super()._complete(tid)
         assert not any(tid in missing for missing in self._deps_done.values())
-        assert set(self._ready_at) - before == unlocked
+        assert {other for _, other in self._pending} - before == unlocked
         _CheckedEngine.unlocks += len(unlocked)
 
     def _apply_commands(self, commands):
@@ -656,6 +679,18 @@ class TestFastPaths:
             assert validate_trace(trace, tap, config).violations == reference_validate(trace, tap, config)
         assert _CheckedEngine.checks > 5000
         assert _CheckedEngine.unlocks > 0  # the DTAP runs unlock dependents
+
+    def test_injected_tasks_match_scans(self, monkeypatch):
+        # an adversary injects at a quiet instant (the golden duel, the
+        # flood); bsched and csched feed the flood to their nested engines
+        monkeypatch.setattr(engine_mod, "Engine", _CheckedEngine)
+        monkeypatch.setattr(sched_mrt, "Engine", _CheckedEngine)
+        runs = [(name, golden_probe(8), GoldenAdversary(8)) for name in ("mwf-all-parallel", "unk")]
+        runs += [(name, flood_probe(8), NonPreemptiveAdversary(10, flood_probe(8)))
+                 for name in ("rigid", "equi", "bsched", "csched")]
+        for name, tap, adversary in runs:
+            done = run(name, tap, adversary=adversary)
+            assert done.trace.injected and done.complete and done.violations == []
 
     def test_cancel_without_restart(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "Engine", _CheckedEngine)

@@ -23,7 +23,7 @@ from taplab.sched_mrt import (
 )
 
 from conftest import small_taps, started_at
-from test_engine import _corpus
+from test_engine import _corpus, _wide_corpus
 
 S, P = Decision.SERIAL, Decision.PARALLEL
 
@@ -384,6 +384,76 @@ class TestNestedBookkeeping:
     @settings(max_examples=40, deadline=None)
     def test_cursor_and_serial_test_match_scans(self, tap, name):
         _run_checked([(tap, name)])
+
+
+# A nested run is stepped only at its own events; in between, its clock
+# lags the outer one.  The lockstep stepping it replaced, which advanced
+# the nested run at every outer callback, stays here as the reference:
+# the outer and nested runs and the schedulers' records must be identical,
+# and only the nested slice lists may be shorter.
+
+class _Lockstep(sched_mrt._Nested):
+    def _catch_up(self, view):
+        dt = view.now - self.inner.now
+        self.inner.advance_to(view.now)
+        return dt
+
+
+class _LockstepB(_Lockstep, BScheduler):
+    pass
+
+
+class _LockstepC(_Lockstep, CScheduler):
+    def setup(self, view):
+        super().setup(view)
+        self._nest(view, _LockstepB(), self.unit)  # the nested B in lockstep too
+
+
+def _nested_observed(tap, name, sched) -> tuple:
+    """(what a run of ``sched`` shows, its nested clock steps): the outer
+    trace, each nested engine's log, decisions, completions, cancellations
+    and arrivals, and the schedulers' records, C's B and B's CANC
+    included (a nested B that got no task never started its CANC)."""
+    trace = simulate(tap, sched, run_config(name, tap.p))
+    shown = [trace.slices, trace.decisions, trace.completions, trace.cancellations,
+             trace.arrivals]
+    steps = 0
+    while isinstance(sched, sched_mrt._Nested) and sched.inner is not None:
+        inner = sched.inner.trace
+        shown += [inner.log, inner.decisions, inner.completions, inner.cancellations,
+                  inner.arrivals]
+        if isinstance(sched, CScheduler):
+            shown += [sched.mode_records, sched.stolen]
+        steps += len(inner.slices)
+        sched = sched.inner.scheduler
+    if isinstance(sched, CancScheduler):
+        shown.append(sched.pool_ages)
+    return shown, steps
+
+
+def _assert_matches_lockstep(tap, name) -> tuple:
+    """The nested clock steps of the run and of the lockstep reference."""
+    lockstep = {"bsched": _LockstepB, "csched": _LockstepC}[name]
+    shown, steps = _nested_observed(tap, name, SCHEDULERS[name]())
+    reference, reference_steps = _nested_observed(tap, name, lockstep())
+    assert shown == reference
+    assert steps <= reference_steps
+    return steps, reference_steps
+
+
+class TestEventDrivenNesting:
+    def test_matches_lockstep_on_corpus(self):
+        steps = reference_steps = 0
+        for tap, name in _corpus() + _wide_corpus():
+            if name in ("bsched", "csched"):
+                a, b = _assert_matches_lockstep(tap, name)
+                steps, reference_steps = steps + a, reference_steps + b
+        assert steps < reference_steps
+
+    @given(small_taps(max_n=8, pow2=True), st.sampled_from(["bsched", "csched"]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lockstep(self, tap, name):
+        _assert_matches_lockstep(tap, name)
 
 
 class TestCUnit:
