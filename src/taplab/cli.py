@@ -112,7 +112,9 @@ GENERATORS = {
     "randlb": lambda a: gen_randlb(a.p, a.blocks, _seed(a)),
     "cheap-expensive": lambda a: gen_mrt_cheap_expensive(a.p, _seed(a)),
     "dtap-levels": lambda a: gen_dtap_levels(a.p, _seed(a)),
-    "dtap-random": lambda a: gen_random_dtap(GenParams(p=a.p, n=a.n, seed=_seed(a))),
+    "dtap-random": lambda a: gen_random_dtap(GenParams(
+        p=a.p, n=a.n, seed=_seed(a), ratio_distribution=a.ratio_dist,
+    )),
     "c-trigger": lambda a: gen_c_trigger(a.p, a.sigma_t),
 }
 

@@ -129,6 +129,15 @@ class Scheduler:
     pow2_works = False  # input class: every sigma and pi a power of two
     max_plain_n: int | None = None  # input class: at most this many tasks, no dependencies
 
+    @classmethod
+    def engine_config(cls, p: int, factor=None, speed=ONE) -> EngineConfig:
+        """The configuration this class declares on p processors: a budget
+        of ``factor`` (default: ``budget_factor``) times p, ``speed``, and
+        cancellation exactly when the class ``cancels``."""
+        factor = cls.budget_factor if factor is None else factor
+        return EngineConfig(speed=speed, processor_budget=Rat(factor) * p,
+                            allow_cancel=cls.cancels)
+
     def setup(self, view) -> SchedCommands | None:
         return None
 

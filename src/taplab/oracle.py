@@ -4,9 +4,10 @@
   most-work-first schedule for a fixed serial/parallel decision vector
   (which is offline-optimal for those decisions);
 * ``opt_awake_exhaustive``: exact optimal awake time and the
-  lexicographically first minimizing decision vector (``tap.tasks``
-  order, Serial < Parallel), by a depth-first search over the decisions
-  in arrival order.  Vectors that agree up to an arrival time share the
+  lexicographically first minimizing decision vector (in (arrival,
+  ``tap.tasks`` position) order, which is ``tap.tasks`` order on a valid
+  TAP; Serial < Parallel), by a depth-first search over the decisions
+  in that order.  Vectors that agree up to an arrival time share the
   most-work-first run up to that time, and after the last arrival every
   leaf is closed in O(1) by McNaughton's wrap-around rule.  A node is
   dropped only when no vector below it has a smaller (value, key) pair
@@ -111,9 +112,10 @@ def _mwf_run(groups: list, par, p: int, horizon=None) -> tuple:
 
 
 def _arrival_batches(tap: TAP) -> list:
-    """Tasks in (arrival, id) order, as (arrival, tasks) per arrival time."""
+    """Tasks in (arrival, ``tap.tasks`` position) order, as (arrival,
+    tasks) per arrival time."""
     batches: list = []
-    for task in sorted(tap.tasks, key=lambda t: (t.arrival, t.id)):
+    for task in sorted(tap.tasks, key=lambda t: t.arrival):
         if batches and batches[-1][0] == task.arrival:
             batches[-1][1].append(task)
         else:
@@ -158,13 +160,13 @@ def opt_awake_given_decisions(tap: TAP, decisions: dict) -> Rat:
 # --- exact optimum over decision vectors ------------------------------------
 
 def _dominates(state, other) -> bool:
-    """True when ``state`` = (key, awake, parallel work, serial works in
+    """True when ``state`` = (awake, parallel work, serial works in
     descending order) is no worse than ``other`` in every entry, missing
-    serial works counting as 0, and its key is lexicographically smaller."""
-    key, awake, par, serial = state
-    o_key, o_awake, o_par, o_serial = other
+    serial works counting as 0."""
+    awake, par, serial = state
+    o_awake, o_par, o_serial = other
     return (
-        awake <= o_awake and par <= o_par and key < o_key
+        awake <= o_awake and par <= o_par
         and len(serial) <= len(o_serial)
         and all(w <= o for w, o in zip(serial, o_serial))
     )
@@ -173,15 +175,17 @@ def _dominates(state, other) -> bool:
 def opt_awake_exhaustive(tap: TAP, bound: int = 20):
     """(optimal awake time, one minimizing decision vector).
 
-    Depth-first search over the tasks in (arrival, id) order, Serial
-    first.  Between consecutive arrival times the most-work-first state
-    is advanced once per decided prefix.  Inside the last arrival group
-    a leaf is awake + max(largest serial work, total work / p), which is
-    exactly what most-work-first achieves once all work is present.  Of
-    the optimal vectors the result is the lexicographically first in
-    ``tap.tasks`` order with Serial < Parallel: the search keeps the
-    least (value, key) pair met so far and drops a node, a group
-    boundary or a leaf only when no vector below it has a smaller pair.
+    Depth-first search over the tasks in (arrival, ``tap.tasks``
+    position) order, which is ``tap.tasks`` order on a valid TAP, Serial
+    first, so decided prefixes are met in key order.  Between
+    consecutive arrival times the most-work-first state is advanced once
+    per decided prefix.  Inside the last arrival group a leaf is awake +
+    max(largest serial work, total work / p), which is exactly what
+    most-work-first achieves once all work is present.  Of the optimal
+    vectors the result is the lexicographically first in search order
+    with Serial < Parallel: the search keeps the least (value, key) pair
+    met so far and drops a node, a group boundary or a leaf only when no
+    vector below it has a smaller pair.
 
     The pair starts at an incumbent, the vector in which every task
     takes the shorter of sigma and pi/p (a tie goes to Serial), scored
@@ -208,13 +212,14 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
     A prefix advanced to the next arrival is dropped when a state that an
     earlier prefix reached at the same arrival dominates it: awake time,
     parallel work and each serial work (sorted, missing ones 0) no
-    greater, and a smaller key over the decided tasks in ``tap.tasks``
-    order.  The dominating state can copy the dropped one's schedule job
-    for job and finish every job no later, and most-work-first is optimal
-    for fixed decisions, so under any common suffix its value is no
-    greater and its key is smaller: the dropped prefix holds no vector
-    that could be returned.  The best pair only decreases, so no node
-    dropped against it holds the vector that is returned.
+    greater; its key over the decided tasks is smaller, since prefixes
+    are met in key order.  The dominating state can copy the dropped
+    one's schedule job for job and finish every job no later, and
+    most-work-first is optimal for fixed decisions, so under any common
+    suffix its value is no greater and its key is smaller: the dropped
+    prefix holds no vector that could be returned.  The best pair only
+    decreases, so no node dropped against it holds the vector that is
+    returned.
     """
     if tap.n > bound:
         raise InstanceTooLargeError(f"n={tap.n} exceeds oracle bound {bound}")
@@ -239,16 +244,12 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
         cuts = sorted((t.sigma, t.pi - t.sigma) for t in order[i:] if t.sigma < t.pi)
         sigmas[i] = [sigma for sigma, _ in cuts]
         saves[i].extend(itertools.accumulate(cut for _, cut in cuts))
-    position = {task.id: i for i, task in enumerate(order)}
-    slots = [position[task.id] for task in tap.tasks]
-    # decided[k]: the search positions of groups 0..k, in tap.tasks order
-    decided = [[s for s in slots if s < end] for end in ends]
     # seen[k]: the states kept at the arrival of group k + 1
     seen = [[] for _ in batches]
     choice = [0] * n  # 0 = Serial, 1 = Parallel, by search position
-    shorter = {task.id: task.pi < p * task.sigma for task in tap.tasks}
+    shorter = {task.id: task.pi < p * task.sigma for task in order}
     best = _mwf_awake(batches, p, lambda task: shorter[task.id])
-    best_key = tuple(int(shorter[task.id]) for task in tap.tasks)
+    best_key = tuple(int(shorter[task.id]) for task in order)
 
     def branch(k, i, groups, par, serial, awake, smax, work) -> None:
         """Decide position i, in arrival group k.  (groups, par) is the
@@ -268,21 +269,18 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
         if smax == room or need - saves[i][bisect.bisect_left(sigmas[i], room)] >= cap:
             # no completion beats best, so only a smaller key can win; the
             # smallest key below this node leaves every undecided task Serial
-            if tuple(choice[s] if s < i else 0 for s in slots) >= best_key:
+            if (*choice[:i], *(0,) * (n - i)) >= best_key:
                 return
         if i == ends[k]:
             if k + 1 == len(batches):
                 # all work is present: McNaughton's closed form
                 best = awake + max(smax, work / p)
-                best_key = tuple(choice[s] for s in slots)
+                best_key = tuple(choice)
                 return
             horizon = batches[k + 1][0] - batches[k][0]
             groups, par, busy = _mwf_run(_with_serial(groups, serial), par, p, horizon)
             awake += busy
-            state = (
-                tuple(choice[s] for s in decided[k]), awake, par,
-                tuple(w for w, c in groups for _ in range(c)),
-            )
+            state = (awake, par, tuple(w for w, c in groups for _ in range(c)))
             if any(_dominates(earlier, state) for earlier in seen[k]):
                 return
             seen[k].append(state)
@@ -302,7 +300,7 @@ def opt_awake_exhaustive(tap: TAP, bound: int = 20):
     branch(0, 0, [], ZERO, [], ZERO, ZERO, ZERO)
     decisions = {
         task.id: Decision.PARALLEL if c else Decision.SERIAL
-        for task, c in zip(tap.tasks, best_key)
+        for task, c in zip(order, best_key)
     }
     return best, decisions
 

@@ -11,10 +11,11 @@
   semi-ballistic / emergency machinery for tasks whose mirrored work was
   stolen.
 
-B and C share the plumbing of a nested run (``_Nested``).  CANC
-and B spend half the budget on the parallel pool and half on the serial
-pool: p + p on their default budget 2p, p/2 + p/2 inside C's nested run
-on a quarter of C's budget (p at its default 4p).
+``_Nested`` builds, feeds, steps and wakes the nested run; B and C add
+only their policy (``_arrive``, ``_react``).  CANC and B spend half the
+budget on the parallel pool and half on the serial pool: p + p on their
+default budget 2p, p/2 + p/2 inside C's nested run on a quarter of C's
+budget (p at its default 4p).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import Decision, TAP, Task, TapError
-from .engine import CANCELLED, COMPLETED, Engine, EngineConfig, SchedCommands, Scheduler
+from .engine import CANCELLED, COMPLETED, Engine, SchedCommands, Scheduler
 from .rationals import Rat, ZERO, ONE
 
 
@@ -242,14 +243,22 @@ class CancScheduler(Scheduler):
 # --- nested runs ------------------------------------------------------------
 
 class _Nested(Scheduler):
-    """Runs a scheduler in a nested engine driven by this one: each arrival
-    is fed in with its works times ``scale``, every callback runs the
-    nested events due by the outer clock and reads the new log entries
-    (``_sync``), and a timer wakes this scheduler at the next nested event.
-    Between its events the nested run's allocation, decisions and next
-    event time stay as they are, so its clock may lag the outer one until
-    then; ``synced`` keeps the outer time of the last callback."""
+    """Runs ``nested`` in a nested engine driven by this one, on ``share``
+    of this scheduler's budget, and leaves the subclass only its policy.
 
+    ``setup`` builds the nested engine.  Each arrival is recorded by the
+    subclass's ``_arrive(task)`` and fed in with its works times ``scale``.
+    Every callback runs the nested events due by the outer clock, passes
+    the outer time since the last callback and the new log entries to the
+    subclass's ``_react(view, dt, new, commands)``, which adds its own
+    commands, and sets a timer that wakes this scheduler at the next
+    nested event.  Between its events the nested run's allocation,
+    decisions and next event time stay as they are, so its clock may lag
+    the outer one until then; ``synced`` keeps the outer time of the last
+    callback."""
+
+    nested: type[Scheduler]  # the scheduler of the nested run
+    share = ONE  # the nested budget, as a share of this one's
     scale = ONE  # work scale of the nested run
 
     def __init__(self):
@@ -258,13 +267,27 @@ class _Nested(Scheduler):
         self.synced = ZERO  # outer time of the last ``_catch_up``
         self.timer_times: set = set()
 
-    def _nest(self, view, scheduler, budget) -> None:
-        config = EngineConfig(processor_budget=budget, allow_cancel=scheduler.cancels)
-        self.inner = Engine(TAP(view.p, ()), scheduler, config)
+    def setup(self, view):
+        config = self.nested.engine_config(view.p, view.budget * self.share / view.p)
+        self.inner = Engine(TAP(view.p, ()), self.nested(), config)
 
-    def _feed(self, view, task) -> None:
+    def on_arrival(self, view, task):
+        self._arrive(task)
         scale = self.scale
         self.inner.inject_task(Task(task.id, task.sigma * scale, task.pi * scale, view.now))
+        return self._sync(view)
+
+    def on_timer(self, view, tag):
+        return self._sync(view)
+
+    def _sync(self, view) -> SchedCommands:
+        dt = self._catch_up(view)
+        commands = SchedCommands()
+        self._react(view, dt, self._new_events(), commands)
+        nxt = self.inner.next_event_time()
+        if nxt is not None:
+            self._wake_at(commands, nxt)
+        return commands
 
     def _catch_up(self, view) -> Rat:
         """Run the nested events due by the outer clock; the time since the
@@ -288,9 +311,6 @@ class _Nested(Scheduler):
         if t not in self.timer_times:
             self.timer_times.add(t)
             commands.timers.append((t, None))
-
-    def on_timer(self, view, tag):
-        return self._sync(view)
 
 
 # --- B ----------------------------------------------------------------------
@@ -334,6 +354,7 @@ class BScheduler(_Nested):
 
     name = "bsched"
     budget_factor, cancels = 2, True
+    nested = CancScheduler
 
     def __init__(self):
         super().__init__()
@@ -341,10 +362,6 @@ class BScheduler(_Nested):
         self.type_of: dict[int, _TypeState] = {}  # task id -> its type
         self.fakes: list[Rat] = []  # remaining work of each fake serial task
         self.fake_share = ZERO
-
-    def setup(self, view):
-        self._nest(view, CancScheduler(), view.budget)
-        return None
 
     # -- nested-simulation bookkeeping --------------------------------------
 
@@ -377,13 +394,10 @@ class BScheduler(_Nested):
             # every real task of the type is already done: fake serial task
             self.fakes.append(state.key[0])  # sigma of the type
 
-    def _sync(self, view) -> SchedCommands:
-        dt = self._catch_up(view)
+    def _react(self, view, dt, new, commands) -> None:
         if dt > 0 and self.fakes:
             done = self.fake_share * dt
             self.fakes = [work - done for work in self.fakes if work > done]
-        commands = SchedCommands()
-        new = self._new_events()
         for kind, inner_tid in new:
             if kind == CANCELLED:
                 self._handle_inner_cancel(view, inner_tid, commands)
@@ -404,23 +418,17 @@ class BScheduler(_Nested):
         for state in self.types.values():
             if state.members and _unstarted(view, state.members[0], commands):
                 commands.starts[state.members[0]] = Decision.PARALLEL
-        nxt = self.inner.next_event_time()
-        if nxt is not None:
-            self._wake_at(commands, nxt)
         if self.fakes and self.fake_share > 0:
             due = view.now + min(self.fakes) / self.fake_share
             self._wake_at(commands, due)
-        return commands
 
     # -- engine callbacks ----------------------------------------------------
 
-    def on_arrival(self, view, task):
+    def _arrive(self, task) -> None:
         key = (task.sigma, task.pi)
         state = self.types.setdefault(key, _TypeState(key))
         self.type_of[task.id] = state
         state.members.append(task.id)
-        self._feed(view, task)
-        return self._sync(view)
 
     def on_completion(self, view, tid):
         members = self.type_of[tid].members
@@ -484,24 +492,18 @@ class CScheduler(_Nested):
     name = "csched"
     budget_factor = min_budget_factor = 4
     pow2_works = True
-    scale = Rat(3)  # work scale of the nested B run
+    # the nested B runs on a unit, with works scaled by 3; a unit each for
+    # the mirror and the semi-ballistic pool, up to two for the class reserves
+    nested, share, scale = BScheduler, Rat(1, 4), Rat(3)
 
     def __init__(self):
         super().__init__()
-        self.unit = ZERO  # a quarter of the budget
         self.task_class: dict[int, Rat] = {}  # fixed at arrival
         self.ballistic: set[int] = set()
         self.semibal: set[int] = set()
         self.stolen: dict[int, Rat] = {}
         self.flows: list = []  # (victim tid, rate) the last allocation redirected
         self.mode_records: list[_ModeRecord] = []
-
-    def setup(self, view):
-        # a unit each for the mirror and the semi-ballistic pool, up to two
-        # for the class reserves
-        self.unit = view.budget / 4
-        self._nest(view, BScheduler(), self.unit)
-        return None
 
     def _emergency_classes(self):
         """Classes with a ballistic task; an empty tuple while none is."""
@@ -524,26 +526,20 @@ class CScheduler(_Nested):
                     f"equal serial work in class {cls}"
                 )
         self.ballistic.add(tid)
-        self.mode_records.append(
-            _ModeRecord(tid, "ballistic", view.now, trigger)
-        )
+        self.mode_records.append(_ModeRecord(tid, "ballistic", view.now, trigger))
 
-    def _enter_semibal(self, view, tid, trigger, commands):
+    def _enter_semibal(self, view, tid, commands):
         self.semibal.add(tid)
         commands.starts[tid] = Decision.SERIAL
         self.mode_records.append(
-            _ModeRecord(tid, "semi-ballistic", view.now, trigger)
-        )
+            _ModeRecord(tid, "semi-ballistic", view.now, "inner-completed"))
 
-    def _sync(self, view) -> SchedCommands:
-        dt = self._catch_up(view)
+    def _react(self, view, dt, new, commands) -> None:
         if dt > 0:
             for victim, rate in self.flows:
                 self.stolen[victim] = self.stolen.get(victim, ZERO) + rate * dt
-        commands = SchedCommands()
         outer_done = view.trace.completions
         nested = self.inner.view
-        new = self._new_events()
         # transitions driven by the nested B run: B serialized the task
         # (cancelled it, or never ran it parallel), for good, so each is
         # read once; None -> PARALLEL is the vesting scan's
@@ -563,7 +559,7 @@ class CScheduler(_Nested):
             if view.decision(tid) is Decision.PARALLEL:  # vested
                 self._enter_ballistic(view, tid, "inner-completed")
             else:
-                self._enter_semibal(view, tid, "inner-completed", commands)
+                self._enter_semibal(view, tid, commands)
         # vesting: nested B runs the task in parallel, it is undecided here
         # (so neither vested, finished nor semi-ballistic) and its class is calm
         emergency = self._emergency_classes()
@@ -575,17 +571,11 @@ class CScheduler(_Nested):
             if emergency and self.task_class[tid] in emergency:
                 continue  # vesting paused for the class
             commands.starts[tid] = Decision.PARALLEL
-        nxt = self.inner.next_event_time()
-        if nxt is not None:
-            self._wake_at(commands, nxt)
-        return commands
 
     # -- engine callbacks ----------------------------------------------------
 
-    def on_arrival(self, view, task):
+    def _arrive(self, task) -> None:
         self.task_class[task.id] = _task_class(task.sigma, task.pi)
-        self._feed(view, task)
-        return self._sync(view)
 
     def on_completion(self, view, tid):
         if tid in self.ballistic:
@@ -606,6 +596,7 @@ class CScheduler(_Nested):
         emergency = self._emergency_classes()
         outer_done = view.trace.completions
         nested = self.inner.view
+        unit = self.inner.budget
         self.flows = []
         # mirror of the nested B allocation on the first unit
         for tid, rate in self.inner.alloc.items():
@@ -630,9 +621,9 @@ class CScheduler(_Nested):
         # class reserves for ballistic tasks: class ratio 2^j times unit/p
         # each (2^j processors at the default budget)
         for cls in emergency:
-            add(self._smallest_ballistic(view, cls), cls * self.unit / view.p)
+            add(self._smallest_ballistic(view, cls), cls * unit / view.p)
         # semi-ballistic pool: EQUI with the serial cap on the second unit;
         # each member started serially on entry and leaves on completion
-        for tid, share in equi_alloc(self.semibal, self.unit, serial_cap=True).items():
+        for tid, share in equi_alloc(self.semibal, unit, serial_cap=True).items():
             add(tid, share)
         return alloc

@@ -92,13 +92,9 @@ def make_scheduler(name: str) -> Scheduler:
 
 
 def run_config(name: str, p: int, factor=None, speed=ONE) -> EngineConfig:
-    """The engine configuration of a registry scheduler on p processors:
-    a budget of ``factor`` (default: the class's ``budget_factor``) times
-    p, and cancellation exactly when the class ``cancels``."""
-    cls = SCHEDULERS[name]
-    factor = cls.budget_factor if factor is None else factor
-    return EngineConfig(speed=speed, processor_budget=Rat(factor) * p,
-                        allow_cancel=cls.cancels)
+    """The engine configuration of a registry scheduler on p processors
+    (see ``Scheduler.engine_config``)."""
+    return SCHEDULERS[name].engine_config(p, factor, speed)
 
 
 # --- one run ----------------------------------------------------------------
@@ -131,15 +127,13 @@ class Run:
 def run(scheduler, tap: TAP, factor=None, speed=ONE, adversary=None) -> Run:
     """Simulate ``scheduler`` on ``tap``, against ``adversary`` if given.
 
-    A registry name runs on its :func:`run_config` under ``factor`` and
-    ``speed``; a :class:`Scheduler` instance runs on ``EngineConfig()``.
+    ``scheduler`` is a registry name or a :class:`Scheduler` instance;
+    either runs on the configuration its class declares under ``factor``
+    and ``speed`` (``Scheduler.engine_config``).
     """
     if isinstance(scheduler, str):
-        name = scheduler
-        scheduler = make_scheduler(name)
-        config = run_config(name, tap.p, factor, speed)
-    else:
-        config = EngineConfig()
+        scheduler = make_scheduler(scheduler)
+    config = scheduler.engine_config(tap.p, factor, speed)
     # read off the engine module at call time, so that a wrapper put on
     # ``engine.simulate`` sees every run
     trace = engine.simulate(tap, scheduler, config, adversary)
@@ -228,17 +222,19 @@ def _awake_corpus(seed: int, count: int = 1000):
 
 
 def _grid_corpus(seed: int, count: int = 100):
-    """Tiny TAPs (n <= 3, p <= 4, integer works and arrivals) that the grid
-    oracle solves exactly on the 1/p grid."""
+    """Tiny valid TAPs (n <= 3, p <= 4, integer works and arrivals) that
+    the grid oracle solves exactly on the 1/p grid.  Each pi is capped at
+    p sigma after it is drawn, so a seed draws the same numbers, and the
+    tasks are sorted by arrival with their ids kept."""
     for i in range(count):
         rng = random.Random((seed, "a1", i).__repr__())
         p = rng.choice([2, 3, 4])
         tasks = []
         for tid in range(rng.randint(1, 3)):
             sigma = rng.randint(1, 8)
-            pi = rng.randint(sigma, 8)
+            pi = min(rng.randint(sigma, 8), p * sigma)
             tasks.append(Task(tid, Rat(sigma), Rat(pi), Rat(rng.randint(0, 4))))
-        yield TAP(p, tuple(tasks))
+        yield TAP(p, tuple(sorted(tasks, key=lambda t: t.arrival)))
 
 
 def _pow2_corpus(seed: int, count: int = 1000):

@@ -22,7 +22,7 @@ from taplab.core import (
 )
 from taplab.engine import simulate
 from taplab.oracle import grid_opt
-from taplab.rationals import PHI, Rat, ZERO, parse_rat, rat_str
+from taplab.rationals import PHI, Rat, ZERO, is_power_of_two, parse_rat, rat_str
 from taplab.sched_awake import BalScheduler
 from taplab.verify import SCHEDULERS, run
 
@@ -436,6 +436,18 @@ class TestGenRoundtrip:
         assert main(["gen", "geometric", "--p", "4"]) == 0
         tap = tap_from_json(capsys.readouterr().out)
         assert tap.n == 4
+
+    def test_gen_dtap_random_ratio_dist(self, capsys):
+        """``--ratio-dist`` reaches the DTAP generator; the default is uniform."""
+        def gen(*flags):
+            assert main(["gen", "dtap-random", "--p", "8", "--n", "8", "--seed", "2",
+                         *flags]) == 0
+            return tap_from_json(capsys.readouterr().out)
+
+        pow2 = gen("--ratio-dist", "pow2")
+        assert gen() == gen("--ratio-dist", "uniform") != pow2
+        assert pow2.has_deps
+        assert all(is_power_of_two(t.sigma) and is_power_of_two(t.pi) for t in pow2.tasks)
 
 
 class TestParser:

@@ -179,19 +179,19 @@ class TestSearchMatchesReference:
         assert opt_awake_exhaustive(tap) == (6, {2: S, 0: S, 3: S, 1: S})
 
     def test_dominance_compares_keys_not_visit_order(self):
-        # the search visits ids 1, 2, 3 in that order, so {3: P, 1: S}
-        # reaches time 2 before {3: S, 1: P}, in the same state; the
-        # latter has the smaller key in tap.tasks order and is the answer
+        # {3: P, 1: S} and {3: S, 1: P} reach time 2 in the same state;
+        # the latter has the smaller key in tap.tasks order, so the search
+        # meets it first, keeps it, and it is the answer
         tap = TAP(3, (T(2, 1, 2), T(3, 3, 3), T(1, 3, 3), T(0, 3, 6, 2)))
         assert_matches_reference(tap)
         assert opt_awake_exhaustive(tap) == (
             Rat(13, 3), {2: S, 3: S, 1: P, 0: P})
 
     def test_ids_out_of_arrival_order(self):
-        # the search visits id 1 before id 2, but the tie-break follows
-        # tap.tasks order; a search that dropped tied leaves (pruning on
-        # >=, or not comparing ties) would return the first optimum it
-        # met, {2: P, 1: S, 0: P}
+        # ids are not in tap.tasks order, and the tie-break follows
+        # tap.tasks order, not ids: an id-ordered search that dropped tied
+        # leaves (pruning on >=, or not comparing ties) would return the
+        # first optimum it met, {2: P, 1: S, 0: P}
         tap = TAP(3, (T(2, 2, 2, 1), T(1, 2, 2, 1), T(0, 2, 2, 2)))
         assert_matches_reference(tap)
         assert opt_awake_exhaustive(tap) == (2, {2: S, 1: P, 0: P})

@@ -404,9 +404,7 @@ class _LockstepB(_Lockstep, BScheduler):
 
 
 class _LockstepC(_Lockstep, CScheduler):
-    def setup(self, view):
-        super().setup(view)
-        self._nest(view, _LockstepB(), self.unit)  # the nested B in lockstep too
+    nested = _LockstepB  # the nested B in lockstep too
 
 
 def _nested_observed(tap, name, sched) -> tuple:
@@ -467,5 +465,5 @@ class TestCUnit:
         ]
         for tap in taps:
             done = run("csched", tap, factor)
-            assert done.scheduler.unit == done.scheduler.inner.budget == Rat(factor * tap.p, 4)
+            assert done.scheduler.inner.budget == Rat(factor * tap.p, 4)
             assert done.violations == [] and done.complete

@@ -138,8 +138,29 @@ def test_run_scheduler_instance_on_default_config():
     scheduler = BalScheduler()
     done = run(scheduler, tap)
     assert done.scheduler is scheduler and done.tap is tap
-    assert done.config == EngineConfig()
+    assert done.config == EngineConfig(processor_budget=Rat(4))
     assert done.metrics().awake == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grid_corpus_instances_validate(seed):
+    """A1 cross-checks the oracles on valid TAPs only: arrivals in order
+    and pi <= p sigma."""
+    for tap in verify._grid_corpus(seed):
+        tap.validate()
+
+
+@pytest.mark.parametrize("factor, speed", [(None, 2), (2, 1)])
+def test_run_scheduler_instance_takes_factor_and_speed(factor, speed):
+    """An instance runs on the configuration its class declares, under the
+    given factor and speed, exactly as its registry name does."""
+    tap = gen_random(GenParams(p=4, n=5, seed=1))
+    by_instance = run(BalScheduler(), tap, factor, speed)
+    by_name = run("bal", tap, factor, speed)
+    assert by_instance.config == by_name.config
+    assert by_instance.config.processor_budget == (factor or 1) * tap.p
+    assert by_instance.trace.completions == by_name.trace.completions
+    assert by_instance.metrics().awake == by_name.metrics().awake
 
 
 @pytest.mark.parametrize("factor", [1, 2])
