@@ -2,8 +2,8 @@
 
 Seeded random corpora plus the hand-built lower-bound families: the
 golden-ratio adaptive adversary, geometric decide-on-arrival instances,
-randomized two-block instances, oblivious pairs, the cheap/expensive MRT
-family, level-structured DTAPs, and the zero-work flood adversary against
+randomized two-block instances, the cheap/expensive MRT family,
+level-structured DTAPs, and the zero-work flood adversary against
 non-preemptive schedulers.  Every generator is a pure function of its
 parameters and seed.
 """
@@ -164,17 +164,6 @@ def gen_randlb(p: int, n_blocks: int, seed: int = 0) -> TAP:
                 tasks.append(Task(tid, SQRT3, p * SQRT3, t + 1))
                 tid += 1
     return TAP(p, tuple(tasks))
-
-
-def gen_oblivious_pair(p: int):
-    """Two TAPs with identical serial views that no decide-on-arrival
-    oblivious scheduler can handle well on both."""
-    if p < 4:
-        raise InvalidArgumentError(f"p must be >= 4, got {p}")
-    k = math.isqrt(p - 1) + 1  # ceil(sqrt(p))
-    a = TAP(p, tuple(Task(i, ONE, ONE, ZERO) for i in range(k)))
-    b = TAP(p, tuple(Task(i, ONE, Rat(p), ZERO) for i in range(k)))
-    return a, b
 
 
 def gen_mrt_cheap_expensive(p: int, seed: int = 0) -> TAP:

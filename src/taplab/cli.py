@@ -40,7 +40,7 @@ from .oracle import (
     opt_trt_lower,
 )
 from .rationals import parse_rat, rat_str
-from .verify import SCHEDULERS, default_seed, format_results, run, run_battery
+from .verify import SCHEDULERS, format_results, run, run_battery
 
 SWEEP_COLUMNS = [
     "instance", "scheduler", "p", "n", "awake", "trt", "opt_awake", "trt_lb",
@@ -48,10 +48,6 @@ SWEEP_COLUMNS = [
 ]
 #: largest n on which ``sweep`` runs the exhaustive awake oracle
 SWEEP_ORACLE_BOUND = 14
-
-
-def _seed(args) -> int:
-    return args.seed if args.seed is not None else default_seed()
 
 
 def _print_record(record: dict) -> None:
@@ -105,15 +101,15 @@ def cmd_run(args) -> int:
 #: generator name -> instance built from the parsed ``gen`` flags
 GENERATORS = {
     "random": lambda a: gen_random(GenParams(
-        p=a.p, n=a.n, seed=_seed(a),
+        p=a.p, n=a.n, seed=a.seed,
         ratio_distribution=a.ratio_dist, arrival_pattern=a.arrival,
     )),
     "geometric": lambda a: gen_geometric(a.p),
-    "randlb": lambda a: gen_randlb(a.p, a.blocks, _seed(a)),
-    "cheap-expensive": lambda a: gen_mrt_cheap_expensive(a.p, _seed(a)),
-    "dtap-levels": lambda a: gen_dtap_levels(a.p, _seed(a)),
+    "randlb": lambda a: gen_randlb(a.p, a.blocks, a.seed),
+    "cheap-expensive": lambda a: gen_mrt_cheap_expensive(a.p, a.seed),
+    "dtap-levels": lambda a: gen_dtap_levels(a.p, a.seed),
     "dtap-random": lambda a: gen_random_dtap(GenParams(
-        p=a.p, n=a.n, seed=_seed(a), ratio_distribution=a.ratio_dist,
+        p=a.p, n=a.n, seed=a.seed, ratio_distribution=a.ratio_dist,
     )),
     "c-trigger": lambda a: gen_c_trigger(a.p, a.sigma_t),
 }
@@ -139,14 +135,13 @@ def _sweep_instances(args):
         for fname in names:
             yield fname, _load_tap(f"{args.dir}/{fname}")
         return
-    seed = _seed(args)
     ps = args.p_list
     for i in range(args.count):
         params = GenParams(
-            p=ps[i % len(ps)], n=args.n, seed=seed + i,
+            p=ps[i % len(ps)], n=args.n, seed=args.seed + i,
             ratio_distribution=args.ratio_dist, arrival_pattern=args.arrival,
         )
-        yield f"random-{seed + i}", gen_random(params)
+        yield f"random-{args.seed + i}", gen_random(params)
 
 
 def _sweep_bounds(tap: TAP, args) -> tuple:
@@ -181,10 +176,11 @@ def _sweep_row(label: str, tap: TAP, name: str, done, metrics, bounds) -> dict:
         row["trt_lb"] = rat_str(lb)
         if lb > 0:
             row["ratio_trt_lb"] = rat_str(metrics.trt / lb)
+    ends = done.trace.completions  # a ballistic episode ends at completion
     ratios = [
-        (r.exited - r.entered) / (2 * tap.task(r.task_id).sigma)
+        (ends[r.task_id] - r.entered) / (2 * tap.task(r.task_id).sigma)
         for r in getattr(done.scheduler, "mode_records", ())
-        if r.mode == "ballistic" and r.exited is not None
+        if r.mode == "ballistic" and r.task_id in ends
     ]
     if ratios:
         row["max_ballistic_over_2sigma"] = rat_str(max(ratios))
@@ -357,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("generator", choices=GENERATORS)
     p_gen.add_argument("--p", type=int, default=8)
     p_gen.add_argument("--n", type=_count, default=8)
-    p_gen.add_argument("--seed", type=int, default=None)
+    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--ratio-dist", default="uniform",
                        choices=["uniform", "extremes", "pow2"])
     p_gen.add_argument("--arrival", default="batch",
@@ -372,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--count", type=_count, default=100)
     p_sweep.add_argument("--p-list", type=_int_list, default="4,8,16")
     p_sweep.add_argument("--n", type=_count, default=8)
-    p_sweep.add_argument("--seed", type=int, default=None)
+    p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--ratio-dist", default="uniform",
                          choices=["uniform", "extremes", "pow2"])
     p_sweep.add_argument("--arrival", default="batch",
@@ -405,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = subs.add_parser("verify", help="run the acceptance battery")
     p_verify.add_argument("--only", help="run a single criterion, e.g. A3")
-    p_verify.add_argument("--seed", type=int, default=None)
+    p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

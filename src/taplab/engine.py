@@ -555,7 +555,8 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
     """Check every trace invariant; violations are data, not exceptions.
 
     One pass over the slices; each completed task's work is accumulated
-    over its final run, from its last cancellation to its completion."""
+    over its final run, from its last cancellation to its completion.  A
+    task of ``tap`` is available at max(release, dependency completions)."""
     config = config or EngineConfig()
     report = ValidationReport()
     budget = _budget(tap, config)
@@ -586,7 +587,9 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
                 report.violations.append(f"rate for undecided task {tid} at {t0}")
                 continue
             arrival = trace.arrivals.get(tid)
-            if arrival is not None and t0 < arrival:
+            if arrival is None:
+                report.violations.append(f"rate for unavailable task {tid} at {t0}")
+            elif t0 < arrival:
                 report.violations.append(f"task {tid} runs before arrival at {t0}")
             done = trace.completions.get(tid)
             if done is None:
@@ -617,6 +620,8 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
         report.violations.append("cancellations present with allow_cancel=false")
     speed = Rat(config.speed)
     for tid in trace.completions:
+        if tid not in trace.arrivals:
+            report.violations.append(f"task {tid} completed without being available")
         if tid not in trace.decisions:
             report.violations.append(f"task {tid} completed without a decision")
             continue
@@ -630,4 +635,24 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
                 report.violations.append(
                     f"work conservation: task {tid} did {did}, expected {expected}"
                 )
+    for tid, avail in trace.arrivals.items():
+        task = tasks.get(tid)
+        if task is None:
+            continue
+        expected = task.arrival
+        for dep in task.deps:
+            done = trace.completions.get(dep)
+            if done is None:
+                report.violations.append(
+                    f"task {tid} available at {avail} before dependency {dep} completed")
+                break
+            expected = max(expected, done)
+        else:
+            if avail != expected:
+                report.violations.append(
+                    f"task {tid} available at {avail}, expected {expected}")
+        decided = trace.decisions.get(tid)
+        if decided is not None and decided[1] < avail:
+            report.violations.append(
+                f"task {tid} decided at {decided[1]} before it is available at {avail}")
     return report

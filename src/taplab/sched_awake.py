@@ -13,9 +13,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import Decision, TAP, Task, TapError, awake_time
+from .core import Decision, TAP, TapError, awake_time
 from .engine import SchedCommands, Scheduler
 from .oracle import opt_awake_exhaustive
 from .rationals import Rat, ZERO, ONE, PHI
@@ -23,16 +21,7 @@ from .rationals import Rat, ZERO, ONE, PHI
 
 # --- balance test -----------------------------------------------------------
 
-@dataclass
-class BalanceState:
-    """Remaining-work summary used by the balance test."""
-
-    serial_remaining: list  # multiset of remaining serial works
-    total_remaining: Rat  # serial plus parallel remaining work
-    p: int
-
-
-def is_balanced(state: BalanceState) -> bool:
+def balanced(serial_max, total, p: int) -> bool:
     """True iff the present jobs can keep all p processors busy until they
     are all complete.
 
@@ -40,21 +29,7 @@ def is_balanced(state: BalanceState) -> bool:
     iff no serial job exceeds W/p, and parallel work exactly fills the
     residual capacity, so the test is max(serial) <= total/p.
     """
-    if not state.serial_remaining:
-        return True
-    return max(state.serial_remaining) * state.p <= state.total_remaining
-
-
-def bal_decide(state: BalanceState, task: Task) -> Decision:
-    """Serial unless taking the serial implementation would break balance;
-    updates the state with the chosen work."""
-    s_max = max(state.serial_remaining + [task.sigma])
-    if s_max * state.p <= state.total_remaining + task.sigma:
-        state.serial_remaining.append(task.sigma)
-        state.total_remaining += task.sigma
-        return Decision.SERIAL
-    state.total_remaining += task.pi
-    return Decision.PARALLEL
+    return serial_max * p <= total
 
 
 # --- most-work-first allocation --------------------------------------------
@@ -96,22 +71,22 @@ class BalScheduler(_MwfMixin, Scheduler):
     name = "bal"
 
     def __init__(self):
-        self.balanced: list = []  # (time, balanced after the decision), per arrival
+        self.balanced: list[bool] = []  # balanced after the decision, per arrival
 
-    def _state(self, view) -> BalanceState:
-        serial = []
-        total = ZERO
+    def on_arrival(self, view, task):
+        serial_max = total = ZERO  # over the running tasks' remaining work
         for tid in view.running_ids():
             rem = view.remaining(tid)
             total += rem
-            if view.decision(tid) is Decision.SERIAL:
-                serial.append(rem)
-        return BalanceState(serial, total, view.p)
-
-    def on_arrival(self, view, task):
-        state = self._state(view)
-        decision = bal_decide(state, task)
-        self.balanced.append((view.now, is_balanced(state)))
+            if view.decision(tid) is Decision.SERIAL and rem > serial_max:
+                serial_max = rem
+        # serial unless taking the serial implementation would break balance
+        if balanced(max(serial_max, task.sigma), total + task.sigma, view.p):
+            decision = Decision.SERIAL
+            self.balanced.append(True)
+        else:
+            decision = Decision.PARALLEL
+            self.balanced.append(balanced(serial_max, total + task.pi, view.p))
         return SchedCommands(starts={task.id: decision})
 
 

@@ -188,7 +188,6 @@ class CancScheduler(Scheduler):
     def __init__(self):
         self.relaxed: dict[int, RelaxedJob] = {}
         self.last_sync = ZERO
-        self.pool_ages: list = []  # (id, pool age), per cancellation
 
     def _sync(self, view):
         # each job ran at its task's rate since the last callback; every job
@@ -230,7 +229,6 @@ class CancScheduler(Scheduler):
         if age != view.task(tid).sigma:  # pragma: no cover
             raise MrtInvariantError(f"cancel timer for {tid} at pool age {age}")
         del self.relaxed[tid]
-        self.pool_ages.append((tid, age))
         return SchedCommands(cancels={tid}, starts={tid: Decision.SERIAL})
 
     def allocate(self, view) -> dict:
@@ -465,11 +463,12 @@ class BScheduler(_Nested):
 
 @dataclass
 class _ModeRecord:
+    """Entry into a mode; a ballistic episode ends at the task's completion."""
+
     task_id: int
     mode: str  # ballistic | semi-ballistic
     entered: Rat
     trigger: str  # serialized | inner-completed
-    exited: Rat | None = None
 
 
 class CScheduler(_Nested):
@@ -578,11 +577,7 @@ class CScheduler(_Nested):
         self.task_class[task.id] = _task_class(task.sigma, task.pi)
 
     def on_completion(self, view, tid):
-        if tid in self.ballistic:
-            self.ballistic.discard(tid)
-            for rec in self.mode_records:
-                if rec.task_id == tid and rec.mode == "ballistic" and rec.exited is None:
-                    rec.exited = view.now
+        self.ballistic.discard(tid)
         self.semibal.discard(tid)
         return self._sync(view)
 

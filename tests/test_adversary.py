@@ -14,7 +14,6 @@ from taplab.adversary import (
     gen_dtap_levels,
     gen_geometric,
     gen_mrt_cheap_expensive,
-    gen_oblivious_pair,
     gen_random,
     gen_randlb,
     golden_probe,
@@ -159,6 +158,16 @@ class TestRandlb:
     def test_both_coins_appear(self):
         sizes = {gen_randlb(4, 1, seed=s).n for s in range(16)}
         assert sizes == {1, 4}
+
+
+def gen_oblivious_pair(p: int):
+    """Two TAPs of k = ceil(sqrt(p)) tasks at time 0 with identical serial
+    views (sigma = 1; pi = 1 on the first, pi = p on the second) that no
+    decide-on-arrival oblivious scheduler can handle well on both."""
+    k = math.isqrt(p - 1) + 1
+    a = TAP(p, tuple(Task(i, ONE, ONE, ZERO) for i in range(k)))
+    b = TAP(p, tuple(Task(i, ONE, Rat(p), ZERO) for i in range(k)))
+    return a, b
 
 
 class TestObliviousFamilies:

@@ -342,18 +342,6 @@ class TestBadInput:
                 f"from {','.join(sorted(SCHEDULERS))}, got 'bal,bogus'") in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["gen", "random"],
-        ["sweep", "--count", "1"],
-        ["verify", "--only", "A5"],
-    ], ids=["gen", "sweep", "verify"])
-    def test_unparsable_seed_variable(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("TAPLAB_SEED", "x")
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: TAPLAB_SEED must be an integer, got 'x'\n"
-        assert captured.out == ""
-
     @pytest.mark.parametrize("only, message", [
         ("A99", "unknown criterion 'A99'"),
         ("A12", "A12 compares two full battery passes"),
@@ -637,9 +625,10 @@ class TestSweep:
         header, row = out.read_text().strip().splitlines()
         cells = dict(zip(header.split(","), row.split(",")))
         tap = tap_from_json(path.read_text())
-        ratios = [(r.exited - r.entered) / (2 * tap.task(r.task_id).sigma)
-                  for r in run("csched", tap).scheduler.mode_records
-                  if r.mode == "ballistic"]
+        done = run("csched", tap)
+        ends = done.trace.completions  # a ballistic episode ends at completion
+        ratios = [(ends[r.task_id] - r.entered) / (2 * tap.task(r.task_id).sigma)
+                  for r in done.scheduler.mode_records if r.mode == "ballistic"]
         assert cells["max_ballistic_over_2sigma"] == rat_str(max(ratios)) == "5/64"
         assert cells["violations"] == ""
 

@@ -271,7 +271,39 @@ class TestValidate:
             arrivals={0: ONE},
         )
         violations = validate_trace(trace, tap).violations
-        assert violations == reference_validate(trace, tap) == ["task 0 runs before arrival at 0"]
+        assert violations == reference_validate(trace, tap) == [
+            "task 0 runs before arrival at 0",
+            "task 0 decided at 0 before it is available at 1",
+        ]
+
+    @pytest.mark.parametrize("tasks, slices, decided, completions, arrivals, expected", [
+        # task 1 depends on task 0 but runs alongside it on [0, 1]
+        ((T(0, 1, 1), T(1, 1, 1, deps=(0,))), [(0, 1, (0, 1))], 0, {0: 1, 1: 1},
+         {0: 0, 1: 0}, ["task 1 available at 0, expected 1"]),
+        # a dependency that never completed
+        ((T(0, 2, 2), T(1, 1, 1, deps=(0,))), [(0, 1, (0, 1))], 0, {1: 1},
+         {0: 0, 1: 0}, ["task 1 available at 0 before dependency 0 completed"]),
+        # released at 5, recorded as available at 0
+        ((T(0, 1, 1, arrival=5),), [(0, 1, (0,))], 0, {0: 1}, {0: 0},
+         ["task 0 available at 0, expected 5"]),
+        # a rate and a completion, but no availability record
+        ((T(0, 1, 1),), [(0, 1, (0,))], 0, {0: 1}, {},
+         ["rate for unavailable task 0 at 0", "task 0 completed without being available"]),
+        # decided at 0, available only at 5
+        ((T(0, 1, 1, arrival=5),), [(5, 6, (0,))], 0, {0: 6}, {0: 5},
+         ["task 0 decided at 0 before it is available at 5"]),
+    ], ids=["runs-beside-dependency", "dependency-unfinished", "available-before-release",
+            "no-availability", "decided-before-available"])
+    def test_availability(self, tasks, slices, decided, completions, arrivals, expected):
+        tap = TAP(4, tasks)
+        trace = Trace(
+            slices=[(Rat(a), Rat(b), {tid: ONE for tid in ids}) for a, b, ids in slices],
+            decisions={t.id: (Decision.SERIAL, Rat(decided)) for t in tasks},
+            completions={tid: Rat(at) for tid, at in completions.items()},
+            arrivals={tid: Rat(at) for tid, at in arrivals.items()},
+        )
+        violations = validate_trace(trace, tap).violations
+        assert violations == reference_validate(trace, tap) == expected
 
     def test_unfinished_task_has_no_work_check(self):
         # task 0 gets half its serial work and never completes
@@ -405,13 +437,19 @@ def _plain(x):
     return rat_str(x)
 
 
-def _records(name, sched) -> list:
-    """The diagnostic records a registry scheduler kept over its run."""
-    return {
-        "sss": lambda: [sched.modes],
-        "canc": lambda: [sched.pool_ages],
-        "csched": lambda: [sched.mode_records, sched.stolen],
-    }.get(name, list)()
+def _records(name, sched, trace) -> list:
+    """The diagnostic records a registry scheduler kept over its run, in
+    the form they were pinned in: CANC's (id, pool age) per cancellation,
+    and each C mode record with its ``exited``, the completion time for a
+    ballistic record and None for a semi-ballistic one, read off the
+    trace."""
+    if name == "canc":
+        return [[(tid, at - trace.arrivals[tid]) for tid, at in trace.cancellations]]
+    if name == "csched":
+        return [[{**vars(r), "exited": trace.completions.get(r.task_id)
+                  if r.mode == "ballistic" else None} for r in sched.mode_records],
+                sched.stolen]
+    return [sched.modes] if name == "sss" else []
 
 
 def _trace_text(trace) -> str:
@@ -583,7 +621,9 @@ def reference_validate(trace: Trace, tap: TAP, config: EngineConfig | None = Non
                 violations.append(f"rate for undecided task {tid} at {t0}")
                 continue
             arrival = trace.arrivals.get(tid)
-            if arrival is not None and t0 < arrival:
+            if arrival is None:
+                violations.append(f"rate for unavailable task {tid} at {t0}")
+            elif t0 < arrival:
                 violations.append(f"task {tid} runs before arrival at {t0}")
             done = trace.completions.get(tid)
             if done is not None and t1 > done:
@@ -596,6 +636,8 @@ def reference_validate(trace: Trace, tap: TAP, config: EngineConfig | None = Non
     for tid, at in trace.cancellations:
         cancel_times[tid] = max(at, cancel_times.get(tid, ZERO))
     for tid, f in trace.completions.items():
+        if tid not in trace.arrivals:
+            violations.append(f"task {tid} completed without being available")
         if tid not in trace.decisions:
             violations.append(f"task {tid} completed without a decision")
             continue
@@ -623,6 +665,21 @@ def reference_validate(trace: Trace, tap: TAP, config: EngineConfig | None = Non
                 violations.append(
                     f"work conservation: task {tid} did {work}, expected {expected}"
                 )
+    for tid, avail in trace.arrivals.items():
+        task = tasks.get(tid)
+        if task is None:
+            continue
+        missing = [d for d in task.deps if d not in trace.completions]
+        if missing:
+            violations.append(
+                f"task {tid} available at {avail} before dependency {missing[0]} completed")
+        else:
+            expected = max([task.arrival] + [trace.completions[d] for d in task.deps])
+            if avail != expected:
+                violations.append(f"task {tid} available at {avail}, expected {expected}")
+        if tid in trace.decisions and trace.decisions[tid][1] < avail:
+            violations.append(f"task {tid} decided at {trace.decisions[tid][1]} "
+                              f"before it is available at {avail}")
     return violations
 
 
@@ -633,7 +690,7 @@ def _digests(runs) -> tuple:
         sched = make_scheduler(name)
         trace = simulate(tap, sched, run_config(name, tap.p))
         digest.update(_trace_text(trace).encode())
-        records.update(json.dumps(_plain(_records(name, sched))).encode())
+        records.update(json.dumps(_plain(_records(name, sched, trace))).encode())
     return digest.hexdigest(), records.hexdigest()
 
 

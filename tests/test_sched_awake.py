@@ -10,12 +10,10 @@ from taplab.rationals import Rat, ZERO, ONE
 from taplab.sched_awake import (
     AllParallelScheduler,
     AllSerialScheduler,
-    BalanceState,
     BalScheduler,
     GoldenAlg,
     UnkScheduler,
-    bal_decide,
-    is_balanced,
+    balanced,
     most_work_first_alloc,
 )
 from taplab.verify import run_config
@@ -86,32 +84,40 @@ def null_boundaries(trace) -> list:
             if before == after and t not in events]
 
 
+def bal_decisions(tap) -> tuple:
+    """(each task's decision, ``balanced`` per arrival) of a bal run."""
+    sched = BalScheduler()
+    trace = simulate(tap, sched)
+    return {tid: d for tid, (d, _) in trace.decisions.items()}, sched.balanced
+
+
 class TestBalanceTest:
     def test_empty_balanced(self):
-        assert is_balanced(BalanceState([], ZERO, 4))
+        assert balanced(ZERO, ZERO, 4)
 
     def test_saturated_serial(self):
-        assert is_balanced(BalanceState([ONE] * 4, Rat(4), 4))
+        assert balanced(ONE, Rat(4), 4)
 
     def test_lone_serial_jagged(self):
-        assert not is_balanced(BalanceState([Rat(2)], Rat(2), 4))
+        assert not balanced(Rat(2), Rat(2), 4)
 
     def test_decide_empty_goes_parallel(self):
-        assert bal_decide(BalanceState([], ZERO, 4), T(0, 2, 8)) is P
+        assert bal_decisions(TAP(4, (T(0, 2, 8),))) == ({0: P}, [True])
 
     def test_decide_joins_saturated_pool(self):
-        state = BalanceState([ONE] * 4, Rat(4), 4)
-        assert bal_decide(state, T(0, 1, 4)) is S
-        assert state.total_remaining == 5
+        # task 0 runs parallel, so task 1 arrives to remaining work 4 = p
+        # ahead of it: serial keeps max(1) * 4 <= 4 + 1
+        tap = TAP(4, (T(0, 1, 4), T(1, 1, 4)))
+        assert bal_decisions(tap) == ({0: P, 1: S}, [True, True])
 
     def test_decide_empty_p2(self):
-        assert bal_decide(BalanceState([], ZERO, 2), T(0, 1, 1)) is P
+        assert bal_decisions(TAP(2, (T(0, 1, 1),))) == ({0: P}, [True])
 
     def test_decide_updates_parallel_work(self):
-        state = BalanceState([], ZERO, 4)
-        bal_decide(state, T(0, 2, 8))
-        assert state.total_remaining == 8
-        assert state.serial_remaining == []
+        # task 0 adds its pi = 8, not its sigma = 2: task 1 then goes serial
+        # (2 * 4 <= 8 + 2); on a total of 2 + 2 it would go parallel
+        tap = TAP(4, (T(0, 2, 8), T(1, 2, 8)))
+        assert bal_decisions(tap) == ({0: P, 1: S}, [True, True])
 
 
 class TestMostWorkFirst:
@@ -220,7 +226,7 @@ class TestBal:
     def test_always_balanced(self, tap):
         sched = BalScheduler()
         simulate(tap, sched)
-        assert all(flag for _, flag in sched.balanced)
+        assert all(sched.balanced)
 
     @given(small_taps(max_n=5))
     @settings(max_examples=30, deadline=None)

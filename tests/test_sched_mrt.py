@@ -166,14 +166,13 @@ class TestCanc:
     @settings(max_examples=25, deadline=None)
     def test_completes_everything(self, tap):
         cfg = run_config("canc", tap.p)
-        sched = CancScheduler()
-        trace = simulate(tap, sched, cfg)
+        trace = simulate(tap, CancScheduler(), cfg)
         assert validate_trace(trace, tap, cfg).ok
         assert set(trace.completions) == {t.id for t in tap.tasks}
         # a task stays in the parallel pool for at most its serial work
         sigma = {t.id: t.sigma for t in tap.tasks}
-        for tid, age in sched.pool_ages:
-            assert age <= sigma[tid]
+        for tid, at in trace.cancellations:
+            assert at - trace.arrivals[tid] <= sigma[tid]
 
 
 class TestB:
@@ -236,9 +235,8 @@ class TestC:
         ballistic = [r for r in records if r.mode == "ballistic"]
         assert ballistic
         sigma = {t.id: t.sigma for t in tap.tasks}
-        for r in ballistic:
-            assert r.exited is not None
-            assert r.exited - r.entered <= 2 * sigma[r.task_id]
+        for r in ballistic:  # each episode ends at its task's completion
+            assert trace.completions[r.task_id] - r.entered <= 2 * sigma[r.task_id]
         assert trace.cancellations == []
 
     def test_crafted_semi_ballistic(self):
@@ -267,7 +265,7 @@ class TestC:
         assert done.complete and done.violations == []
         assert done.trace.decisions[8] == (P, Rat(19, 3))
         assert started_at(done.trace, 8) == Rat(19, 3)
-        assert [(r.task_id, r.mode, r.trigger, r.entered, r.exited)
+        assert [(r.task_id, r.mode, r.trigger, r.entered, done.trace.completions[r.task_id])
                 for r in done.scheduler.mode_records] == [
             (0, "ballistic", "serialized", Rat(6), Rat(19, 3)),
             (8, "ballistic", "inner-completed", Rat(203, 32), Rat(613, 96)),
@@ -410,8 +408,8 @@ class _LockstepC(_Lockstep, CScheduler):
 def _nested_observed(tap, name, sched) -> tuple:
     """(what a run of ``sched`` shows, its nested clock steps): the outer
     trace, each nested engine's log, decisions, completions, cancellations
-    and arrivals, and the schedulers' records, C's B and B's CANC
-    included (a nested B that got no task never started its CANC)."""
+    and arrivals, C's B and B's CANC included (a nested B that got no task
+    never started its CANC), and C's records."""
     trace = simulate(tap, sched, run_config(name, tap.p))
     shown = [trace.slices, trace.decisions, trace.completions, trace.cancellations,
              trace.arrivals]
@@ -424,8 +422,6 @@ def _nested_observed(tap, name, sched) -> tuple:
             shown += [sched.mode_records, sched.stolen]
         steps += len(inner.slices)
         sched = sched.inner.scheduler
-    if isinstance(sched, CancScheduler):
-        shown.append(sched.pool_ages)
     return shown, steps
 
 
