@@ -18,6 +18,7 @@ from .rationals import (
     ZERO,
     pow2_ceil,
     rat_str,
+    rat_sum,
     parse_rat,
 )
 
@@ -218,7 +219,7 @@ def metrics_from_trace(trace, tap: TAP) -> Metrics:
     missing = {t.id for t in tap.tasks}.union(trace.arrivals).difference(completions)
     if missing:
         raise IncompleteTraceError(f"unfinished tasks: {sorted(missing)}")
-    trt = sum((completions[t.id] - t.arrival for t in tap.tasks), ZERO)
+    trt = rat_sum(completions[t.id] for t in tap.tasks) - rat_sum(t.arrival for t in tap.tasks)
     n = len(tap.tasks)
     return Metrics(
         awake=awake_time(trace),

@@ -26,8 +26,11 @@ The event loop's fast paths rely on these invariants:
   while the allocation holds, so it is computed once per allocation and
   cached until the allocation changes (a completion, a cancellation, or
   an allocation with other rates: one equal to the rates in force keeps
-  the cached time); the least ``remaining/rate`` is found on integer
+  the cached time), which ``next_event_time`` reads without a call unless
+  it is stale; the least ``remaining/rate`` is found on integer
   cross-products, with one division;
+* the clock step is one ``rationals.sub_mul`` per rated task, and there
+  is no clock step to the time the clock already reads;
 * each pending task (not arrived, every dependency finished) is in the
   heap ``_pending`` exactly once, keyed by (availability, id): the next
   arrival is its top, and an instant's arrivals are popped in ascending
@@ -50,10 +53,11 @@ when the allocation does not change: both would change the slice splits.
 from __future__ import annotations
 
 import heapq
+from math import gcd
 from dataclasses import dataclass, field
 
 from .core import Decision, InstanceTooLargeError, InvalidInstanceError, TAP, Task, TapError
-from .rationals import Rat, ZERO, ONE, is_power_of_two, rat_str
+from .rationals import Rat, ZERO, ONE, is_power_of_two, rat_str, rat_sum, sub_mul
 
 CANCELLED, COMPLETED = "cancelled", "completed"  # ``Trace.log`` kinds besides a Decision
 
@@ -202,6 +206,8 @@ class EngineView:
         """Running task ids, ascending; only those run as ``decision`` when
         one is given."""
         running = self._e._running
+        if not running:
+            return []
         if decision is not None:
             decided = self._e.trace.decisions
             running = [tid for tid in running if decided[tid][0] is decision]
@@ -303,12 +309,12 @@ class Engine:
         self._admit(task)
         self.tasks[task.id] = task
         self.remaining[task.id] = ZERO
-        missing = {d for d in task.deps if d not in self.trace.completions}
+        missing = {d for d in task.deps if d not in self.trace.completions} if task.deps else set()
         self._deps_done[task.id] = missing
         for d in missing:
             self._dependents.setdefault(d, []).append(task.id)
-        if not missing:
-            heapq.heappush(self._pending, (max(task.arrival, self.now), task.id))
+        if not missing:  # available at its release: no task arrives in the past
+            heapq.heappush(self._pending, (task.arrival, task.id))
 
     def inject_task(self, task: Task) -> None:
         """Add a task during the run (adversaries, nested feeding)."""
@@ -325,25 +331,24 @@ class Engine:
             self._finish_stale = False
             # the least remaining/rate as an integer pair n/d, compared by
             # cross-multiplication (every denominator is positive), then
-            # one division
+            # one division, by the speed too
             remaining = self.remaining
             n = d = None
             for tid, rate in self.alloc.items():
                 left = remaining[tid]
-                ln = left.numerator * rate.denominator
-                ld = left.denominator * rate.numerator
+                ln = left._numerator * rate._denominator
+                ld = left._denominator * rate._numerator
                 if n is None or ln * d < n * ld:
                     n, d = ln, ld
             first = None
             if n is not None:
-                first = Rat(n, d)
                 speed = self.speed
-                first = self.now + (first if speed == 1 else first / speed)
+                first = self.now + Rat(n * speed._denominator, d * speed._numerator)
             self._finish = first
         return self._finish
 
     def next_event_time(self) -> Rat | None:
-        best = self._next_completion()
+        best = self._next_completion() if self._finish_stale else self._finish
         if self._pending:
             t = self._pending[0][0]
             if best is None or t < best:
@@ -368,9 +373,9 @@ class Engine:
         work = (t - self.now) * self.speed
         remaining = self.remaining
         for tid, rate in self.alloc.items():
-            left = remaining[tid] - rate * work
-            if left <= 0:
-                if left < 0:
+            left = sub_mul(remaining[tid], rate, work)
+            if left._numerator <= 0:
+                if left._numerator < 0:
                     raise RunawayError(f"task {tid} overshot completion (remaining {left})")
                 self._due.append(tid)
             remaining[tid] = left
@@ -382,7 +387,8 @@ class Engine:
     def _apply_commands(self, commands: SchedCommands | None) -> None:
         if commands is None:
             return
-        for tid in sorted(commands.cancels):
+        cancels, starts, timers = commands.cancels, commands.starts, commands.timers
+        for tid in sorted(cancels) if cancels else ():
             if not self.config.allow_cancel:
                 raise ContractError(f"cancellation of task {tid} with allow_cancel=false")
             if tid not in self._running:
@@ -397,8 +403,8 @@ class Engine:
             self._finish_stale = True
             self.trace.cancellations.append((tid, self.now))
             self.trace.log.append((CANCELLED, tid))
-        for tid in sorted(commands.starts):
-            decision = commands.starts[tid]
+        for tid in sorted(starts) if starts else ():
+            decision = starts[tid]
             if tid in self._running or tid not in self._alive:
                 why = ("already running" if tid in self._running else
                        "finished" if tid in self.trace.completions else "not arrived")
@@ -407,8 +413,9 @@ class Engine:
             self.remaining[tid] = self.tasks[tid].work(decision)
             self.trace.decisions[tid] = (decision, self.now)
             self.trace.log.append((decision, tid))
-        for time_, tag in commands.timers:
-            time_ = Rat(time_)
+        for time_, tag in timers:
+            if type(time_) is not Rat:
+                time_ = Rat(time_)
             if time_ < self.now:
                 raise ContractError(f"timer in the past: {time_} < {self.now}")
             heapq.heappush(self._timers, (time_, self._timer_seq, tag))
@@ -440,22 +447,22 @@ class Engine:
             # cached finish time still holds
             return
         alloc: dict[int, Rat] = {}
-        total = ZERO
+        running, decisions = self._running, self.trace.decisions
         for tid, rate in raw.items():
             if type(rate) is not Rat:
                 rate = Rat(rate)
-            if rate <= 0:
-                if rate < 0:
+            if rate._numerator <= 0:
+                if rate._numerator < 0:
                     raise FeasibilityError(f"negative rate for task {tid}")
                 continue
-            if tid not in self._running:
+            if tid not in running:
                 raise FeasibilityError(
                     f"rate for task {tid} which is not started/unfinished"
                 )
-            if self.trace.decisions[tid][0] is Decision.SERIAL and rate > 1:
+            if rate._numerator > rate._denominator and decisions[tid][0] is Decision.SERIAL:
                 raise FeasibilityError(f"serial task {tid} rate {rate} > 1")
             alloc[tid] = rate
-            total += rate
+        total = rat_sum(alloc.values())
         if total > self.budget:
             raise FeasibilityError(
                 f"allocation total {total} exceeds budget {self.budget}"
@@ -467,17 +474,21 @@ class Engine:
         """Process every event at the current clock time, batch by batch (what
         a batch unlocks or sets is in the next), then re-allocate."""
         now = self.now
+        pending, timers = self._pending, self._timers
         while True:
-            due, self._due = sorted(self._due), []
-            pending, arriving = self._pending, []
-            while pending and pending[0][0] == now:
-                arriving.append(heapq.heappop(pending)[1])
-            tags = []
-            while self._timers and self._timers[0][0] == now:
-                tags.append(heapq.heappop(self._timers)[2])
-            self._event_count += len(due) + len(arriving) + len(tags)
-            if self._event_count > MAX_EVENTS:
-                raise RunawayError(f"event count exceeded bound {MAX_EVENTS}")
+            due = self._due
+            if due:
+                self._due = []
+                due.sort()
+            arriving = tags = ()
+            if pending and pending[0][0] == now:
+                arriving = [heapq.heappop(pending)[1]]
+                while pending and pending[0][0] == now:
+                    arriving.append(heapq.heappop(pending)[1])
+            if timers and timers[0][0] == now:
+                tags = [heapq.heappop(timers)[2]]
+                while timers and timers[0][0] == now:
+                    tags.append(heapq.heappop(timers)[2])
             if not (due or arriving or tags):
                 if self.adversary is not None:
                     injected = self.adversary.on_event(self.view)
@@ -489,6 +500,9 @@ class Engine:
                             self._event_count += 1  # injection counts as an event
                             continue
                 break
+            self._event_count += len(due) + len(arriving) + len(tags)
+            if self._event_count > MAX_EVENTS:
+                raise RunawayError(f"event count exceeded bound {MAX_EVENTS}")
             for tid in due:
                 self._complete(tid)
             for tid in arriving:
@@ -505,9 +519,11 @@ class Engine:
             self._apply_commands(self.scheduler.setup(self.view))
             self._process_instant()
 
-    def advance_to(self, t: Rat) -> None:
-        """Process all events with time <= t and move the clock to t."""
-        t = Rat(t)
+    def advance_to(self, t: Rat) -> Rat | None:
+        """Process all events with time <= t and move the clock to t; the
+        next event time after that."""
+        if type(t) is not Rat:
+            t = Rat(t)
         self._startup()
         while True:
             nxt = self.next_event_time()
@@ -515,7 +531,9 @@ class Engine:
                 break
             self._advance_clock(nxt)
             self._process_instant()
-        self._advance_clock(t)
+        if t != self.now:
+            self._advance_clock(t)
+        return nxt
 
     def run(self) -> Trace:
         self._startup()
@@ -554,9 +572,10 @@ class ValidationReport:
 def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -> ValidationReport:
     """Check every trace invariant; violations are data, not exceptions.
 
-    One pass over the slices; each completed task's work is accumulated
-    over its final run, from its last cancellation to its completion.  A
-    task of ``tap`` is available at max(release, dependency completions)."""
+    One pass over the slices; a task's final run starts at its last
+    cancellation.  A serial task's rate is capped at 1 over its final run,
+    and a completed task's work is accumulated over it.  A task of ``tap``
+    is available at max(release, dependency completions)."""
     config = config or EngineConfig()
     report = ValidationReport()
     budget = _budget(tap, config)
@@ -565,9 +584,11 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
     cancel_times: dict[int, Rat] = {}
     for tid, at in trace.cancellations:
         cancel_times[tid] = max(at, cancel_times.get(tid, ZERO))
+    # id -> (decision, availability, completion, last cancellation), read once
+    known: dict[int, tuple] = {}
     work: dict[int, Rat] = {}  # completed id -> rate x time over its final run
     serial_cap_violated: set[int] = set()
-    prev_end = None
+    prev_end, serial = None, Decision.SERIAL
     for t0, t1, alloc in trace.slices:
         empty = t1 <= t0
         if empty:
@@ -575,46 +596,53 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
         if prev_end is not None and t0 != prev_end:
             report.violations.append(f"slice gap/overlap at {t0} (previous end {prev_end})")
         prev_end = t1
-        span = t1 - t0
+        neg_span = t0 - t1  # negated: work + rate*length is sub_mul(work, rate, -length)
         after_zero = t0 >= 0  # a task never cancelled counts from time 0
-        total = ZERO
+        n, d = 0, 1  # the total rate n/d, over the least common denominator
         for tid, rate in alloc.items():
-            if rate < 0:
+            rn, rd = rate._numerator, rate._denominator
+            if rd == d:
+                n += rn
+            else:
+                g = gcd(d, rd)
+                n, d = n * (rd // g) + rn * (d // g), d * (rd // g)
+            if rn < 0:
                 report.violations.append(f"negative rate for task {tid} at {t0}")
-            total += rate
-            decided = trace.decisions.get(tid)
-            if decided is None:
+            facts = known.get(tid)
+            if facts is None:
+                decided = trace.decisions.get(tid)
+                facts = known[tid] = (
+                    decided and decided[0], trace.arrivals.get(tid),
+                    trace.completions.get(tid), cancel_times.get(tid))
+            decision, arrival, done, start = facts
+            if decision is None:
                 report.violations.append(f"rate for undecided task {tid} at {t0}")
                 continue
-            arrival = trace.arrivals.get(tid)
             if arrival is None:
                 report.violations.append(f"rate for unavailable task {tid} at {t0}")
             elif t0 < arrival:
                 report.violations.append(f"task {tid} runs before arrival at {t0}")
-            done = trace.completions.get(tid)
-            if done is None:
-                continue
-            late = t1 > done
+            late = done is not None and t1 > done
             if late:
                 report.violations.append(f"task {tid} runs after completion at {t0}")
-            start = cancel_times.get(tid)
             if not late and (after_zero if start is None else t0 >= start):
                 if empty:
                     continue
-                length = span  # the whole slice counts
+                neg_length = neg_span  # the whole slice counts
             else:
                 a = max(t0, ZERO if start is None else start)
                 b = done if late else t1
                 if b <= a:
                     continue
-                length = b - a
-            if decided[0] is Decision.SERIAL and rate > 1:
+                neg_length = a - b
+            if decision is serial and rate > 1:
                 serial_cap_violated.add(tid)
                 rate = ONE
-            work[tid] = work.get(tid, ZERO) + rate * length
-        if total > budget:
+            if done is not None:
+                work[tid] = sub_mul(work.get(tid, ZERO), rate, neg_length)
+        if n * budget._denominator > budget._numerator * d:
             report.violations.append(
-                f"budget violation at {t0}: total {total} > {budget}"
+                f"budget violation at {t0}: total {Rat(n, d)} > {budget}"
             )
     if not config.allow_cancel and trace.cancellations:
         report.violations.append("cancellations present with allow_cancel=false")
@@ -635,6 +663,8 @@ def validate_trace(trace: Trace, tap: TAP, config: EngineConfig | None = None) -
                 report.violations.append(
                     f"work conservation: task {tid} did {did}, expected {expected}"
                 )
+    for tid in sorted(serial_cap_violated.difference(trace.completions)):
+        report.violations.append(f"serial task {tid} allocated rate > 1")
     for tid, avail in trace.arrivals.items():
         task = tasks.get(tid)
         if task is None:

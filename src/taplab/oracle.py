@@ -24,10 +24,11 @@
 from __future__ import annotations
 
 import bisect
+import heapq
 import itertools
 
 from .core import Decision, InstanceTooLargeError, TAP, TapError
-from .rationals import Rat, ZERO
+from .rationals import Rat, ZERO, rat_sum
 
 #: the most grid steps (total work over the grid) ``grid_opt`` enumerates
 GRID_MAX_STEPS = 4096
@@ -441,34 +442,35 @@ def opt_trt_lower(tap: TAP) -> Rat:
     if tap.has_deps:
         raise TapError("TRT lower bound requires a plain TAP (no dependencies)")
     p = Rat(tap.p)
-    lb_a = sum((min(t.sigma, t.pi / p) for t in tap.tasks), ZERO)
+    lb_a = rat_sum(min(t.sigma, t.pi / p) for t in tap.tasks)
     lb_b = _srpt_trt(tap)
     return max(lb_a, lb_b)
 
 
 def _srpt_trt(tap: TAP) -> Rat:
-    """Exact TRT of preemptive SRPT on one speed-p machine with works sigma."""
-    p = Rat(tap.p)
-    pending = sorted(tap.tasks, key=lambda t: (t.arrival, t.id))
-    idx = 0
+    """Exact TRT of preemptive SRPT on one speed-p machine with works sigma,
+    with times in units of 1/p.  The released jobs wait in a heap of
+    (remaining, id); the running job stays its top, as its work only shrinks."""
+    p = tap.p
+    pending = sorted((t.arrival * p, t.id, t.sigma) for t in tap.tasks)
+    idx, n = 0, len(pending)
     now = ZERO
-    remaining: dict[int, Rat] = {}
-    arrival_of = {t.id: t.arrival for t in tap.tasks}
-    trt = ZERO
-    while idx < len(pending) or remaining:
-        if not remaining:
-            now = max(now, pending[idx].arrival)
-        while idx < len(pending) and pending[idx].arrival <= now:
-            remaining[pending[idx].id] = pending[idx].sigma
+    jobs: list = []
+    finishes = []
+    while idx < n or jobs:
+        if not jobs:
+            now = max(now, pending[idx][0])
+        while idx < n and pending[idx][0] <= now:
+            _, tid, sigma = pending[idx]
+            heapq.heappush(jobs, (sigma, tid))
             idx += 1
-        tid = min(remaining, key=lambda i: (remaining[i], i))
-        finish = now + remaining[tid] / p
-        nxt = pending[idx].arrival if idx < len(pending) else None
-        if nxt is not None and nxt < finish:
-            remaining[tid] -= p * (nxt - now)  # positive: nxt < finish
-            now = nxt
+        left, tid = jobs[0]
+        finish = now + left
+        if idx < n and pending[idx][0] < finish:
+            now = pending[idx][0]
+            jobs[0] = (finish - now, tid)
         else:
-            trt += finish - arrival_of[tid]
-            del remaining[tid]
+            heapq.heappop(jobs)
+            finishes.append(finish)
             now = finish
-    return trt
+    return (rat_sum(finishes) - rat_sum(release for release, _, _ in pending)) / p

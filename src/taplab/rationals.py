@@ -281,6 +281,44 @@ def _make(numerator: int, denominator: int) -> FastFraction:
     return r
 
 
+def sub_mul(a: FastFraction, b: FastFraction, c: FastFraction) -> FastFraction:
+    """``a - b * c`` with the two operators' reductions but no object for
+    ``b * c``: the same normalised value, from no larger intermediates."""
+    nb, db, nc, dc = b._numerator, b._denominator, c._numerator, c._denominator
+    g1, g2 = _gcd(nb, dc), _gcd(nc, db)
+    nb, db = (nb // g1) * (nc // g2), (db // g2) * (dc // g1)
+    na, da = a._numerator, a._denominator
+    g = da if da == db else _gcd(da, db)
+    if g == 1:
+        n, d = na * db - da * nb, da * db
+    else:
+        s = da // g
+        n = na * (db // g) - nb * s
+        g2 = _gcd(n, g)
+        n, d = n // g2, s * (db // g2)
+    r = _new(FastFraction)
+    r._numerator, r._denominator = n, d
+    return r
+
+
+def rat_sum(values) -> FastFraction:
+    """``sum(values)`` with ``+``'s reductions but no object per term."""
+    n, d = 0, 1
+    for v in values:
+        if type(v) is not FastFraction:
+            v = FastFraction(v)
+        vn, vd = v._numerator, v._denominator
+        g = d if vd == d else _gcd(d, vd)
+        if g == 1:
+            n, d = n * vd + d * vn, d * vd
+        else:
+            s = d // g
+            n = n * (vd // g) + vn * s
+            g2 = _gcd(n, g)
+            n, d = n // g2, s * (vd // g2)
+    return _make(n, d)
+
+
 def _div(na: int, da: int, nb: int, db: int) -> FastFraction:
     """(na/da) / (nb/db) for reduced pairs, as CPython's ``Fraction._div``."""
     if nb == 0:
@@ -333,9 +371,9 @@ def rat_str(value) -> str:
 def is_power_of_two(value) -> bool:
     """True iff ``value`` equals 2**e for some (possibly negative) int e."""
     value = Rat(value)
-    if value <= 0:
+    num, den = value._numerator, value._denominator
+    if num <= 0:
         return False
-    num, den = value.numerator, value.denominator
     if num == 1:
         return den & (den - 1) == 0
     if den == 1:

@@ -20,6 +20,7 @@ budget (p at its default 4p).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .core import Decision, TAP, Task, TapError
@@ -32,15 +33,14 @@ class MrtInvariantError(TapError):
 
 
 def equi_alloc(ids, budget, serial_cap: bool) -> dict:
-    """budget/k to each of k jobs; with serial_cap each rate is capped at 1
-    and the surplus is not redistributed (flat-curve jobs gain nothing)."""
-    ids = list(ids)
+    """budget/k to each of the k jobs in the collection ``ids``; with serial_cap each
+    rate is capped at 1, the surplus not redistributed (flat-curve jobs gain nothing)."""
     if not ids:
         return {}
     share = Rat(budget) / len(ids)
-    if serial_cap:
-        share = min(share, ONE)
-    return {tid: share for tid in ids}
+    if serial_cap and share > 1:
+        share = ONE
+    return dict.fromkeys(ids, share)
 
 
 @dataclass
@@ -193,13 +193,17 @@ class CancScheduler(Scheduler):
         # each job ran at its task's rate since the last callback; every job
         # belongs to a running task (``on_completion`` drops a finished
         # task's job first), and one whose task finished at this instant
-        # but is not yet dispatched has remaining work 0
-        dt = view.now - self.last_sync
-        if dt > 0:
-            for tid, job in self.relaxed.items():
-                job.progress += relaxed_rate(job, view.current_rate(tid)) * dt
-        self.last_sync = view.now
+        # but is not yet dispatched has remaining work 0.  With no time
+        # since the last callback the check cannot newly fail: no progress
+        # changed, a job added since starts at 0 < 2 sigma, and a task's
+        # remaining work does not go from 0 back to positive (a cancelled
+        # task's job is gone)
+        now = view.now
+        if now == self.last_sync:
+            return
+        dt, self.last_sync = now - self.last_sync, now
         for tid, job in self.relaxed.items():
+            job.progress += relaxed_rate(job, view.current_rate(tid)) * dt
             if job.progress >= job.total_work and view.remaining(tid) > 0:
                 raise MrtInvariantError(
                     f"relaxed job {tid} finished ({job.progress} >= "
@@ -263,7 +267,7 @@ class _Nested(Scheduler):
         self.inner: Engine | None = None
         self.read = 0  # entries of the nested trace's log read so far
         self.synced = ZERO  # outer time of the last ``_catch_up``
-        self.timer_times: set = set()
+        self.timer_times: list = []  # heap of the times of the timers not yet due
 
     def setup(self, view):
         config = self.nested.engine_config(view.p, view.budget * self.share / view.p)
@@ -279,24 +283,23 @@ class _Nested(Scheduler):
         return self._sync(view)
 
     def _sync(self, view) -> SchedCommands:
-        dt = self._catch_up(view)
+        dt, nxt = self._catch_up(view)
         commands = SchedCommands()
         self._react(view, dt, self._new_events(), commands)
-        nxt = self.inner.next_event_time()
         if nxt is not None:
             self._wake_at(commands, nxt)
         return commands
 
-    def _catch_up(self, view) -> Rat:
+    def _catch_up(self, view) -> tuple:
         """Run the nested events due by the outer clock; the time since the
-        last call.  A fed arrival is due, so the first call starts the
-        nested run."""
+        last call and the nested run's next event time.  A fed arrival is
+        due, so the first call starts the nested run."""
         now = view.now
         dt, self.synced = now - self.synced, now
         nxt = self.inner.next_event_time()
         if nxt is not None and nxt <= now:
-            self.inner.advance_to(now)
-        return dt
+            nxt = self.inner.advance_to(now)
+        return dt, nxt
 
     def _new_events(self) -> list:
         """The (kind, id) entries the nested run logged since the last call."""
@@ -305,9 +308,13 @@ class _Nested(Scheduler):
         return new
 
     def _wake_at(self, commands, t) -> None:
-        """A timer at ``t``, unless one was already set for ``t``."""
-        if t not in self.timer_times:
-            self.timer_times.add(t)
+        """A timer at ``t``, unless one was already set for ``t``; ``t`` is
+        after the last sync, so only a timer not yet due can be one."""
+        times = self.timer_times
+        while times and times[0] <= self.synced:
+            heapq.heappop(times)
+        if t not in times:
+            heapq.heappush(times, t)
             commands.timers.append((t, None))
 
 
@@ -393,7 +400,7 @@ class BScheduler(_Nested):
             self.fakes.append(state.key[0])  # sigma of the type
 
     def _react(self, view, dt, new, commands) -> None:
-        if dt > 0 and self.fakes:
+        if self.fakes and dt > 0:
             done = self.fake_share * dt
             self.fakes = [work - done for work in self.fakes if work > done]
         for kind, inner_tid in new:
@@ -438,9 +445,10 @@ class BScheduler(_Nested):
         alloc: dict[int, Rat] = {}
         # concentrated parallel rates
         type_rate: dict[_TypeState, Rat] = {}
-        nested = self.inner.view
+        # a rated nested task is running: its decision is its last start
+        nested = self.inner.trace.decisions
         for inner_tid, rate in self.inner.alloc.items():
-            if nested.decision(inner_tid) is Decision.PARALLEL:
+            if nested[inner_tid][0] is Decision.PARALLEL:
                 state = self.type_of[inner_tid]
                 type_rate[state] = type_rate.get(state, ZERO) + rate
         for state, rate in type_rate.items():
@@ -534,11 +542,11 @@ class CScheduler(_Nested):
             _ModeRecord(tid, "semi-ballistic", view.now, "inner-completed"))
 
     def _react(self, view, dt, new, commands) -> None:
-        if dt > 0:
+        if self.flows and dt > 0:
             for victim, rate in self.flows:
                 self.stolen[victim] = self.stolen.get(victim, ZERO) + rate * dt
         outer_done = view.trace.completions
-        nested = self.inner.view
+        nested = self.inner.trace.decisions  # of the rated or completed nested tasks
         # transitions driven by the nested B run: B serialized the task
         # (cancelled it, or never ran it parallel), for good, so each is
         # read once; None -> PARALLEL is the vesting scan's
@@ -553,7 +561,7 @@ class CScheduler(_Nested):
         for kind, tid in new:
             if kind != COMPLETED or tid in outer_done:
                 continue
-            if nested.decision(tid) is not Decision.PARALLEL:
+            if nested[tid][0] is not Decision.PARALLEL:
                 continue  # serial completion inside the nested run
             if view.decision(tid) is Decision.PARALLEL:  # vested
                 self._enter_ballistic(view, tid, "inner-completed")
@@ -563,7 +571,7 @@ class CScheduler(_Nested):
         # (so neither vested, finished nor semi-ballistic) and its class is calm
         emergency = self._emergency_classes()
         for tid in self.inner.alloc:
-            if nested.decision(tid) is not Decision.PARALLEL:
+            if nested[tid][0] is not Decision.PARALLEL:
                 continue
             if view.decision(tid) is not None:
                 continue
@@ -590,12 +598,12 @@ class CScheduler(_Nested):
 
         emergency = self._emergency_classes()
         outer_done = view.trace.completions
-        nested = self.inner.view
+        nested = self.inner.trace.decisions  # of the running nested tasks, as rated
         unit = self.inner.budget
         self.flows = []
         # mirror of the nested B allocation on the first unit
         for tid, rate in self.inner.alloc.items():
-            if nested.decision(tid) is Decision.PARALLEL:
+            if nested[tid][0] is Decision.PARALLEL:
                 if emergency and (cls := self.task_class[tid]) in emergency:
                     add(self._smallest_ballistic(view, cls), rate)
                     self.flows.append((tid, rate))  # stolen until the next sync

@@ -37,7 +37,7 @@ from taplab.rationals import Rat, ZERO, ONE, rat_str
 from taplab.sched_awake import BalScheduler
 from taplab.verify import _awake_corpus, make_scheduler, run, run_config
 
-from conftest import small_dtaps, small_taps
+from conftest import rationals, small_dtaps, small_taps
 
 
 def T(tid, sigma, pi, arrival=0, deps=()):
@@ -305,6 +305,33 @@ class TestValidate:
         violations = validate_trace(trace, tap).violations
         assert violations == reference_validate(trace, tap) == expected
 
+    @pytest.mark.parametrize("decision, slices, cancellations, completions, expected", [
+        # serial task 0 rated 3 on [0, 1], not completed
+        (Decision.SERIAL, [(0, 1, 3)], [], {}, ["serial task 0 allocated rate > 1"]),
+        # the same slice at rate 4, completed at 1
+        (Decision.SERIAL, [(0, 1, 4)], [], {0: 1},
+         ["serial task 0 allocated rate > 1", "work conservation: task 0 did 1, expected 4"]),
+        # parallel at rate 4 on [0, 1], cancelled at 1, restarted serially
+        (Decision.SERIAL, [(0, 1, 4), (1, 2, 1)], [(0, 1)], {}, []),
+        (Decision.SERIAL, [(0, 1, 4), (1, 5, 1)], [(0, 1)], {0: 5}, []),
+        # a parallel task may take any rate
+        (Decision.PARALLEL, [(0, 1, 3)], [], {}, []),
+    ], ids=["unfinished", "completed", "cancelled-restart", "cancelled-restart-completed",
+            "parallel"])
+    def test_serial_cap_in_final_run(self, decision, slices, cancellations, completions,
+                                     expected):
+        tap = TAP(4, (T(0, 4, 8),))
+        config = EngineConfig(allow_cancel=True)
+        trace = Trace(
+            slices=[(Rat(a), Rat(b), {0: Rat(rate)}) for a, b, rate in slices],
+            decisions={0: (decision, ONE if cancellations else ZERO)},
+            completions={tid: Rat(at) for tid, at in completions.items()},
+            cancellations=[(tid, Rat(at)) for tid, at in cancellations],
+            arrivals={0: ZERO},
+        )
+        violations = validate_trace(trace, tap, config).violations
+        assert violations == reference_validate(trace, tap, config) == expected
+
     def test_unfinished_task_has_no_work_check(self):
         # task 0 gets half its serial work and never completes
         tap = TAP(4, (T(0, 2, 4),))
@@ -325,6 +352,31 @@ class TestValidate:
         )
         report = validate_trace(trace, tap)
         assert any("conservation" in v for v in report.violations)
+
+
+@given(rationals(min_value=1, max_value=64), st.sampled_from([ONE, Rat(2), Rat(3, 2), Rat(2, 7)]),
+       st.one_of(st.just(ONE), rationals(min_value=Rat(1, 64), max_value=2, max_denominator=64)))
+@settings(max_examples=200, deadline=None)
+def test_clock_step_matches_plain_arithmetic(pi, speed, frac):
+    """The clock step's fused update against ``remaining - rate * work``,
+    ``frac`` of the way to task 0's completion: work left (frac < 1), the
+    task due (frac == 1) or overshot (frac > 1)."""
+    engine = Engine(TAP(4, (T(0, pi / 4, pi), T(1, pi, pi))), _Fixed(Decision.PARALLEL),
+                    EngineConfig(speed=speed))
+    engine._startup()
+    rate = engine.alloc[0]
+    t = frac * pi / (rate * speed)
+    expected = {tid: engine.remaining[tid] - r * (t * speed) for tid, r in engine.alloc.items()}
+    if expected[0] < 0:
+        with pytest.raises(RunawayError) as caught:
+            engine._advance_clock(t)
+        assert str(caught.value) == f"task 0 overshot completion (remaining {expected[0]})"
+        return
+    engine._advance_clock(t)
+    for tid, left in expected.items():
+        assert (engine.remaining[tid].numerator, engine.remaining[tid].denominator) == (
+            left.numerator, left.denominator)
+    assert engine._due == ([0, 1] if frac == 1 else [])
 
 
 class TestProperties:
@@ -665,6 +717,13 @@ def reference_validate(trace: Trace, tap: TAP, config: EngineConfig | None = Non
                 violations.append(
                     f"work conservation: task {tid} did {work}, expected {expected}"
                 )
+    for tid in sorted(trace.decisions.keys() - trace.completions.keys()):
+        # an unfinished serial task: any rate above 1 in its final run
+        start_after = cancel_times.get(tid, ZERO)
+        if trace.decisions[tid][0] is Decision.SERIAL and any(
+                alloc.get(tid, ZERO) > 1 and t1 > max(t0, start_after)
+                for t0, t1, alloc in trace.slices):
+            violations.append(f"serial task {tid} allocated rate > 1")
     for tid, avail in trace.arrivals.items():
         task = tasks.get(tid)
         if task is None:

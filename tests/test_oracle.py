@@ -14,10 +14,11 @@ from taplab.oracle import (
     opt_awake_exhaustive,
     opt_awake_given_decisions,
     opt_trt_lower,
+    _srpt_trt,
 )
 from taplab.rationals import Rat, ZERO, ONE, PHI
 from taplab.sched_awake import BalScheduler, UnkScheduler
-from taplab.verify import _awake_corpus, _grid_corpus
+from taplab.verify import _awake_corpus, _grid_corpus, _pow2_corpus
 
 from conftest import small_taps
 
@@ -282,6 +283,45 @@ class TestTrtLower:
         # three ratio-1 tasks of work 4: SRPT completes them at 1, 2, 3
         tap = TAP(4, tuple(T(i, 4, 4) for i in range(3)))
         assert opt_trt_lower(tap) == 6
+
+
+def reference_srpt_trt(tap: TAP) -> Rat:
+    """SRPT's TRT by a scan of the released jobs at every event."""
+    p = Rat(tap.p)
+    pending = sorted(tap.tasks, key=lambda t: (t.arrival, t.id))
+    idx = 0
+    now = ZERO
+    remaining = {}
+    arrival_of = {t.id: t.arrival for t in tap.tasks}
+    trt = ZERO
+    while idx < len(pending) or remaining:
+        if not remaining:
+            now = max(now, pending[idx].arrival)
+        while idx < len(pending) and pending[idx].arrival <= now:
+            remaining[pending[idx].id] = pending[idx].sigma
+            idx += 1
+        tid = min(remaining, key=lambda i: (remaining[i], i))
+        finish = now + remaining[tid] / p
+        nxt = pending[idx].arrival if idx < len(pending) else None
+        if nxt is not None and nxt < finish:
+            remaining[tid] -= p * (nxt - now)
+            now = nxt
+        else:
+            trt += finish - arrival_of[tid]
+            del remaining[tid]
+            now = finish
+    return trt
+
+
+class TestSrptMatchesReference:
+    def test_pow2_corpus(self):
+        for tap in _pow2_corpus(0, 300):
+            assert _srpt_trt(tap) == reference_srpt_trt(tap)
+
+    @given(small_taps(max_n=10))
+    @settings(max_examples=200, deadline=None)
+    def test_small_taps(self, tap):
+        assert _srpt_trt(tap) == reference_srpt_trt(tap)
 
 
 class TestAdmissibility:

@@ -22,6 +22,8 @@ from taplab.rationals import (
     pow2_ceil,
     pow2_ceil_exponent,
     rat_str,
+    rat_sum,
+    sub_mul,
 )
 
 from conftest import rationals
@@ -246,3 +248,15 @@ def test_fast_fraction_identities_return_the_operand():
         assert x * one is x and one * x is x
     zero = FastFraction(0)
     assert x * zero is zero and zero * x is zero
+
+
+@given(_VALUES, _VALUES, _VALUES)
+def test_sub_mul_matches_the_operators(a, b, c):
+    a, b, c = FastFraction(a), FastFraction(b), FastFraction(c)
+    _assert_same(sub_mul(a, b, c), Fraction(a) - Fraction(b) * Fraction(c))
+    _assert_same(sub_mul(b * c, b, c), 0)  # an exact zero is 0/1
+
+
+@given(st.lists(_operands(), max_size=8))
+def test_rat_sum_matches_sum(terms):
+    _assert_same(rat_sum(x for x, _ in terms), sum((f for _, f in terms), Fraction(0)))

@@ -15,6 +15,7 @@ from taplab.sched_mrt import (
     CancScheduler,
     CScheduler,
     EquiScheduler,
+    MrtInvariantError,
     RelaxedJob,
     RigidScheduler,
     SssScheduler,
@@ -173,6 +174,27 @@ class TestCanc:
         sigma = {t.id: t.sigma for t in tap.tasks}
         for tid, at in trace.cancellations:
             assert at - trace.arrivals[tid] <= sigma[tid]
+
+
+class _ShortRelaxed(CancScheduler):
+    """CANC whose relaxed jobs need only an eighth of their work, so a job
+    finishes before its task."""
+
+    def on_arrival(self, view, task):
+        commands = super().on_arrival(view, task)
+        self.relaxed[task.id].total_work /= 8
+        return commands
+
+
+class TestCancInvariant:
+    def test_relaxed_job_finishing_first_is_an_error(self):
+        # task 0's job runs at rate 1 on the pool's 4 processors; by task
+        # 1's arrival at 1/2 it has progress 1/2 >= 2 sigma / 8 = 1/4,
+        # while task 0 still has work left
+        tap = TAP(4, (T(0, 1, 4), T(1, 1, 4, arrival=Rat(1, 2))))
+        with pytest.raises(MrtInvariantError) as caught:
+            simulate(tap, _ShortRelaxed(), run_config("canc", tap.p))
+        assert str(caught.value) == "relaxed job 0 finished (1/2 >= 1/4) before the real task"
 
 
 class TestB:
@@ -393,8 +415,7 @@ class TestNestedBookkeeping:
 class _Lockstep(sched_mrt._Nested):
     def _catch_up(self, view):
         dt = view.now - self.inner.now
-        self.inner.advance_to(view.now)
-        return dt
+        return dt, self.inner.advance_to(view.now)
 
 
 class _LockstepB(_Lockstep, BScheduler):
